@@ -3,7 +3,8 @@
 Every subcommand prints one JSON report to standard output (or to the
 ``--out`` file) and a short human summary to standard error.  Exit codes:
 0 for pass/success verdicts, 1 for fail verdicts (the report is still
-emitted), 2 for usage or configuration errors.
+emitted), 2 for usage or configuration errors, including an ``--out``
+file that cannot be written.
 
 The only environment variable consulted is ``QUDITQEC_REPORT_DIR``; when
 set, relative ``--out`` paths are resolved inside that directory.
@@ -134,8 +135,12 @@ def _emit(report: dict, args: argparse.Namespace, summary: str) -> None:
         override = os.environ.get(REPORT_DIR_VAR)
         if override and not os.path.isabs(path):
             path = os.path.join(override, path)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {path}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         print(text)
     print(summary, file=sys.stderr)

@@ -6,11 +6,35 @@ entries (i != j) must vanish and diagonal entries must not depend on i;
 the shared diagonal value is the lambda matrix entry for (A, B).  This is
 the Knill-Laflamme criterion specialized to a finite pattern family.
 
-Two engines share one report format.  The default engine expands each
-error-applied ket into a sparse row over the full computational basis and
-forms Gram blocks with scipy, which keeps the width-16 runs in the seconds
-range.  The exact engine walks operator pairs with cyclotomic amplitudes
-and certifies zeros symbolically; it is meant for small widths.
+Three engines share one report format (``KLReport.engine`` names the one
+that ran):
+
+* ``sparse-float`` expands each error-applied ket into a sparse row over
+  the full computational basis and forms Gram blocks with scipy.  The
+  per-logical matrices are cached and the blocks may be spread over
+  ``jobs`` threads; above ``NNZ_CACHE_LIMIT`` estimated entries the pairs
+  are streamed sequentially instead.
+* ``characteristic`` handles families whose operators are all Weyl
+  operators (or the identity).  For A = X^a_A Z^b_A, B = X^a_B Z^b_B and
+  the X-shift difference D = a_A - a_B,
+  <A v_i, B v_j> = w^(b_B.D) sum_x w^((b_B - b_A).x) conj(v_i(x)) v_j(x + D),
+  which is one entry of the code's characteristic function (the quantity
+  behind the Shor-Laflamme weight enumerators).  One discrete Fourier
+  transform over the (N,)*width grid per distinct D and logical pair gives
+  every phase difference at once.  It runs sequentially and ignores
+  ``jobs``.
+* ``exact`` walks operator pairs with cyclotomic amplitudes and certifies
+  zeros symbolically; it is meant for small widths.
+
+The float engine is chosen by one rule that compares operation counts
+read from the input: ``|D| * N^width * width`` for the characteristic
+engine (D the set of distinct X-shift differences) against
+``|F|^2 * t^2 / N^width`` for the sparse Gram (F the family, t the mean
+number of ket terms: the expected multiply-adds of a Gram product of two
+|F| x N^width matrices with t terms per row).  Both counts are per
+logical pair.  The lower count wins; a tie keeps the sparse Gram.
+Sparse kets land on the sparse Gram, dense kets such as Fourier duals on
+the characteristic engine.
 
 Deviations are classified as interior or boundary by whether either
 pattern of the offending pair touches a register of the code's truncation
@@ -23,12 +47,13 @@ translation-invariant witness that lives in the stream interior.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from .codes import CodeSpec
 from .cyclotomic import PhaseScalar
@@ -76,6 +101,15 @@ class KLWitness:
 
 @dataclass
 class KLReport:
+    """Outcome of one check.
+
+    ``lam`` holds the lambda matrix in the form the engine produced it: a
+    scipy CSR matrix from ``sparse-float``, a dense array from
+    ``characteristic`` and ``exact``.  It is complete on a pass; after a
+    ``fail_fast`` stop the characteristic engine fills only the entries it
+    reached and the sampled corner.  It is not part of the JSON report.
+    """
+
     verdict: str
     code_label: str
     tolerance: float
@@ -92,6 +126,7 @@ class KLReport:
     lambda_summary: dict | None
     elapsed_seconds: float
     family_json: dict = field(repr=False, default_factory=dict)
+    lam: object = field(repr=False, compare=False, default=None)
 
     @property
     def passed(self) -> bool:
@@ -255,12 +290,8 @@ def _scan_block(block, touches, tol):
     return float(mag[worst]), top, interior_max, hits
 
 
-def _lambda_entry(lam: csr_matrix, a: int, b: int) -> complex:
-    return complex(lam[a, b])
-
-
-def _float_engine(code: CodeSpec, patterns, family: PatternFamily,
-                  tol: float, fail_fast: bool, jobs: int):
+def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool,
+                   jobs: int):
     n, width = code.n_levels, code.width
     logicals = code.logical_windows()
     tables = _branch_tables(patterns, n)
@@ -287,14 +318,14 @@ def _float_engine(code: CodeSpec, patterns, family: PatternFamily,
         interior_max = max(interior_max, block_interior)
         if top is not None and dev > max_dev:
             a, b, value, on_boundary = top
-            expected = _lambda_entry(lam, a, b) if i == j else 0j
+            expected = complex(lam[a, b]) if i == j else 0j
             witness = KLWitness(a, b, i, j, expected + value, expected,
                                 dev, on_boundary)
             max_dev = dev
         for a, b, value in hits:
             if len(boundary) >= BOUNDARY_WITNESS_CAP:
                 break
-            expected = _lambda_entry(lam, a, b) if i == j else 0j
+            expected = complex(lam[a, b]) if i == j else 0j
             boundary.append(KLWitness(a, b, i, j, expected + value, expected,
                                       abs(value), True))
 
@@ -323,48 +354,205 @@ def _float_engine(code: CodeSpec, patterns, family: PatternFamily,
                 break
         return max_dev, witness, interior_max, tuple(boundary), lam
 
-    # Too many terms to keep every per-logical matrix alive (dense duals,
-    # very long windows).  Stream the pairs, rebuilding the second matrix
-    # each time; compact columns pairwise when the ambient dimension itself
-    # is the problem.  Sequential regardless of jobs.  High-occupancy
-    # matrices of manageable shape go through dense BLAS products instead
-    # of sparse kernels, which are an order of magnitude slower there.
+    # Too many terms to keep every per-logical matrix alive (very long
+    # windows).  Stream the pairs, rebuilding the second matrix each time;
+    # compact columns pairwise when the ambient dimension itself is the
+    # problem.  Sequential regardless of jobs.
     wide = n ** width > 1 << 22
-    entries = len(patterns) * n ** width
-    dense_mode = not wide and entries <= 16_000_000 \
-        and est_nnz >= 0.25 * entries * dim
-
-    def fetch(i):
-        mat = build(i)
-        return mat.toarray() if dense_mode else mat
-
-    lam_dense = None
     for i in range(dim):
-        mat_i = fetch(i)
+        mat_i = build(i)
         if i == 0:
-            if dense_mode:
-                lam_dense = mat_i.conj() @ mat_i.T
-                lam = csr_matrix(lam_dense)
-            else:
-                base = _compact_columns([mat_i])[0] if wide else mat_i
-                lam = (base.conj() @ base.T).tocsr()
+            base = _compact_columns([mat_i])[0] if wide else mat_i
+            lam = (base.conj() @ base.T).tocsr()
             lam.sort_indices()
         for j in range(i, dim):
-            mat_j = mat_i if j == i else fetch(j)
-            if dense_mode:
-                gram = mat_i.conj() @ mat_j.T
-                if i == j:
-                    gram = gram - lam_dense
-                scanned = _scan_block(csr_matrix(gram), touches, tol)
+            mat_j = mat_i if j == i else build(j)
+            if wide:
+                mat_a, mat_b = _compact_columns([mat_i, mat_j])
             else:
-                if wide:
-                    mat_a, mat_b = _compact_columns([mat_i, mat_j])
-                else:
-                    mat_a, mat_b = mat_i, mat_j
-                scanned = gram_scan(mat_a, mat_b, i == j)
-            reduce_block(i, j, scanned)
+                mat_a, mat_b = mat_i, mat_j
+            reduce_block(i, j, gram_scan(mat_a, mat_b, i == j))
             if fail_fast and max_dev > tol:
                 return max_dev, witness, interior_max, tuple(boundary), lam
+    return max_dev, witness, interior_max, tuple(boundary), lam
+
+
+@dataclass
+class _WeylPlan:
+    """Exponent tables of a Weyl family, as the characteristic engine reads
+    them.
+
+    ``phases[p]`` holds pattern p's Z exponents, ``row_of[p]`` the index of
+    its X-shift among the distinct shifts, and ``differences[u, v]`` the
+    grid index of shift u minus shift v (mod N).  Grid indices are
+    big-endian, register 1 first, with place values ``place``.
+    """
+
+    phases: np.ndarray
+    row_of: np.ndarray
+    differences: np.ndarray
+    place: np.ndarray
+
+
+def _weyl_plan(code: CodeSpec, patterns) -> _WeylPlan | None:
+    """The family's exponent tables, or None when an operator is not a
+    Weyl operator or the identity, or grid indices would overflow."""
+    n, width = code.n_levels, code.width
+    if n ** width >= 2 ** 62:
+        return None
+    shifts = np.zeros((len(patterns), width), dtype=np.int64)
+    phases = np.zeros_like(shifts)
+    for p_idx, pattern in enumerate(patterns):
+        for pos, op in pattern.ops:
+            if op.kind == "weyl":
+                shifts[p_idx, pos - 1] = op.a % n
+                phases[p_idx, pos - 1] = op.b % n
+            elif op.kind != "identity":
+                return None
+    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    _, first, row_of = np.unique(shifts @ place, return_index=True,
+                                 return_inverse=True)
+    rows = shifts[first]
+    step = max(1, (1 << 20) // (len(rows) * width))
+    differences = np.concatenate([
+        ((rows[start:start + step, None, :] - rows[None, :, :]) % n) @ place
+        for start in range(0, len(rows), step)])
+    return _WeylPlan(phases, row_of.ravel(), differences, place)
+
+
+def _choose_engine(code: CodeSpec, patterns):
+    """("characteristic", plan) or ("sparse-float", None) by operation count.
+
+    The characteristic engine costs |D| * N^width * width per logical pair
+    (one transform per distinct X-shift difference), the sparse Gram
+    |F|^2 * t^2 / N^width (products of two |F| x N^width matrices holding
+    t terms per row).  The lower count wins; a tie keeps the sparse Gram.
+    """
+    plan = _weyl_plan(code, patterns)
+    if plan is None:
+        return "sparse-float", None
+    logicals = code.logical_windows()
+    terms = sum(len(code.encoded_kets[w]) for w in logicals) / len(logicals)
+    space = code.n_levels ** code.width
+    sparse_cost = len(patterns) ** 2 * terms ** 2 / space
+    characteristic_cost = len(np.unique(plan.differences)) * space * code.width
+    if characteristic_cost < sparse_cost:
+        return "characteristic", plan
+    return "sparse-float", None
+
+
+def _dense_kets(code: CodeSpec, place: np.ndarray) -> np.ndarray:
+    """Encoded kets as a (dim, N, ..., N) array, register 1 on axis 1."""
+    n, width = code.n_levels, code.width
+    logicals = code.logical_windows()
+    out = np.zeros((len(logicals), n ** width), dtype=np.complex128)
+    for row, w in zip(out, logicals):
+        terms = code.encoded_kets[w].to_complex_terms()
+        digits = np.fromiter(itertools.chain.from_iterable(terms),
+                             dtype=np.int64, count=len(terms) * width)
+        row[digits.reshape(-1, width) @ place] = np.fromiter(
+            terms.values(), dtype=np.complex128, count=len(terms))
+    return out.reshape((len(logicals),) + (n,) * width)
+
+
+def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
+                           tol: float, fail_fast: bool):
+    """Weyl families through the characteristic function; see the module
+    docstring.
+
+    Delta groups are scanned in ascending grid index, so D = 0 comes
+    first; within a group one logical row i at a time, and within a row
+    the pairs in (j, a, b) order.  The witness is the largest deviation,
+    ties going to the earliest (i, j, a, b); boundary witnesses are the
+    earliest ones in that order.  ``fail_fast`` stops after the first
+    group holding a deviation above ``tol``.
+    """
+    # imported here, not at module level: scipy.fft adds about 0.1 s to
+    # every import of the package, CLI starts included
+    import scipy.fft
+
+    n, width = code.n_levels, code.width
+    size = len(patterns)
+    kets = _dense_kets(code, plan.place)
+    dim = kets.shape[0]
+    axes = tuple(range(1, width + 1))
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    touches = np.array(
+        [bool(set(p.support) & code.boundary_registers) for p in patterns])
+    # flat (a, b) pair indices grouped by delta, in (a, b) order in a group
+    pair_delta = plan.differences[np.ix_(plan.row_of, plan.row_of)].ravel()
+    by_delta = np.argsort(pair_delta, kind="stable")
+    deltas, group_start = np.unique(pair_delta[by_delta], return_index=True)
+    group_end = np.append(group_start[1:], pair_delta.size)
+
+    def group(g):
+        """Pairs of delta group g with the kets shifted by its delta."""
+        a, b = np.divmod(by_delta[group_start[g]:group_end[g]], size)
+        delta = (deltas[g] // plan.place) % n
+        shifted = np.roll(kets, tuple(-delta), axis=axes) if delta.any() \
+            else kets
+        spot = ((plan.phases[a] - plan.phases[b]) % n) @ plan.place
+        twist = roots[(plan.phases[b] @ delta) % n]
+
+        def entries(i, stop=dim):
+            """<A v_i, B v_j> for j in i..stop-1 (rows) and the pairs."""
+            spectrum = scipy.fft.fftn(kets[i].conj() * shifted[i:stop],
+                                      axes=axes, overwrite_x=True)
+            return spectrum.reshape(stop - i, -1)[:, spot] * twist
+        return a, b, entries
+
+    def order(w: KLWitness):
+        return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
+
+    lam = np.zeros((size, size), dtype=np.complex128)
+    max_dev = 0.0
+    interior_max = 0.0
+    witness = None
+    boundary: list[KLWitness] = []
+    scanned = 0
+    for g in range(len(deltas)):
+        a, b, entries = group(g)
+        on_boundary = touches[a] | touches[b]
+        for i in range(dim):
+            values = entries(i)
+            if i == 0:
+                reference = values[0]
+                lam[a, b] = reference
+            deviation = values.copy()
+            deviation[0] -= reference
+            mag = np.abs(deviation)
+            inside = mag[:, ~on_boundary]
+            if inside.size:
+                interior_max = max(interior_max, float(inside.max()))
+
+            def at(k):
+                row, col = divmod(int(k), len(a))
+                expected = complex(reference[col]) if row == 0 else 0j
+                return KLWitness(int(a[col]), int(b[col]), i, i + row,
+                                 complex(values[row, col]), expected,
+                                 float(mag[row, col]),
+                                 bool(on_boundary[col]))
+
+            top = at(mag.argmax())
+            if top.deviation > max_dev or (
+                    witness is not None and top.deviation == max_dev
+                    and order(top) < order(witness)):
+                witness, max_dev = top, top.deviation
+            hits = np.flatnonzero((mag > tol) & on_boundary)
+            boundary = sorted(
+                boundary + [at(k) for k in hits[:BOUNDARY_WITNESS_CAP]],
+                key=order)[:BOUNDARY_WITNESS_CAP]
+        scanned = g + 1
+        if fail_fast and max_dev > tol:
+            break
+    if scanned < len(deltas):
+        # the report samples the lambda corner; fill what the stop skipped
+        corner = min(size, LAMBDA_SAMPLE_DIM)
+        skipped = np.searchsorted(deltas, pair_delta.reshape(size, size)[
+            :corner, :corner].ravel())
+        for g in sorted({int(g) for g in skipped if g >= scanned}):
+            a, b, entries = group(g)
+            lam[a, b] = entries(0, 1)[0]
     return max_dev, witness, interior_max, tuple(boundary), lam
 
 
@@ -428,11 +616,19 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
              jobs: int = 1) -> KLReport:
     """Check the code against every ordered pair of patterns in the family.
 
-    Float mode passes when the maximal deviation stays at or below `tol`.
-    Exact mode demands symbolic zeros and reports the float magnitude of
-    any residue it finds.  `fail_fast` stops at the first witness; `jobs`
-    partitions the Gram blocks across threads without changing the result
-    (oversized runs stream sequentially and ignore `jobs`).
+    Float mode passes when the maximal deviation stays at or below `tol`;
+    it runs the ``sparse-float`` or the ``characteristic`` engine, whichever
+    needs fewer operations by the rule in the module docstring, and
+    ``report.engine`` names it.  Exact mode demands symbolic zeros and
+    reports the float magnitude of any residue it finds.
+
+    `fail_fast` stops early once a deviation above `tol` is found: the
+    sparse Gram after the first (i, j) logical block holding one, the
+    characteristic engine after the first delta group holding one (D = 0
+    first, then ascending grid index), the exact engine at the first
+    nonzero entry.  `jobs` partitions the cached Gram blocks across
+    threads without changing the result; the streamed sparse Gram and the
+    characteristic engine run sequentially and ignore it.
     """
     if family.width != code.width:
         raise ValueError(
@@ -448,32 +644,27 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
             _exact_engine(code, patterns, family, tol, fail_fast)
         ok = not failed
         engine = "exact"
-        k = min(len(patterns), LAMBDA_SAMPLE_DIM)
-        samples = {}
-        if ok:
-            for a in range(k):
-                for b in range(k):
-                    value = lam_row.get((a, b))
-                    if value is None:
-                        value = inner_product(
-                            apply_pattern(code.encoded_kets[
-                                code.logical_windows()[0]], patterns[a]),
-                            apply_pattern(code.encoded_kets[
-                                code.logical_windows()[0]], patterns[b]))
-                    samples[(a, b)] = value.to_complex()
+        # a pass visits every (a, b) of the reference block
+        lam = np.array([[lam_row[(a, b)].to_complex()
+                         for b in range(len(patterns))]
+                        for a in range(len(patterns))]) if ok else None
         summary = None
     else:
-        max_dev, witness, interior_max, boundary, lam = \
-            _float_engine(code, patterns, family, tol, fail_fast, jobs)
+        engine, plan = _choose_engine(code, patterns)
+        if plan is None:
+            result = _sparse_engine(code, patterns, tol, fail_fast, jobs)
+        else:
+            result = _characteristic_engine(code, patterns, plan, tol,
+                                            fail_fast)
+        max_dev, witness, interior_max, boundary, lam = result
         ok = max_dev <= tol
-        engine = "sparse-float"
-        k = min(len(patterns), LAMBDA_SAMPLE_DIM)
-        dense_corner = lam[:k, :k].toarray()
-        samples = {(a, b): complex(dense_corner[a, b])
-                   for a in range(k) for b in range(k)}
         summary = None
         if ok and len(patterns) <= LAMBDA_SUMMARY_MAX:
-            summary = _summarize_lambda(lam.toarray(), tol)
+            summary = _summarize_lambda(_as_dense(lam), tol)
+    k = min(len(patterns), LAMBDA_SAMPLE_DIM)
+    corner = np.zeros((0, 0)) if lam is None else _as_dense(lam[:k, :k])
+    samples = {(a, b): complex(value)
+               for (a, b), value in np.ndenumerate(corner)}
 
     elapsed = time.perf_counter() - started
     # every register on the boundary leaves nothing for the interior check
@@ -496,7 +687,12 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
         lambda_summary=summary,
         elapsed_seconds=elapsed,
         family_json=family.to_json(),
+        lam=lam,
     )
+
+
+def _as_dense(lam) -> np.ndarray:
+    return lam.toarray() if issparse(lam) else lam
 
 
 def _summarize_lambda(matrix: np.ndarray, tol: float) -> dict:
@@ -535,7 +731,10 @@ def lambda_matrix(code: CodeSpec, family: PatternFamily,
     """Full lambda matrix over family pairs; only defined for passing codes.
 
     `precomputed` skips the verification pass when the caller already holds
-    a report for exactly this (code, family) pairing.
+    a report for exactly this (code, family) pairing.  The matrix and its
+    summary are the ones the check computed; the summary is taken again
+    only when the check skipped it (exact engine, families above
+    ``LAMBDA_SUMMARY_MAX``) or ran at another tolerance.
     """
     report = precomputed if precomputed is not None \
         else kl_check(code, family, tol=tol, jobs=jobs)
@@ -544,14 +743,10 @@ def lambda_matrix(code: CodeSpec, family: PatternFamily,
             f"code {code.label!r} fails the recoverability check "
             f"(max deviation {report.max_deviation:.3e}); "
             "the lambda matrix is undefined")
-    n = code.n_levels
-    patterns = list(family)
-    tables = _branch_tables(patterns, n)
-    first = code.encoded_kets[code.logical_windows()[0]]
-    mat, = _compact_columns(
-        [_family_matrix(first, patterns, tables, n, code.width)])
-    lam = np.asarray((mat.conj() @ mat.T).todense())
-    summary = _summarize_lambda(lam, tol)
+    lam = _as_dense(report.lam)
+    summary = report.lambda_summary
+    if summary is None or report.tolerance != tol:
+        summary = _summarize_lambda(lam, tol)
     return LambdaReport(matrix=lam, kind=summary["kind"],
                         rank=summary["rank"], kl=report)
 

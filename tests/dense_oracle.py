@@ -73,3 +73,26 @@ def dense_kl_check(code, family, tol: float = 1e-9):
             max_dev = max(max_dev, dev)
     verdict = "pass" if max_dev <= tol else "fail"
     return verdict, lam, max_dev
+
+
+def dense_kl_deviation(code, family):
+    """(deviation, lambda) matrices over family pairs, in the verifier's terms.
+
+    deviation[a, b] is the largest |<i|A^dag B|j> - delta_ij <0|A^dag B|0>|
+    over logical pairs, and lambda[a, b] = <0|A^dag B|0>.  Cheaper than the
+    projector route, since it never forms N^width x N^width products.
+    """
+    n = code.n_levels
+    v = np.column_stack([state_vector(code.encoded_kets[w])
+                         for w in code.logical_windows()])
+    applied = [pattern_matrix(p, n) @ v for p in family]
+    eye = np.eye(v.shape[1])
+    size = len(applied)
+    deviation = np.zeros((size, size))
+    lam = np.zeros((size, size), dtype=complex)
+    for i, a in enumerate(applied):
+        for j, b in enumerate(applied):
+            block = a.conj().T @ b
+            lam[i, j] = block[0, 0]
+            deviation[i, j] = np.abs(block - block[0, 0] * eye).max()
+    return deviation, lam

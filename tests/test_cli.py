@@ -197,6 +197,18 @@ def test_out_file(tmp_path, capsys):
     validate(written, "manifest")
 
 
+def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, report, err = run_cli(capsys, [
+        "verify-kl", "--code", "shor9", "--window", "9", "--jobs", "1",
+        "--out", str(target)])
+    assert code == 2
+    assert report is None
+    assert err.count("\n") == 1
+    assert err.startswith("quditqec: cannot write report")
+    assert not target.exists()
+
+
 def test_report_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QUDITQEC_REPORT_DIR", str(tmp_path))
     code, _, _ = run_cli(capsys, [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quditqec.verifier as verifier
-from dense_oracle import dense_kl_check
+from dense_oracle import dense_kl_check, dense_kl_deviation
 from quditqec.codes import build_identity_code, builtin, perfect5_block
 from quditqec.errors import additive_flip, enumerate_family, weyl
 from quditqec.transforms import dualize
@@ -155,15 +155,155 @@ def test_streaming_engine_matches_cached(monkeypatch):
         (w2.pattern_a, w2.pattern_b, w2.logical_i, w2.logical_j)
 
 
-def test_streaming_dense_mode_matches(monkeypatch):
-    # dense-friendly operands: dual kets occupy the whole window
-    code = dualize(builtin("majority3", 2, 1))
-    family = weyl_family(3, 3, 1, 2)
-    cached = kl_check(code, family)
-    monkeypatch.setattr(verifier, "NNZ_CACHE_LIMIT", 0)
-    streamed = kl_check(code, family)
-    assert streamed.verdict == cached.verdict
-    assert abs(streamed.max_deviation - cached.max_deviation) < 1e-12
+def force_engine(monkeypatch, engine):
+    """Route float checks to one engine, whatever the cost rule says."""
+    def choose(code, patterns):
+        if engine == "sparse-float":
+            return engine, None
+        return engine, verifier._weyl_plan(code, patterns)
+    monkeypatch.setattr(verifier, "_choose_engine", choose)
+
+
+def phase_family(width, window, n):
+    ops = tuple(weyl(0, b) for b in range(1, n))
+    return enumerate_family(width, window, 1, basis=ops, n_levels=n)
+
+
+# (code, Weyl family, verdict) small enough for the dense oracle: Fourier
+# duals against phase and full Weyl families, sparse kets against full
+# Weyl families (X, Z and mixed X^a Z^b operators)
+CHARACTERISTIC_CASES = [
+    (dualize(builtin("majority3", 2, 1)), phase_family(3, 3, 2), "pass"),
+    (dualize(builtin("majority3", 3, 1)), phase_family(3, 3, 3), "pass"),
+    (dualize(builtin("majority3", 2, 2)), phase_family(6, 3, 2), "pass"),
+    (dualize(builtin("spin_conv", 2, 1)), phase_family(6, 4, 2), "pass"),
+    (dualize(builtin("spin_conv", 3, 1)), phase_family(6, 4, 3), "pass"),
+    (dualize(builtin("spin_conv", 2, 1)), phase_family(6, 1, 2), "fail"),
+    (dualize(builtin("majority3", 2, 1)), weyl_family(3, 3, 1, 2), "fail"),
+    (dualize(builtin("majority3", 3, 1)), weyl_family(3, 3, 1, 3), "fail"),
+    (dualize(builtin("spin_conv", 2, 1)), weyl_family(6, 4, 1, 2), "fail"),
+    (perfect5_block(2), weyl_family(5, 5, 1, 2), "pass"),
+    (build_identity_code(2, 3), weyl_family(3, 3, 1, 2), "fail"),
+    (build_identity_code(3, 2), weyl_family(2, 2, 1, 3), "fail"),
+]
+
+
+def test_characteristic_engine_agrees_with_dense_oracle(monkeypatch):
+    force_engine(monkeypatch, "characteristic")
+    for code, family, verdict in CHARACTERISTIC_CASES:
+        report = kl_check(code, family)
+        assert report.engine == "characteristic"
+        assert report.verdict == verdict, code.label
+        deviation, oracle_lam = dense_kl_deviation(code, family)
+        assert abs(report.max_deviation - deviation.max()) < 1e-9, code.label
+        if report.passed:
+            lam = lambda_matrix(code, family, precomputed=report).matrix
+            assert np.abs(lam - oracle_lam).max() < 1e-9, code.label
+        # the projector route costs N^(3 width) per pair
+        if code.n_levels ** code.width <= 64:
+            assert dense_kl_check(code, family)[0] == verdict, code.label
+
+
+def test_characteristic_engine_matches_cached(monkeypatch):
+    cases = [(code, family) for code, family, _ in CHARACTERISTIC_CASES]
+    cases.append((builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2)))
+    cases.append((dualize(builtin("majority3", 2, 3)),
+                  phase_family(9, 3, 2)))
+    for code, family in cases:
+        force_engine(monkeypatch, "sparse-float")
+        cached = kl_check(code, family)
+        force_engine(monkeypatch, "characteristic")
+        fast = kl_check(code, family)
+        assert cached.engine == "sparse-float"
+        assert fast.verdict == cached.verdict, code.label
+        assert abs(fast.max_deviation - cached.max_deviation) < 1e-12
+        assert abs(fast.interior_max_deviation
+                   - cached.interior_max_deviation) < 1e-12
+        assert fast.interior_verdict == cached.interior_verdict
+        assert len(fast.boundary_witnesses) == \
+            len(cached.boundary_witnesses)
+        assert fast.lambda_samples.keys() == cached.lambda_samples.keys()
+        for key, value in cached.lambda_samples.items():
+            assert abs(fast.lambda_samples[key] - value) < 1e-12
+        if fast.passed:
+            for key in ("kind", "rank", "dim"):
+                assert fast.lambda_summary[key] == cached.lambda_summary[key]
+            assert abs(fast.lambda_summary["min_eigenvalue"]
+                       - cached.lambda_summary["min_eigenvalue"]) < 1e-12
+            assert np.abs(lambda_matrix(code, family, precomputed=fast).matrix
+                          - cached.lam.toarray()).max() < 1e-12
+
+
+def test_characteristic_witnesses_reevaluate(monkeypatch):
+    force_engine(monkeypatch, "characteristic")
+    for code, family, verdict in CHARACTERISTIC_CASES:
+        if verdict == "pass":
+            continue
+        for fail_fast in (False, True):
+            report = kl_check(code, family, fail_fast=fail_fast)
+            assert not report.passed
+            witness = report.witness
+            assert witness.deviation == report.max_deviation
+            deviation = reevaluate_witness(code, family, witness)
+            assert abs(deviation - witness.deviation) < 1e-9, code.label
+            for extra in report.boundary_witnesses:
+                assert abs(reevaluate_witness(code, family, extra)
+                           - extra.deviation) < 1e-9
+
+
+def test_fail_fast_stops_after_first_violating_delta_group(monkeypatch):
+    force_engine(monkeypatch, "characteristic")
+    code = dualize(builtin("majority3", 2, 2))
+    family = weyl_family(6, 3, 1, 2)
+    patterns = list(family)
+    deviation, lam = dense_kl_deviation(code, family)
+    n, width = code.n_levels, code.width
+
+    def delta(a, b):
+        """Grid index of the X-shift difference, register 1 first."""
+        shifts = [dict((pos, op.a) for pos, op in patterns[p].ops)
+                  for p in (a, b)]
+        digits = [(shifts[0].get(pos, 0) - shifts[1].get(pos, 0)) % n
+                  for pos in range(1, width + 1)]
+        return sum(d * n ** (width - 1 - k) for k, d in enumerate(digits))
+
+    worst: dict[int, float] = {}
+    for (a, b), dev in np.ndenumerate(deviation):
+        key = delta(a, b)
+        worst[key] = max(worst.get(key, 0.0), dev)
+    first = min(key for key, dev in worst.items() if dev > 1e-9)
+    assert first > 0  # the scan gets past D = 0
+    report = kl_check(code, family, fail_fast=True)
+    w = report.witness
+    assert delta(w.pattern_a, w.pattern_b) == first
+    assert abs(report.max_deviation - worst[first]) < 1e-9
+    assert report.max_deviation < kl_check(code, family).max_deviation + 1e-9
+    for (a, b), value in report.lambda_samples.items():
+        assert abs(value - lam[a, b]) < 1e-9
+
+
+def test_engine_choice_follows_operation_counts():
+    sparse = kl_check(builtin("spin_conv", 2, 2),
+                      flip_family(8, 4, 2))
+    assert sparse.engine == "sparse-float"
+    dense = kl_check(dualize(builtin("spin_conv", 2, 2)),
+                     phase_family(8, 4, 2))
+    assert dense.engine == "characteristic"
+    assert sparse.verdict == dense.verdict == "pass"
+
+
+def test_lambda_matrix_reuses_the_check(monkeypatch):
+    code = builtin("shor9", 2, 1)
+    family = weyl_family(9, 9, 1, 2)
+    report = kl_check(code, family)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_matrix repeated work of the check")
+    monkeypatch.setattr(verifier, "_family_matrix", refuse)
+    monkeypatch.setattr(verifier, "_summarize_lambda", refuse)
+    lam = lambda_matrix(code, family, precomputed=report)
+    assert lam.kind == report.lambda_summary["kind"]
+    assert np.abs(lam.matrix - report.lam.toarray()).max() == 0.0
 
 
 def test_jobs_do_not_change_the_report():
