@@ -4,7 +4,15 @@ Each trial corrupts an encoded state register by register, decodes by
 projecting every candidate-corrected state onto the code space, and scores
 the recovered logical state against the input.  Trials are independent and
 derive their randomness from (seed, trial index) through numpy's seed
-sequence, so runs reproduce bit for bit at any parallelism degree.
+sequence, so runs reproduce bit for bit.
+
+For a fixed input the record of a trial depends on its injected pattern
+alone, so :func:`run_trials` draws every pattern first and works each
+distinct pattern once: corruption in floats, through the same family-matrix
+kernel the verifier uses, and decoding of a block of distinct patterns in
+one stacked sparse product.  It runs in one process; its ``jobs`` argument
+is a no-op kept for compatibility.  :func:`sample_channel` and
+:func:`decode_mld` stay the exact, one-state-at-a-time reference path.
 
 The decoder assumes the code passed verification against the same family;
 on an unverified pairing it still runs, but in-family corruptions are then
@@ -15,7 +23,6 @@ means, and the trial records will show it).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +32,16 @@ from .codes import CodeSpec
 from .cyclotomic import PhaseScalar
 from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
                      apply_pattern, weyl_basis)
-from .states import RegisterState, index_of_ket, inner_product
-from .verifier import _branch_tables, _family_matrix
+from .states import RegisterState
+from .verifier import _family_matrix
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
 PROJECTION_FLOOR = 1e-9
-TRIAL_CHUNK = 250
+# squared projections this close to the best one, relatively, count as ties
+TIE_RTOL = 1e-12
+# distinct patterns decoded per stacked product; bounds the dense block of
+# amplitudes at (logical dim * family size) x DECODE_BLOCK
+DECODE_BLOCK = 256
 
 
 class UncorrectableError(RuntimeError):
@@ -105,22 +116,28 @@ class TrialRecord:
                 "success": self.success}
 
 
+def _draw_pattern(cfg: ChannelConfig, width: int, menu, weights,
+                  trial: int) -> ErrorPattern:
+    """The pattern injected in one trial, drawn from (cfg.seed, trial)."""
+    rng = np.random.default_rng([cfg.seed, trial])
+    hits = rng.random(width) < cfg.p
+    placed = {}
+    for slot in np.flatnonzero(hits):
+        pick = int(rng.choice(len(menu), p=weights))
+        placed[int(slot) + 1] = menu[pick]
+    return ErrorPattern.from_dict(width, placed)
+
+
 def sample_channel(state: RegisterState, cfg: ChannelConfig,
                    trial: int) -> tuple[RegisterState, ErrorPattern]:
     """Corrupt each register independently with probability p.
 
     The draw is fully determined by (cfg.seed, trial): both feed one seed
     sequence, so trial streams are independent and reproducible in any
-    execution order.
+    execution order.  The corruption is exact.
     """
-    rng = np.random.default_rng([cfg.seed, trial])
     menu, weights = cfg.menu_for(state.n_levels)
-    hits = rng.random(state.width) < cfg.p
-    placed = {}
-    for slot in np.flatnonzero(hits):
-        pick = int(rng.choice(len(menu), p=weights))
-        placed[int(slot) + 1] = menu[pick]
-    pattern = ErrorPattern.from_dict(state.width, placed)
+    pattern = _draw_pattern(cfg, state.width, menu, weights, trial)
     return apply_pattern(state, pattern), pattern
 
 
@@ -128,7 +145,7 @@ class _Decoder:
     """Stacked candidate-corrected overlaps for one (code, family) pairing.
 
     Row (i, s) of the stacked matrix is pattern s applied to encoded ket i,
-    so one sparse product against the corrupted vector yields every
+    so one sparse product against a block of corrupted states yields every
     amplitude <i_enc| s^dagger |corrupted> at once.
     """
 
@@ -137,43 +154,37 @@ class _Decoder:
             raise ValueError(
                 f"family width {family.width} does not match code width "
                 f"{code.width}")
-        self.code = code
         self.patterns = list(family)
         self.windows = code.logical_windows()
-        n, width = code.n_levels, code.width
-        tables = _branch_tables(self.patterns, n)
         self.stacked = vstack(
-            [_family_matrix(code.encoded_kets[w], self.patterns, tables,
-                            n, width) for w in self.windows],
-            format="csr").conj()
-        self.n_levels = n
-        self.width = width
+            [_family_matrix(code.encoded_kets[w], self.patterns,
+                            code.n_levels, code.width)
+             for w in self.windows], format="csr")
+        np.conjugate(self.stacked.data, out=self.stacked.data)
 
-    def decode(self, corrupted: RegisterState) -> tuple[RegisterState,
-                                                        ErrorPattern]:
-        terms = corrupted.to_complex_terms()
-        cols = np.array([index_of_ket(d, self.n_levels) for d in terms],
-                        dtype=np.int64)
-        data = np.array(list(terms.values()), dtype=np.complex128)
-        vec = csr_matrix(
-            (data, (cols, np.zeros(cols.size, dtype=np.int64))),
-            shape=(self.n_levels ** self.width, 1))
-        amps = (self.stacked @ vec).toarray().ravel()
-        amps = amps.reshape(len(self.windows), len(self.patterns))
-        projection_sq = np.abs(amps) ** 2
-        per_pattern = projection_sq.sum(axis=0)
-        best = int(per_pattern.argmax())
-        if math.sqrt(float(per_pattern[best])) < PROJECTION_FLOOR:
-            raise UncorrectableError(
-                "no candidate pattern reaches the code space "
-                f"(best projection {per_pattern[best]:.3e})")
-        logical_amps = amps[:, best]
-        norm = float(np.linalg.norm(logical_amps))
-        state = RegisterState(
-            self.n_levels, self.code.logical_width,
-            {w: PhaseScalar.from_complex(complex(a) / norm)
-             for w, a in zip(self.windows, logical_amps)})
-        return state, self.patterns[best]
+    def score(self, corrupted: csr_matrix):
+        """Maximum-likelihood choice for every row of ``corrupted``.
+
+        Returns, per row, the index of the candidate whose correction
+        projects furthest onto the code space (ties to the earlier one,
+        -1 when even it stays below ``PROJECTION_FLOOR``), that squared
+        projection, and the chosen candidate's renormalized logical
+        amplitudes as the columns of a (windows, rows) array.
+        """
+        rows = corrupted.shape[0]
+        amps = (self.stacked @ corrupted.T).toarray().reshape(
+            len(self.windows), len(self.patterns), rows)
+        per_pattern = (np.abs(amps) ** 2).sum(axis=0)
+        top = per_pattern.max(axis=0)
+        # the first candidate within rounding of the maximum
+        best = (per_pattern >= top * (1.0 - TIE_RTOL)).argmax(axis=0)
+        cols = np.arange(rows)
+        projection = per_pattern[best, cols]
+        reached = np.sqrt(projection) >= PROJECTION_FLOOR
+        logical = amps[:, best, cols]
+        norm = np.linalg.norm(logical, axis=0)
+        logical = logical / np.where(reached, norm, 1.0)
+        return np.where(reached, best, -1), projection, logical
 
 
 def decode_mld(code: CodeSpec, corrupted: RegisterState,
@@ -182,12 +193,26 @@ def decode_mld(code: CodeSpec, corrupted: RegisterState,
 
     For each candidate pattern s, in family order, the squared norm of the
     projection of the s-corrected state onto the code space is computed;
-    the maximizer wins, ties going to the earlier pattern.  Returns the
+    the maximizer wins, ties going to the earlier pattern (projections
+    within a relative ``TIE_RTOL`` of the largest count as tied, so that
+    rounding cannot reorder candidates that project equally).  Returns the
     renormalized logical amplitudes and the chosen pattern.  Raises
     :class:`UncorrectableError` when every candidate projects below 1e-9.
     The caller is expected to have verified the (code, family) pairing.
     """
-    return _Decoder(code, family).decode(corrupted)
+    decoder = _Decoder(code, family)
+    row = _family_matrix(corrupted, [ErrorPattern(code.width, ())],
+                         code.n_levels, code.width)
+    (best,), (projection,), logical = decoder.score(row)
+    if best < 0:
+        raise UncorrectableError(
+            "no candidate pattern reaches the code space "
+            f"(best projection {projection:.3e})")
+    state = RegisterState(
+        code.n_levels, code.logical_width,
+        {w: PhaseScalar.from_complex(complex(a))
+         for w, a in zip(decoder.windows, logical[:, 0])})
+    return state, decoder.patterns[best]
 
 
 @dataclass
@@ -214,64 +239,49 @@ class ChannelSummary:
                 "mean_fidelity": self.mean_fidelity, "seed": self.seed}
 
 
-def _run_one(decoder: _Decoder, encoded: RegisterState,
-             logical_input: RegisterState, cfg: ChannelConfig,
-             family: PatternFamily, trial: int) -> TrialRecord:
-    corrupted, injected = sample_channel(encoded, cfg, trial)
-    in_family = family.contains(injected)
-    try:
-        recovered, chosen = decoder.decode(corrupted)
-    except UncorrectableError:
-        return TrialRecord(injected, in_family, None, 0.0, False)
-    fidelity = abs(inner_product(logical_input, recovered).to_complex()) ** 2
-    return TrialRecord(injected, in_family, chosen, fidelity,
-                       fidelity >= SUCCESS_FIDELITY)
-
-
-_WORKER: dict = {}
-
-
-def _init_worker(code: CodeSpec, family: PatternFamily, cfg: ChannelConfig,
-                 logical_input: RegisterState) -> None:
-    decoder = _Decoder(code, family)
-    encoded = code.encode(logical_input)
-    _WORKER.update(decoder=decoder, encoded=encoded, family=family,
-                   cfg=cfg, logical_input=logical_input)
-
-
-def _trial_chunk(bounds: tuple[int, int]) -> list[TrialRecord]:
-    start, stop = bounds
-    return [_run_one(_WORKER["decoder"], _WORKER["encoded"],
-                     _WORKER["logical_input"], _WORKER["cfg"],
-                     _WORKER["family"], t) for t in range(start, stop)]
-
-
 def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
                logical_input: RegisterState, jobs: int = 1,
                keep_records: bool = False) -> ChannelSummary:
     """Encode, corrupt, decode and score cfg.trials independent trials.
 
-    The summary is a pure function of (code, cfg, family, input): trials
-    derive their own seeds, chunks are fixed-size, and the reduction walks
-    records in trial order, so any `jobs` value gives identical output.
+    Each trial draws its pattern exactly as :func:`sample_channel` does.
+    The record of a trial is a function of its injected pattern alone, so
+    only the distinct patterns are worked, in first-seen order: their
+    corrupted states are rows of one float family matrix of the encoded
+    state, decoded ``DECODE_BLOCK`` at a time by one stacked sparse
+    product, and scored against the input in floats.  The records are then
+    laid out in trial order.  The summary is a pure function of (code, cfg,
+    family, input); `jobs` is accepted for compatibility and ignored.
     """
     if logical_input.width != code.logical_width:
         raise ValueError(
             f"logical input must have width {code.logical_width}")
     logical_input = logical_input.normalized()
-    bounds = [(k, min(k + TRIAL_CHUNK, cfg.trials))
-              for k in range(0, cfg.trials, TRIAL_CHUNK)]
-    if jobs > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker,
-                initargs=(code, family, cfg, logical_input)) as pool:
-            chunks = list(pool.map(_trial_chunk, bounds))
-        records = [rec for chunk in chunks for rec in chunk]
-    else:
-        decoder = _Decoder(code, family)
-        encoded = code.encode(logical_input)
-        records = [_run_one(decoder, encoded, logical_input, cfg, family, t)
-                   for t in range(cfg.trials)]
+    menu, weights = cfg.menu_for(code.n_levels)
+    injected = [_draw_pattern(cfg, code.width, menu, weights, t)
+                for t in range(cfg.trials)]
+    distinct = list(dict.fromkeys(injected))
+    decoder = _Decoder(code, family)
+    encoded = code.encode(logical_input)
+    target = np.array([logical_input.amplitude(w).to_complex()
+                       for w in decoder.windows])
+    outcome: dict[ErrorPattern, TrialRecord] = {}
+    for start in range(0, len(distinct), DECODE_BLOCK):
+        block = distinct[start:start + DECODE_BLOCK]
+        chosen, _, logical = decoder.score(
+            _family_matrix(encoded, block, code.n_levels, code.width))
+        fidelity = np.abs(target.conj() @ logical) ** 2
+        for pattern, pick, fid in zip(block, chosen.tolist(),
+                                      fidelity.tolist()):
+            in_family = family.contains(pattern)
+            if pick < 0:
+                record = TrialRecord(pattern, in_family, None, 0.0, False)
+            else:
+                record = TrialRecord(pattern, in_family,
+                                     decoder.patterns[pick], fid,
+                                     fid >= SUCCESS_FIDELITY)
+            outcome[pattern] = record
+    records = [outcome[pattern] for pattern in injected]
 
     in_family_count = sum(r.in_family for r in records)
     success_count = sum(r.success for r in records)

@@ -4,7 +4,9 @@ Every subcommand prints one JSON report to standard output (or to the
 ``--out`` file) and a short human summary to standard error.  Exit codes:
 0 for pass/success verdicts, 1 for fail verdicts (the report is still
 emitted), 2 for usage or configuration errors, including an ``--out``
-file that cannot be written.
+file that cannot be written, a request that runs out of memory and any
+other unexpected error, and 130 on an interrupt.  Every exit other than 0
+and 1 prints one line on standard error and no traceback.
 
 The only environment variable consulted is ``QUDITQEC_REPORT_DIR``; when
 set, relative ``--out`` paths are resolved inside that directory.
@@ -43,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true",
                        help="use exact cyclotomic arithmetic where supported")
     group.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers (default: available cores)")
+                       help="parallel workers (default: available cores); "
+                            "simulate ignores it")
     group.add_argument("--out", default=None, metavar="FILE",
                        help="write the JSON report here instead of stdout")
 
@@ -305,8 +308,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ConfigError, ValueError) as exc:
-        print(f"quditqec: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), 2)
+    except MemoryError as exc:
+        # numpy's allocation failures name the array that did not fit
+        return _fail(f"out of memory: {str(exc) or 'allocation failed'}", 2)
+    except KeyboardInterrupt:
+        return _fail("interrupted", 130)
+    except Exception as exc:
+        return _fail(f"unexpected {type(exc).__name__}: {exc}", 2)
+
+
+def _fail(message: str, code: int) -> int:
+    """One line on stderr, then the exit code."""
+    line = " ".join(message.split())
+    print(f"quditqec: {line}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

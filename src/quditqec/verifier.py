@@ -57,8 +57,8 @@ from scipy.sparse import csr_matrix, issparse
 
 from .codes import CodeSpec
 from .cyclotomic import PhaseScalar
-from .errors import ErrorPattern, PatternFamily, apply_pattern
-from .states import RegisterState, index_of_ket, inner_product
+from .errors import PatternFamily, apply_pattern
+from .states import RegisterState, inner_product
 
 BOUNDARY_WITNESS_CAP = 10
 LAMBDA_SAMPLE_DIM = 4
@@ -156,41 +156,9 @@ class KLReport:
         return out
 
 
-def _branch_tables(patterns, n_levels: int) -> dict:
-    """Per-operator complex branch tables indexed by input digit."""
-    tables: dict = {}
-    for pattern in patterns:
-        for _, op in pattern.ops:
-            if op in tables:
-                continue
-            rows = []
-            for digit in range(n_levels):
-                row = []
-                for new_digit, factor in op.branches(digit, n_levels):
-                    value = factor.to_complex() \
-                        if isinstance(factor, PhaseScalar) else complex(factor)
-                    row.append((new_digit, value))
-                rows.append(row)
-            tables[op] = rows
-    return tables
-
-
-def _apply_terms(base: dict, pattern: ErrorPattern, tables: dict) -> dict:
-    out = base
-    for pos, op in pattern.ops:
-        idx = pos - 1
-        table = tables[op]
-        nxt: dict = {}
-        for digits, amp in out.items():
-            for new_digit, factor in table[digits[idx]]:
-                key = digits[:idx] + (new_digit,) + digits[idx + 1:]
-                nxt[key] = nxt.get(key, 0j) + amp * factor
-        out = nxt
-    return out
-
-
 def _monomial_table(op, n_levels: int):
-    """(digit permutation-or-function, phase per input digit) for one-branch ops."""
+    """(digit map, phase per input digit) for one-branch ops, None for
+    ``general``."""
     n = n_levels
     if op.kind == "weyl":
         digits = np.arange(n)
@@ -207,47 +175,86 @@ def _monomial_table(op, n_levels: int):
         return np.arange(n), np.asarray(op.phases, dtype=complex)
     if op.kind == "identity":
         return np.arange(n), np.ones(n, dtype=complex)
-    return None
+    if op.kind == "general":
+        if len(op.matrix) != n:
+            raise ValueError("matrix shape does not match n_levels")
+        return None
+    raise ValueError(f"unknown error kind {op.kind!r}")
 
 
-def _family_matrix(ket: RegisterState, patterns, tables,
-                   n_levels: int, width: int) -> csr_matrix:
-    """Sparse matrix whose row p is pattern p applied to the ket."""
+def _ket_arrays(ket: RegisterState,
+                place: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ket's grid indices (big-endian, place values ``place``) and
+    complex amplitudes, in term order."""
+    terms = ket.to_complex_terms()
+    digits = np.fromiter(itertools.chain.from_iterable(terms),
+                         dtype=np.int64, count=len(terms) * place.size)
+    amps = np.fromiter(terms.values(), dtype=np.complex128, count=len(terms))
+    return digits.reshape(-1, place.size) @ place, amps
+
+
+def _family_matrix(ket: RegisterState, patterns, n_levels: int,
+                   width: int) -> csr_matrix:
+    """Sparse matrix whose row p is pattern p applied to the ket.
+
+    One-branch operators (Weyl, spin flip, phase shift, identity) act
+    first, register by register in ascending position: each moves the
+    terms of all patterns that hold it at that position in one numpy pass.
+    ``general`` operators then fan each term they touch out to at most N
+    branches.  Operators on different registers commute, so the order does
+    not change the result.  Duplicate entries (non-injective spin flips,
+    fan-out) are summed, so the result is a canonical CSR matrix.
+    """
     n = n_levels
-    base = ket.to_complex_terms()
-    base_cols = np.array([index_of_ket(d, n) for d in base], dtype=np.int64)
-    base_amps = np.array(list(base.values()), dtype=np.complex128)
-    place = {pos: n ** (width - pos) for pos in range(1, width + 1)}
-    monomial = {op: _monomial_table(op, n)
-                for pattern in patterns for _, op in pattern.ops}
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    if n ** width >= 2 ** 62:
+        raise ValueError(f"{n}^{width} basis indices overflow int64")
+    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    base_cols, base_amps = _ket_arrays(ket, place)
+    groups: dict = {}
     for p_idx, pattern in enumerate(patterns):
-        if all(monomial[op] is not None for _, op in pattern.ops) \
-                and n ** width < 2 ** 62:
-            new_cols = base_cols
-            new_amps = base_amps
-            for pos, op in pattern.ops:
-                perm, phase = monomial[op]
-                digit = (new_cols // place[pos]) % n
-                new_cols = new_cols + (perm[digit] - digit) * place[pos]
-                new_amps = new_amps * phase[digit]
-            rows.append(np.full(new_cols.size, p_idx, dtype=np.int64))
-            cols.append(new_cols)
-            data.append(new_amps)
-        else:
-            # dense single-register matrices fan out; keep the dict path
-            applied = _apply_terms(base, pattern, tables)
-            rows.append(np.full(len(applied), p_idx, dtype=np.int64))
-            cols.append(np.array([index_of_ket(d, n) for d in applied],
-                                 dtype=np.int64))
-            data.append(np.array(list(applied.values()), dtype=np.complex128))
-    mat = csr_matrix((np.concatenate(data),
-                      (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(len(patterns), n ** width),
-                     dtype=np.complex128)
+        for pos, op in pattern.ops:
+            groups.setdefault((pos, op), []).append(p_idx)
+    size = len(patterns)
+    # one row of terms per pattern while every operator keeps one branch
+    cols = np.tile(base_cols, (size, 1))
+    amps = np.tile(base_amps, (size, 1))
+    fanning = []
+    for (pos, op), members in sorted(groups.items(),
+                                     key=lambda item: item[0][0]):
+        table = _monomial_table(op, n)
+        if table is None:
+            fanning.append((pos, op, members))
+            continue
+        # no other operator of a pattern touches this register, so its
+        # digits are still the ket's own
+        perm, phase = table
+        rows = np.array(members)
+        digit = (base_cols // place[pos - 1]) % n
+        cols[rows] += (perm[digit] - digit) * place[pos - 1]
+        amps[rows] *= phase[digit]
+    cols, amps = cols.ravel(), amps.ravel()
+    counts = np.full(size, base_cols.size)
+    if fanning:
+        rows = np.repeat(np.arange(size), base_cols.size)
+        for pos, op, members in fanning:
+            matrix = np.array(op.matrix, dtype=np.complex128)
+            member = np.zeros(size, dtype=bool)
+            member[members] = True
+            hit = member[rows]
+            digit = (cols[hit] // place[pos - 1]) % n
+            factor = matrix[:, digit]
+            live = factor != 0
+            shift = (np.arange(n)[:, None] - digit) * place[pos - 1]
+            rows = np.concatenate([rows[~hit], np.broadcast_to(
+                rows[hit], factor.shape)[live]])
+            cols = np.concatenate([cols[~hit], (cols[hit] + shift)[live]])
+            amps = np.concatenate([amps[~hit], (amps[hit] * factor)[live]])
+        order = np.argsort(rows, kind="stable")
+        cols, amps = cols[order], amps[order]
+        counts = np.bincount(rows, minlength=size)
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    mat = csr_matrix((amps, cols, indptr), shape=(size, n ** width))
     mat.sum_duplicates()
     return mat
 
@@ -294,7 +301,6 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool,
                    jobs: int):
     n, width = code.n_levels, code.width
     logicals = code.logical_windows()
-    tables = _branch_tables(patterns, n)
     touches = np.array(
         [bool(set(p.support) & code.boundary_registers) for p in patterns])
     dim = len(logicals)
@@ -331,7 +337,7 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool,
 
     def build(i):
         return _family_matrix(code.encoded_kets[logicals[i]], patterns,
-                              tables, n, width)
+                              n, width)
 
     est_nnz = len(patterns) * sum(len(code.encoded_kets[w]) for w in logicals)
     if est_nnz <= NNZ_CACHE_LIMIT:
@@ -447,11 +453,8 @@ def _dense_kets(code: CodeSpec, place: np.ndarray) -> np.ndarray:
     logicals = code.logical_windows()
     out = np.zeros((len(logicals), n ** width), dtype=np.complex128)
     for row, w in zip(out, logicals):
-        terms = code.encoded_kets[w].to_complex_terms()
-        digits = np.fromiter(itertools.chain.from_iterable(terms),
-                             dtype=np.int64, count=len(terms) * width)
-        row[digits.reshape(-1, width) @ place] = np.fromiter(
-            terms.values(), dtype=np.complex128, count=len(terms))
+        cols, amps = _ket_arrays(code.encoded_kets[w], place)
+        row[cols] = amps
     return out.reshape((len(logicals),) + (n,) * width)
 
 

@@ -7,7 +7,8 @@ from quditqec.channel import (ChannelConfig, UncorrectableError, decode_mld,
                               run_trials, sample_channel)
 from quditqec.codes import build_identity_code, builtin
 from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
-                             enumerate_family, weyl)
+                             enumerate_family, general, phase_shift,
+                             spin_flip, weyl)
 from quditqec.states import RegisterState, inner_product
 
 
@@ -185,6 +186,90 @@ def test_record_invariant_and_counts():
     assert summary.in_family_count == sum(r.in_family for r in records)
     assert summary.in_family_success_count == \
         sum(r.success for r in records if r.in_family)
+
+
+def reference_records(code, cfg, family, logical):
+    """Trial records through the exact path: sample_channel, decode_mld.
+
+    Both are deterministic, so a repeated injected pattern reuses the
+    decode of its first trial (each call rebuilds the decoder).
+    """
+    encoded = code.encode(logical)
+    decoded = {}
+    records = []
+    for trial in range(cfg.trials):
+        corrupted, injected = sample_channel(encoded, cfg, trial)
+        if injected not in decoded:
+            try:
+                recovered, chosen = decode_mld(code, corrupted, family)
+            except UncorrectableError:
+                decoded[injected] = (None, 0.0, False)
+            else:
+                fid = abs(inner_product(logical, recovered).to_complex()) ** 2
+                decoded[injected] = (chosen, fid, fid >= 1 - 1e-6)
+        records.append((injected, family.contains(injected))
+                       + decoded[injected])
+    return records
+
+
+def assert_matches_reference(code, cfg, family, logical):
+    summary = run_trials(code, cfg, family, logical, keep_records=True)
+    expected = reference_records(code, cfg, family, logical)
+    assert len(summary.records) == len(expected)
+    for rec, (injected, in_family, chosen, fid, success) in zip(
+            summary.records, expected):
+        assert (rec.injected, rec.in_family, rec.chosen, rec.success) == \
+            (injected, in_family, chosen, success), rec.to_json()
+        assert abs(rec.logical_fidelity - fid) < 1e-12
+    return summary
+
+
+# perfect5 N=3 rebuilds a 2.3M-entry decoder per reference decode: fewer
+# trials there
+@pytest.mark.parametrize("label, n, length, window, logical, p, trials", [
+    ("rate14_conv", 2, 3, 8, (0, 1, 1), 0.02, 200),
+    ("rate14_conv", 2, 3, 8, (0, 1, 1), 0.2, 40),
+    ("perfect5", 3, 1, 5, (2,), 0.02, 40),
+    ("perfect5", 3, 1, 5, (2,), 0.2, 8),
+])
+def test_run_trials_matches_exact_reference(label, n, length, window,
+                                            logical, p, trials):
+    code = builtin(label, n, length)
+    family = enumerate_family(code.width, window, 1, n_levels=n)
+    cfg = ChannelConfig(p=p, seed=4242, trials=trials)
+    summary = assert_matches_reference(code, cfg, family,
+                                       RegisterState.basis(n, logical))
+    assert any(r.injected.weight > 0 for r in summary.records)
+
+
+def test_run_trials_matches_exact_reference_non_weyl_menu():
+    w = np.exp(2j * np.pi / 3)
+    menu = (spin_flip([1, 1, 0]), phase_shift([1, w, w]),
+            general([[0, 0.6, 0.8j], [0.8, 0, 0], [0, 0.8, -0.6j]]))
+    code = builtin("majority3", 3, 2)
+    family = enumerate_family(code.width, 3, 1, basis=menu)
+    cfg = ChannelConfig(p=0.3, seed=99, trials=80, error_menu=menu,
+                        weights=(0.25, 0.25, 0.5))
+    summary = assert_matches_reference(code, cfg, family,
+                                       RegisterState.basis(3, (1, 2)))
+    kinds = {op.kind for r in summary.records for _, op in r.injected.ops}
+    assert kinds == {"spin_flip", "phase_shift", "general"}
+
+
+def test_run_trials_uncorrectable_trial():
+    # projecting every hit register onto |1> annihilates the encoded |000>:
+    # no candidate reaches the code space
+    code = builtin("majority3", 2, 1)
+    menu = (general([[0, 0], [0, 1]]),)
+    cfg = ChannelConfig(p=0.5, seed=8, trials=40, error_menu=menu)
+    summary = run_trials(code, cfg, enumerate_family(3, 3, 1, n_levels=2),
+                         RegisterState.basis(2, (0,)), keep_records=True)
+    hit = [r for r in summary.records if r.injected.weight > 0]
+    assert hit and len(hit) < 40
+    for rec in hit:
+        assert (rec.chosen, rec.logical_fidelity, rec.success) == \
+            (None, 0.0, False)
+    assert all(r.success for r in summary.records if r.injected.weight == 0)
 
 
 def test_jobs_do_not_change_summary():

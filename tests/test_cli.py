@@ -2,8 +2,11 @@ import json
 import os
 
 import jsonschema
+import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 
+import quditqec.cli as cli
 from quditqec.cli import main
 from quditqec.schemas import SCHEMA_VERSION, SCHEMAS
 
@@ -223,3 +226,27 @@ def test_report_dir_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert target.exists()
     assert os.path.getsize(target) > 0
+
+
+def _raising(exc):
+    def handler(args):
+        raise exc
+    return handler
+
+
+@pytest.mark.parametrize("exc, status, text", [
+    (_ArrayMemoryError((1 << 40,), np.dtype(np.complex128)), 2,
+     "quditqec: out of memory: Unable to allocate 16.0 TiB"),
+    (MemoryError(), 2, "quditqec: out of memory: allocation failed"),
+    (RuntimeError("solver\nbroke"), 2,
+     "quditqec: unexpected RuntimeError: solver broke"),
+    (KeyboardInterrupt(), 130, "quditqec: interrupted"),
+])
+def test_unexpected_exits_are_one_line(capsys, monkeypatch, exc, status,
+                                       text):
+    monkeypatch.setitem(cli._HANDLERS, "construct", _raising(exc))
+    code, report, err = run_cli(capsys, ["construct", "--code", "majority3"])
+    assert code == status
+    assert report is None
+    assert err.count("\n") == 1
+    assert err.startswith(text)

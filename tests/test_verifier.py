@@ -4,7 +4,10 @@ import pytest
 import quditqec.verifier as verifier
 from dense_oracle import dense_kl_check, dense_kl_deviation
 from quditqec.codes import build_identity_code, builtin, perfect5_block
-from quditqec.errors import additive_flip, enumerate_family, weyl
+from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
+                             enumerate_family, general, identity, phase_shift,
+                             spin_flip, weyl)
+from quditqec.states import RegisterState
 from quditqec.transforms import dualize
 from quditqec.verifier import (VerificationError, kl_check, lambda_matrix,
                                reevaluate_witness)
@@ -290,6 +293,35 @@ def test_engine_choice_follows_operation_counts():
                      phase_family(8, 4, 2))
     assert dense.engine == "characteristic"
     assert sparse.verdict == dense.verdict == "pass"
+
+
+def test_family_matrix_rows_match_exact_application():
+    # all five operator kinds on a superposed N=3 ket, with a spin flip
+    # that is not injective and a general operator that fans out
+    code = perfect5_block(3)
+    w = np.exp(2j * np.pi / 3)
+    basis = (weyl(1, 2), spin_flip([0, 0, 2]), phase_shift([1, w, w * w]),
+             general([[0.5, 0, 1j], [0.25, -1, 0], [0, 0.5, 0.5]]))
+    patterns = list(enumerate_family(5, 2, 1, basis=basis)) + [
+        ErrorPattern(5, ((2, identity()),)),
+        ErrorPattern(5, ((1, basis[3]), (3, identity()), (5, basis[1])))]
+    place = 3 ** np.arange(4, -1, -1)
+    for ket in code.encoded_kets.values():
+        mat = verifier._family_matrix(ket, patterns, 3, 5)
+        assert mat.has_canonical_format
+        dense = mat.toarray()
+        for row, pattern in zip(dense, patterns):
+            expected = np.zeros(3 ** 5, dtype=complex)
+            for digits, amp in apply_pattern(
+                    ket, pattern).to_complex_terms().items():
+                expected[np.dot(digits, place)] = amp
+            assert np.abs(row - expected).max() < 1e-12, pattern.to_json()
+
+
+def test_family_matrix_rejects_overflowing_indices():
+    ket = RegisterState.basis(2, (0,) * 62)
+    with pytest.raises(ValueError, match="overflow"):
+        verifier._family_matrix(ket, [ErrorPattern(62, ())], 2, 62)
 
 
 def test_lambda_matrix_reuses_the_check(monkeypatch):
