@@ -96,6 +96,11 @@ def certify_radius(n_levels: int, message_len_max: int, window: int = 4,
     if not 1 <= message_len_max <= 8:
         raise ValueError("message_len_max must lie in 1..8 "
                          "(exhaustive search regime)")
+    # the messages of PatternFamily; a word has no fixed width here
+    if window < 1:
+        raise ValueError("window must satisfy 1 <= window")
+    if max_errors < 0:
+        raise ValueError("max_errors must be nonnegative")
     started = time.perf_counter()
     messages_checked = 0
     corruptions_checked = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -44,9 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="float-mode deviation tolerance (default 1e-9)")
     group.add_argument("--exact", action="store_true",
                        help="use exact cyclotomic arithmetic where supported")
-    group.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers (default: available cores); "
-                            "simulate ignores it")
+    group.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility and ignored by "
+                            "every subcommand (default 1)")
     group.add_argument("--out", default=None, metavar="FILE",
                        help="write the JSON report here instead of stdout")
 
@@ -302,8 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print("quditqec: --jobs must be at least 1", file=sys.stderr)
         return 2
-    if args.tol < 0:
-        print("quditqec: --tol must be nonnegative", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print("quditqec: --tol must be a finite nonnegative number",
+              file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.command](args)

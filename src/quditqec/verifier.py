@@ -10,10 +10,9 @@ Three engines share one report format (``KLReport.engine`` names the one
 that ran):
 
 * ``sparse-float`` expands each error-applied ket into a sparse row over
-  the full computational basis and forms Gram blocks with scipy.  The
-  per-logical matrices are cached and the blocks may be spread over
-  ``jobs`` threads; above ``NNZ_CACHE_LIMIT`` estimated entries the pairs
-  are streamed sequentially instead.
+  the full computational basis, keeps one such matrix per logical word
+  (columns that are zero in all of them dropped) and forms the Gram
+  blocks (i, j >= i) with scipy, in order.
 * ``characteristic`` handles families whose operators are all Weyl
   operators (or the identity).  For A = X^a_A Z^b_A, B = X^a_B Z^b_B and
   the X-shift difference D = a_A - a_B,
@@ -21,8 +20,7 @@ that ran):
   which is one entry of the code's characteristic function (the quantity
   behind the Shor-Laflamme weight enumerators).  One discrete Fourier
   transform over the (N,)*width grid per distinct D and logical pair gives
-  every phase difference at once.  It runs sequentially and ignores
-  ``jobs``.
+  every phase difference at once.
 * ``exact`` walks operator pairs with cyclotomic amplitudes and certifies
   zeros symbolically; it is meant for small widths.
 
@@ -34,7 +32,10 @@ number of ket terms: the expected multiply-adds of a Gram product of two
 |F| x N^width matrices with t terms per row).  Both counts are per
 logical pair.  The lower count wins; a tie keeps the sparse Gram.
 Sparse kets land on the sparse Gram, dense kets such as Fourier duals on
-the characteristic engine.
+the characteristic engine.  Both float engines run in one thread and feed
+their deviations to one accumulator, which alone picks the witness (the
+largest deviation, ties going to the earliest (i, j, a, b)) and the
+boundary witnesses (the earliest ones above tolerance).
 
 Deviations are classified as interior or boundary by whether either
 pattern of the offending pair touches a register of the code's truncation
@@ -48,8 +49,8 @@ translation-invariant witness that lives in the stream interior.
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,6 @@ BOUNDARY_WITNESS_CAP = 10
 LAMBDA_SAMPLE_DIM = 4
 # eigendecomposition for the rank summary is skipped above this family size
 LAMBDA_SUMMARY_MAX = 4096
-# above this many estimated matrix entries the engine streams pair by pair
-NNZ_CACHE_LIMIT = 25_000_000
 
 
 class VerificationError(ValueError):
@@ -274,113 +273,91 @@ def _compact_columns(mats: list[csr_matrix]) -> list[csr_matrix]:
     return out
 
 
-def _scan_block(block, touches, tol):
-    """Max deviation, its first row-major entry, interior max, boundary hits."""
-    coo = block.tocoo()
-    if coo.nnz == 0:
-        return 0.0, None, 0.0, []
-    order = np.lexsort((coo.col, coo.row))
-    row, col = coo.row[order], coo.col[order]
-    val = coo.data[order]
-    mag = np.abs(val)
-    worst = int(mag.argmax())
-    boundary_mask = touches[row] | touches[col]
-    interior = mag[~boundary_mask]
-    interior_max = float(interior.max()) if interior.size else 0.0
-    hits = []
-    if boundary_mask.any():
-        over = np.flatnonzero(boundary_mask & (mag > tol))
-        for k in over[:BOUNDARY_WITNESS_CAP]:
-            hits.append((int(row[k]), int(col[k]), complex(val[k])))
-    top = (int(row[worst]), int(col[worst]), complex(val[worst]),
-           bool(boundary_mask[worst]))
-    return float(mag[worst]), top, interior_max, hits
+def _key(w: KLWitness):
+    return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
 
 
-def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool,
-                   jobs: int):
-    n, width = code.n_levels, code.width
-    logicals = code.logical_windows()
-    touches = np.array(
-        [bool(set(p.support) & code.boundary_registers) for p in patterns])
-    dim = len(logicals)
+class _Scan:
+    """The witness and boundary rule of the float engines.
 
-    max_dev = 0.0
-    interior_max = 0.0
-    witness = None
-    boundary: list[KLWitness] = []
-    lam = None
+    Engines feed it deviations (observed minus expected overlap) in
+    batches.  The witness is the largest deviation, ties going to the
+    earliest (i, j, a, b); the boundary witnesses are the earliest
+    ``BOUNDARY_WITNESS_CAP`` entries above ``tol`` on the boundary.  A
+    diagonal entry (i == j) expects ``lam[a, b]``, which is read only for
+    the entries kept.
+    """
 
-    def gram_scan(mat_i, mat_j, diagonal):
-        gram = (mat_i.conj() @ mat_j.T).tocsr()
-        if diagonal:
+    def __init__(self, code: CodeSpec, patterns, tol: float, lam):
+        self.touches = np.array(
+            [bool(set(p.support) & code.boundary_registers)
+             for p in patterns])
+        self.tol = tol
+        self.lam = lam
+        self.max_dev = 0.0
+        self.interior_max = 0.0
+        self.witness: KLWitness | None = None
+        self.boundary: list[KLWitness] = []
+
+    def add(self, i: int, rows, a, b, deviation: np.ndarray,
+            observed: np.ndarray | None = None) -> None:
+        """Fold in deviations of logical row ``i``.
+
+        ``deviation[r, c]`` belongs to (i, rows[r], a[c], b[c]), and its
+        row-major order must be (j, a, b) order.  ``observed`` holds the
+        overlaps themselves when the engine has them; otherwise they are
+        taken as expected plus deviation.
+        """
+        if deviation.size == 0:
+            return
+        mag = np.abs(deviation)
+        on_boundary = self.touches[a] | self.touches[b]
+        inside = mag[:, ~on_boundary]
+        if inside.size:
+            self.interior_max = max(self.interior_max, float(inside.max()))
+
+        def keep(k):
+            row, col = divmod(int(k), len(a))
+            j, pa, pb = rows[row], int(a[col]), int(b[col])
+            expected = complex(self.lam[pa, pb]) if j == i else 0j
+            value = expected + complex(deviation[row, col]) \
+                if observed is None else complex(observed[row, col])
+            return KLWitness(pa, pb, i, j, value, expected,
+                             float(mag[row, col]), bool(on_boundary[col]))
+
+        # argmax takes the first of equal values, the earliest in the batch
+        top = int(mag.argmax())
+        if mag.flat[top] > 0 and mag.flat[top] >= self.max_dev:
+            rivals = [w for w in (keep(top), self.witness) if w is not None]
+            self.witness = min(rivals, key=lambda w: (-w.deviation, _key(w)))
+            self.max_dev = self.witness.deviation
+        hits = np.flatnonzero((mag > self.tol) & on_boundary)
+        if hits.size:
+            self.boundary = sorted(
+                self.boundary + [keep(k) for k in hits[:BOUNDARY_WITNESS_CAP]],
+                key=_key)[:BOUNDARY_WITNESS_CAP]
+
+
+def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
+    """Cached sparse Gram: one family matrix per logical word, built and
+    column-compacted once, then the blocks (i, j >= i) in order."""
+    mats = _compact_columns([
+        _family_matrix(code.encoded_kets[w], patterns, code.n_levels,
+                       code.width) for w in code.logical_windows()])
+    lam = (mats[0].conj() @ mats[0].T).tocsr()
+    lam.sort_indices()
+    scan = _Scan(code, patterns, tol, lam)
+    for i, j in itertools.combinations_with_replacement(range(len(mats)), 2):
+        gram = (mats[i].conj() @ mats[j].T).tocsr()
+        if i == j:
             gram = (gram - lam).tocsr()
+        # sorted CSR reads out row-major, the (a, b) order the scan needs
         gram.sort_indices()
-        return _scan_block(gram, touches, tol)
-
-    def reduce_block(i, j, scanned):
-        nonlocal max_dev, interior_max, witness
-        dev, top, block_interior, hits = scanned
-        interior_max = max(interior_max, block_interior)
-        if top is not None and dev > max_dev:
-            a, b, value, on_boundary = top
-            expected = complex(lam[a, b]) if i == j else 0j
-            witness = KLWitness(a, b, i, j, expected + value, expected,
-                                dev, on_boundary)
-            max_dev = dev
-        for a, b, value in hits:
-            if len(boundary) >= BOUNDARY_WITNESS_CAP:
-                break
-            expected = complex(lam[a, b]) if i == j else 0j
-            boundary.append(KLWitness(a, b, i, j, expected + value, expected,
-                                      abs(value), True))
-
-    def build(i):
-        return _family_matrix(code.encoded_kets[logicals[i]], patterns,
-                              n, width)
-
-    est_nnz = len(patterns) * sum(len(code.encoded_kets[w]) for w in logicals)
-    if est_nnz <= NNZ_CACHE_LIMIT:
-        mats = _compact_columns([build(i) for i in range(dim)])
-        lam = (mats[0].conj() @ mats[0].T).tocsr()
-        lam.sort_indices()
-        pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-        if jobs > 1 and not fail_fast:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(
-                    lambda p: gram_scan(mats[p[0]], mats[p[1]], p[0] == p[1]),
-                    pairs))
-            scan = zip(pairs, results)
-        else:
-            scan = (((i, j), gram_scan(mats[i], mats[j], i == j))
-                    for i, j in pairs)
-        for (i, j), scanned in scan:
-            reduce_block(i, j, scanned)
-            if fail_fast and max_dev > tol:
-                break
-        return max_dev, witness, interior_max, tuple(boundary), lam
-
-    # Too many terms to keep every per-logical matrix alive (very long
-    # windows).  Stream the pairs, rebuilding the second matrix each time;
-    # compact columns pairwise when the ambient dimension itself is the
-    # problem.  Sequential regardless of jobs.
-    wide = n ** width > 1 << 22
-    for i in range(dim):
-        mat_i = build(i)
-        if i == 0:
-            base = _compact_columns([mat_i])[0] if wide else mat_i
-            lam = (base.conj() @ base.T).tocsr()
-            lam.sort_indices()
-        for j in range(i, dim):
-            mat_j = mat_i if j == i else build(j)
-            if wide:
-                mat_a, mat_b = _compact_columns([mat_i, mat_j])
-            else:
-                mat_a, mat_b = mat_i, mat_j
-            reduce_block(i, j, gram_scan(mat_a, mat_b, i == j))
-            if fail_fast and max_dev > tol:
-                return max_dev, witness, interior_max, tuple(boundary), lam
-    return max_dev, witness, interior_max, tuple(boundary), lam
+        coo = gram.tocoo()
+        scan.add(i, (j,), coo.row, coo.col, coo.data[None, :])
+        if fail_fast and scan.max_dev > tol:
+            break
+    return scan, lam
 
 
 @dataclass
@@ -465,9 +442,7 @@ def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
 
     Delta groups are scanned in ascending grid index, so D = 0 comes
     first; within a group one logical row i at a time, and within a row
-    the pairs in (j, a, b) order.  The witness is the largest deviation,
-    ties going to the earliest (i, j, a, b); boundary witnesses are the
-    earliest ones in that order.  ``fail_fast`` stops after the first
+    the pairs in (j, a, b) order.  ``fail_fast`` stops after the first
     group holding a deviation above ``tol``.
     """
     # imported here, not at module level: scipy.fft adds about 0.1 s to
@@ -480,8 +455,6 @@ def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
     dim = kets.shape[0]
     axes = tuple(range(1, width + 1))
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-    touches = np.array(
-        [bool(set(p.support) & code.boundary_registers) for p in patterns])
     # flat (a, b) pair indices grouped by delta, in (a, b) order in a group
     pair_delta = plan.differences[np.ix_(plan.row_of, plan.row_of)].ravel()
     by_delta = np.argsort(pair_delta, kind="stable")
@@ -504,49 +477,20 @@ def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
             return spectrum.reshape(stop - i, -1)[:, spot] * twist
         return a, b, entries
 
-    def order(w: KLWitness):
-        return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
-
     lam = np.zeros((size, size), dtype=np.complex128)
-    max_dev = 0.0
-    interior_max = 0.0
-    witness = None
-    boundary: list[KLWitness] = []
+    scan = _Scan(code, patterns, tol, lam)
     scanned = 0
     for g in range(len(deltas)):
         a, b, entries = group(g)
-        on_boundary = touches[a] | touches[b]
         for i in range(dim):
             values = entries(i)
             if i == 0:
-                reference = values[0]
-                lam[a, b] = reference
+                reference = lam[a, b] = values[0]
             deviation = values.copy()
             deviation[0] -= reference
-            mag = np.abs(deviation)
-            inside = mag[:, ~on_boundary]
-            if inside.size:
-                interior_max = max(interior_max, float(inside.max()))
-
-            def at(k):
-                row, col = divmod(int(k), len(a))
-                expected = complex(reference[col]) if row == 0 else 0j
-                return KLWitness(int(a[col]), int(b[col]), i, i + row,
-                                 complex(values[row, col]), expected,
-                                 float(mag[row, col]),
-                                 bool(on_boundary[col]))
-
-            top = at(mag.argmax())
-            if top.deviation > max_dev or (
-                    witness is not None and top.deviation == max_dev
-                    and order(top) < order(witness)):
-                witness, max_dev = top, top.deviation
-            hits = np.flatnonzero((mag > tol) & on_boundary)
-            boundary = sorted(
-                boundary + [at(k) for k in hits[:BOUNDARY_WITNESS_CAP]],
-                key=order)[:BOUNDARY_WITNESS_CAP]
+            scan.add(i, range(i, dim), a, b, deviation, values)
         scanned = g + 1
-        if fail_fast and max_dev > tol:
+        if fail_fast and scan.max_dev > tol:
             break
     if scanned < len(deltas):
         # the report samples the lambda corner; fill what the stop skipped
@@ -556,7 +500,7 @@ def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
         for g in sorted({int(g) for g in skipped if g >= scanned}):
             a, b, entries = group(g)
             lam[a, b] = entries(0, 1)[0]
-    return max_dev, witness, interior_max, tuple(boundary), lam
+    return scan, lam
 
 
 def _exact_engine(code: CodeSpec, patterns, family: PatternFamily,
@@ -629,10 +573,13 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     sparse Gram after the first (i, j) logical block holding one, the
     characteristic engine after the first delta group holding one (D = 0
     first, then ascending grid index), the exact engine at the first
-    nonzero entry.  `jobs` partitions the cached Gram blocks across
-    threads without changing the result; the streamed sparse Gram and the
-    characteristic engine run sequentially and ignore it.
+    nonzero entry.  `tol` must be finite and nonnegative.  `jobs` is
+    accepted for compatibility and ignored: every engine runs in one
+    thread.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite nonnegative number, "
+                         f"not {tol}")
     if family.width != code.width:
         raise ValueError(
             f"family width {family.width} does not match code width "
@@ -655,11 +602,12 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     else:
         engine, plan = _choose_engine(code, patterns)
         if plan is None:
-            result = _sparse_engine(code, patterns, tol, fail_fast, jobs)
+            scan, lam = _sparse_engine(code, patterns, tol, fail_fast)
         else:
-            result = _characteristic_engine(code, patterns, plan, tol,
-                                            fail_fast)
-        max_dev, witness, interior_max, boundary, lam = result
+            scan, lam = _characteristic_engine(code, patterns, plan, tol,
+                                               fail_fast)
+        max_dev, witness = scan.max_dev, scan.witness
+        interior_max, boundary = scan.interior_max, tuple(scan.boundary)
         ok = max_dev <= tol
         summary = None
         if ok and len(patterns) <= LAMBDA_SUMMARY_MAX:
@@ -737,7 +685,8 @@ def lambda_matrix(code: CodeSpec, family: PatternFamily,
     a report for exactly this (code, family) pairing.  The matrix and its
     summary are the ones the check computed; the summary is taken again
     only when the check skipped it (exact engine, families above
-    ``LAMBDA_SUMMARY_MAX``) or ran at another tolerance.
+    ``LAMBDA_SUMMARY_MAX``) or ran at another tolerance.  `jobs` is
+    ignored, as in `kl_check`.
     """
     report = precomputed if precomputed is not None \
         else kl_check(code, family, tol=tol, jobs=jobs)

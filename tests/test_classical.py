@@ -59,6 +59,10 @@ def test_domain_errors():
         certify_radius(2, 0)
     with pytest.raises(ValueError):
         certify_radius(2, 9)
+    with pytest.raises(ValueError, match="window must satisfy"):
+        certify_radius(2, 2, window=0)
+    with pytest.raises(ValueError, match="max_errors must be nonnegative"):
+        certify_radius(2, 2, max_errors=-1)
 
 
 def test_determinism():

@@ -177,6 +177,26 @@ def test_bad_global_values(capsys):
     assert code == 2 and "--tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol):
+    code, report, err = run_cli(capsys, [
+        "verify-kl", "--code", "rate14_conv", "--logical-len", "1",
+        "--window", "4", "--tol", tol])
+    assert code == 2
+    assert report is None
+    assert err == "quditqec: --tol must be a finite nonnegative number\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--window", "0"),
+                                         ("--max-errors", "-1")])
+def test_certify_classical_rejects_bad_family(capsys, flag, value):
+    code, report, err = run_cli(capsys, [
+        "certify-classical", "--max-len", "2", flag, value])
+    assert code == 2
+    assert report is None
+    assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
+
+
 def test_argparse_rejections():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

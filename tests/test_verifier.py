@@ -139,25 +139,6 @@ def test_exact_engine_agrees_with_float():
     assert abs(float_report.max_deviation - exact_report.max_deviation) < 1e-9
 
 
-def test_streaming_engine_matches_cached(monkeypatch):
-    code = builtin("shor9", 2, 1)
-    family = weyl_family(9, 9, 1, 2)
-    cached = kl_check(code, family)
-    monkeypatch.setattr(verifier, "NNZ_CACHE_LIMIT", 0)
-    streamed = kl_check(code, family)
-    assert streamed.passed == cached.passed
-    assert abs(streamed.max_deviation - cached.max_deviation) < 1e-12
-    # a failing case keeps the same first witness in both modes
-    bad = builtin("rate14_conv", 2, 1)
-    bad_family = weyl_family(8, 4, 1, 2)
-    monkeypatch.setattr(verifier, "NNZ_CACHE_LIMIT", 10 ** 9)
-    w1 = kl_check(bad, bad_family).witness
-    monkeypatch.setattr(verifier, "NNZ_CACHE_LIMIT", 0)
-    w2 = kl_check(bad, bad_family).witness
-    assert (w1.pattern_a, w1.pattern_b, w1.logical_i, w1.logical_j) == \
-        (w2.pattern_a, w2.pattern_b, w2.logical_i, w2.logical_j)
-
-
 def force_engine(monkeypatch, engine):
     """Route float checks to one engine, whatever the cost rule says."""
     def choose(code, patterns):
@@ -207,6 +188,10 @@ def test_characteristic_engine_agrees_with_dense_oracle(monkeypatch):
             assert dense_kl_check(code, family)[0] == verdict, code.label
 
 
+def witness_key(w):
+    return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
+
+
 def test_characteristic_engine_matches_cached(monkeypatch):
     cases = [(code, family) for code, family, _ in CHARACTERISTIC_CASES]
     cases.append((builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2)))
@@ -223,8 +208,8 @@ def test_characteristic_engine_matches_cached(monkeypatch):
         assert abs(fast.interior_max_deviation
                    - cached.interior_max_deviation) < 1e-12
         assert fast.interior_verdict == cached.interior_verdict
-        assert len(fast.boundary_witnesses) == \
-            len(cached.boundary_witnesses)
+        assert [witness_key(w) for w in fast.boundary_witnesses] == \
+            [witness_key(w) for w in cached.boundary_witnesses], code.label
         assert fast.lambda_samples.keys() == cached.lambda_samples.keys()
         for key, value in cached.lambda_samples.items():
             assert abs(fast.lambda_samples[key] - value) < 1e-12
@@ -354,6 +339,14 @@ def test_fail_fast_stops_with_witness():
     report = kl_check(code, weyl_family(3, 3, 1, 2), fail_fast=True)
     assert not report.passed
     assert report.witness is not None
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    code = builtin("rate14_conv", 2, 1)
+    family = weyl_family(code.width, 4, 1, 2)
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        kl_check(code, family, tol=tol)
 
 
 def test_width_mismatch_rejected():
