@@ -12,7 +12,9 @@ distinct pattern once: corruption in floats, through the same family-matrix
 kernel the verifier uses, and decoding of a block of distinct patterns in
 one stacked sparse product.  It runs in one process; its ``jobs`` argument
 is a no-op kept for compatibility.  :func:`sample_channel` and
-:func:`decode_mld` stay the exact, one-state-at-a-time reference path.
+:func:`decode_mld` stay the one-state-at-a-time reference path:
+``sample_channel`` corrupts exactly, and ``decode_mld`` scores in floats
+through the same decoder as :func:`run_trials`.
 
 The decoder assumes the code passed verification against the same family;
 on an unverified pairing it still runs, but in-family corruptions are then

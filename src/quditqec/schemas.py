@@ -198,7 +198,7 @@ RADIUS_REPORT_SCHEMA = {
         "n_levels": {"type": "integer", "minimum": 2},
         "message_len_max": {"type": "integer", "minimum": 1},
         "window": {"type": "integer", "minimum": 1},
-        "max_errors": {"type": "integer", "minimum": 1},
+        "max_errors": {"type": "integer", "minimum": 0},
         "messages_checked": {"type": "integer", "minimum": 0},
         "corruptions_checked": {"type": "integer", "minimum": 0},
         "counterexample": {

@@ -207,6 +207,17 @@ def apply_single(state: RegisterState, position: int, op,
     return result
 
 
+class _Fourier:
+    """The register DFT as an ``apply_single`` operator; its adjoint is the
+    inverse transform."""
+
+    @staticmethod
+    def branches(digit: int, n_levels: int, adjoint: bool):
+        sign = -1 if adjoint else 1
+        return [(p, PhaseScalar.monomial(n_levels, 1, 2 * sign * digit * p, 1))
+                for p in range(n_levels)]
+
+
 def dft_register(state: RegisterState, position: int,
                  inverse: bool = False) -> RegisterState:
     """Fourier-transform one register: |j> -> sum_p w^(jp) |p> / sqrt(N).
@@ -214,23 +225,7 @@ def dft_register(state: RegisterState, position: int,
     The forward kernel uses the positive exponent convention; ``inverse``
     negates it.  Applying the forward transform twice negates the digit.
     """
-    slot = _check_position(state, position)
-    n = state.n_levels
-    sign = -1 if inverse else 1
-    out: dict[Digits, PhaseScalar] = {}
-    for digits, amp in state.terms.items():
-        j = digits[slot]
-        for p in range(n):
-            kernel = PhaseScalar.monomial(n, 1, 2 * sign * j * p, 1)
-            new_key = digits[:slot] + (p,) + digits[slot + 1:]
-            piece = amp * kernel
-            if new_key in out:
-                out[new_key] = out[new_key] + piece
-            else:
-                out[new_key] = piece
-    result = RegisterState._raw(n, state.width, out)
-    result._prune()
-    return result
+    return apply_single(state, position, _Fourier, adjoint=inverse)
 
 
 def states_equal_up_to_phase(a: RegisterState, b: RegisterState,

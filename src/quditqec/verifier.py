@@ -32,7 +32,7 @@ number of ket terms: the expected multiply-adds of a Gram product of two
 |F| x N^width matrices with t terms per row).  Both counts are per
 logical pair.  The lower count wins; a tie keeps the sparse Gram.
 Sparse kets land on the sparse Gram, dense kets such as Fourier duals on
-the characteristic engine.  Both float engines run in one thread and feed
+the characteristic engine.  All three engines run in one thread and feed
 their deviations to one accumulator, which alone picks the witness (the
 largest deviation, ties going to the earliest (i, j, a, b)) and the
 boundary witnesses (the earliest ones above tolerance).
@@ -57,7 +57,6 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
 from .codes import CodeSpec
-from .cyclotomic import PhaseScalar
 from .errors import PatternFamily, apply_pattern
 from .states import RegisterState, inner_product
 
@@ -106,7 +105,8 @@ class KLReport:
     scipy CSR matrix from ``sparse-float``, a dense array from
     ``characteristic`` and ``exact``.  It is complete on a pass; after a
     ``fail_fast`` stop the characteristic engine fills only the entries it
-    reached and the sampled corner.  It is not part of the JSON report.
+    reached and the sampled corner, and after an exact failure it is None.
+    It is not part of the JSON report.
     """
 
     verdict: str
@@ -278,7 +278,7 @@ def _key(w: KLWitness):
 
 
 class _Scan:
-    """The witness and boundary rule of the float engines.
+    """The witness and boundary rule of every engine.
 
     Engines feed it deviations (observed minus expected overlap) in
     batches.  The witness is the largest deviation, ties going to the
@@ -338,6 +338,12 @@ class _Scan:
                 key=_key)[:BOUNDARY_WITNESS_CAP]
 
 
+def _blocks_after_reference(dim: int):
+    """Blocks (i, j >= i) in order after (0, 0), which is lambda itself."""
+    return itertools.islice(
+        itertools.combinations_with_replacement(range(dim), 2), 1, None)
+
+
 def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     """Cached sparse Gram: one family matrix per logical word, built and
     column-compacted once, then the blocks (i, j >= i) in order."""
@@ -347,7 +353,7 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     lam = (mats[0].conj() @ mats[0].T).tocsr()
     lam.sort_indices()
     scan = _Scan(code, patterns, tol, lam)
-    for i, j in itertools.combinations_with_replacement(range(len(mats)), 2):
+    for i, j in _blocks_after_reference(len(mats)):
         gram = (mats[i].conj() @ mats[j].T).tocsr()
         if i == j:
             gram = (gram - lam).tocsr()
@@ -503,59 +509,33 @@ def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
     return scan, lam
 
 
-def _exact_engine(code: CodeSpec, patterns, family: PatternFamily,
-                  tol: float, fail_fast: bool):
+def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
+    """Cyclotomic overlaps, block by block as in the sparse Gram; an entry
+    counts when its deviation is not a symbolic zero.  Returns (scan,
+    failed, lam), ``lam`` None on a failure."""
     logicals = code.logical_windows()
     applied = [[apply_pattern(code.encoded_kets[w], p) for p in patterns]
                for w in logicals]
-    touches = [bool(set(p.support) & code.boundary_registers)
-               for p in patterns]
-    size = len(patterns)
-    lam_row: dict[tuple[int, int], PhaseScalar] = {}
-
-    def reference(a, b):
-        key = (a, b)
-        if key not in lam_row:
-            lam_row[key] = inner_product(applied[0][a], applied[0][b])
-        return lam_row[key]
-
-    max_dev = 0.0
-    interior_max = 0.0
-    witness = None
-    boundary: list[KLWitness] = []
+    reference = [[inner_product(x, y) for y in applied[0]] for x in applied[0]]
+    lam = np.array([[r.to_complex() for r in row] for row in reference])
+    scan = _Scan(code, patterns, tol, lam)
     failed = False
-
-    for i in range(len(logicals)):
-        for j in range(i, len(logicals)):
-            for a in range(size):
-                for b in range(size):
-                    value = inner_product(applied[i][a], applied[j][b])
-                    if i == j:
-                        ref = reference(a, b)
-                        diff = value - ref
-                        expected = ref.to_complex()
-                    else:
-                        diff = value
-                        expected = 0j
-                    if diff.is_zero():
-                        continue
-                    dev = abs(diff.to_complex())
-                    on_boundary = touches[a] or touches[b]
-                    if not on_boundary:
-                        interior_max = max(interior_max, dev)
-                    elif dev > tol and len(boundary) < BOUNDARY_WITNESS_CAP:
-                        boundary.append(KLWitness(
-                            a, b, i, j, value.to_complex(), expected,
-                            dev, True))
-                    if dev > max_dev:
-                        witness = KLWitness(a, b, i, j, value.to_complex(),
-                                            expected, dev, on_boundary)
-                        max_dev = dev
-                    failed = True
-                    if fail_fast:
-                        return (max_dev, witness, interior_max,
-                                tuple(boundary), lam_row, failed)
-    return max_dev, witness, interior_max, tuple(boundary), lam_row, failed
+    for i, j in _blocks_after_reference(len(logicals)):
+        counted = []
+        for a, b in itertools.product(range(len(patterns)), repeat=2):
+            value = inner_product(applied[i][a], applied[j][b])
+            diff = value - reference[a][b] if i == j else value
+            if not diff.is_zero():
+                counted.append((a, b, diff.to_complex(), value.to_complex()))
+                if fail_fast:
+                    break
+        if counted:
+            failed = True
+            a, b, deviation, observed = (np.array(c) for c in zip(*counted))
+            scan.add(i, (j,), a, b, deviation[None, :], observed[None, :])
+            if fail_fast:
+                break
+    return scan, failed, None if failed else lam
 
 
 def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
@@ -567,7 +547,8 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     it runs the ``sparse-float`` or the ``characteristic`` engine, whichever
     needs fewer operations by the rule in the module docstring, and
     ``report.engine`` names it.  Exact mode demands symbolic zeros and
-    reports the float magnitude of any residue it finds.
+    reports the float magnitude of any residue it finds.  All three engines
+    pick witnesses and boundary witnesses through one accumulator.
 
     `fail_fast` stops early once a deviation above `tol` is found: the
     sparse Gram after the first (i, j) logical block holding one, the
@@ -577,9 +558,7 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     accepted for compatibility and ignored: every engine runs in one
     thread.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite nonnegative number, "
-                         f"not {tol}")
+    _check_tol(tol)
     if family.width != code.width:
         raise ValueError(
             f"family width {family.width} does not match code width "
@@ -590,15 +569,8 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     started = time.perf_counter()
 
     if exact:
-        max_dev, witness, interior_max, boundary, lam_row, failed = \
-            _exact_engine(code, patterns, family, tol, fail_fast)
-        ok = not failed
         engine = "exact"
-        # a pass visits every (a, b) of the reference block
-        lam = np.array([[lam_row[(a, b)].to_complex()
-                         for b in range(len(patterns))]
-                        for a in range(len(patterns))]) if ok else None
-        summary = None
+        scan, failed, lam = _exact_engine(code, patterns, tol, fail_fast)
     else:
         engine, plan = _choose_engine(code, patterns)
         if plan is None:
@@ -606,12 +578,11 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
         else:
             scan, lam = _characteristic_engine(code, patterns, plan, tol,
                                                fail_fast)
-        max_dev, witness = scan.max_dev, scan.witness
-        interior_max, boundary = scan.interior_max, tuple(scan.boundary)
-        ok = max_dev <= tol
-        summary = None
-        if ok and len(patterns) <= LAMBDA_SUMMARY_MAX:
-            summary = _summarize_lambda(_as_dense(lam), tol)
+        failed = scan.max_dev > tol
+    ok = not failed
+    summary = None
+    if ok and not exact and len(patterns) <= LAMBDA_SUMMARY_MAX:
+        summary = _summarize_lambda(_as_dense(lam), tol)
     k = min(len(patterns), LAMBDA_SAMPLE_DIM)
     corner = np.zeros((0, 0)) if lam is None else _as_dense(lam[:k, :k])
     samples = {(a, b): complex(value)
@@ -628,18 +599,24 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
         engine=engine,
         family_size=len(patterns),
         logical_dim=len(code.logical_windows()),
-        max_deviation=max_dev,
-        witness=None if ok else witness,
-        interior_max_deviation=interior_max,
+        max_deviation=scan.max_dev,
+        witness=None if ok else scan.witness,
+        interior_max_deviation=scan.interior_max,
         interior_verdict="vacuous" if vacuous
-        else ("pass" if interior_max <= tol else "fail"),
-        boundary_witnesses=boundary if not ok else (),
+        else ("pass" if scan.interior_max <= tol else "fail"),
+        boundary_witnesses=() if ok else tuple(scan.boundary),
         lambda_samples=samples,
         lambda_summary=summary,
         elapsed_seconds=elapsed,
         family_json=family.to_json(),
         lam=lam,
     )
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite nonnegative number, "
+                         f"not {tol}")
 
 
 def _as_dense(lam) -> np.ndarray:
@@ -686,8 +663,9 @@ def lambda_matrix(code: CodeSpec, family: PatternFamily,
     summary are the ones the check computed; the summary is taken again
     only when the check skipped it (exact engine, families above
     ``LAMBDA_SUMMARY_MAX``) or ran at another tolerance.  `jobs` is
-    ignored, as in `kl_check`.
+    ignored, as in `kl_check`; `tol` is checked as there.
     """
+    _check_tol(tol)
     report = precomputed if precomputed is not None \
         else kl_check(code, family, tol=tol, jobs=jobs)
     if not report.passed:

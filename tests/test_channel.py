@@ -189,7 +189,8 @@ def test_record_invariant_and_counts():
 
 
 def reference_records(code, cfg, family, logical):
-    """Trial records through the exact path: sample_channel, decode_mld.
+    """Trial records one state at a time: sample_channel (exact
+    corruption), then decode_mld (float scores, as in run_trials).
 
     Both are deterministic, so a repeated injected pattern reuses the
     decode of its first trial (each call rebuilds the decoder).

@@ -168,6 +168,14 @@ def test_certify_classical_fail(capsys):
     assert report["counterexample"] is not None
 
 
+def test_certify_classical_without_errors(capsys):
+    code, report, _ = run_cli(capsys, [
+        "certify-classical", "--max-len", "2", "--max-errors", "0"])
+    assert code == 0
+    validate(report, "radius_report")
+    assert report["max_errors"] == 0
+
+
 def test_bad_global_values(capsys):
     code, _, err = run_cli(capsys, [
         "construct", "--code", "majority3", "--jobs", "0"])

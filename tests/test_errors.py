@@ -8,7 +8,8 @@ from quditqec.errors import (ErrorPattern, PatternFamily, additive_flip,
                              apply_pattern, enumerate_family, general,
                              identity, iter_supports, phase_shift, spin_flip,
                              weyl, weyl_basis)
-from quditqec.states import RegisterState, states_equal_up_to_phase
+from quditqec.states import (RegisterState, inner_product,
+                             states_equal_up_to_phase)
 
 
 def brute_force_supports(width, window, max_errors):
@@ -126,6 +127,30 @@ def test_apply_pattern_order_independent():
                 backward, ErrorPattern.from_dict(width, {pos: ops[pos]}))
         for digits2, amp in forward:
             assert backward.amplitude(digits2).equals(amp)
+
+
+def test_adjoint_moves_across_the_inner_product():
+    # <A psi|phi> = <psi|A^dagger phi> for all five kinds, with a spin flip
+    # that is not injective and a general operator that is not unitary
+    w = np.exp(2j * np.pi / 3)
+    rng = np.random.default_rng(11)
+
+    def random_state():
+        amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+        return RegisterState(3, 2, {divmod(k, 3): PhaseScalar.from_complex(z)
+                                    for k, z in enumerate(amps)})
+    psi, phi = random_state(), random_state()
+    ops = (identity(), weyl(1, 2), spin_flip([0, 0, 2]),
+           phase_shift([1, w, w * w]),
+           general([[0.5, 0, 1j], [0.25, -1, 0], [0, 0.5, 0.5]]))
+    patterns = [ErrorPattern(2, ((pos, op),)) for op in ops
+                for pos in (1, 2)]
+    patterns.append(ErrorPattern(2, ((1, ops[2]), (2, ops[4]))))
+    for pattern in patterns:
+        lhs = inner_product(apply_pattern(psi, pattern), phi)
+        rhs = inner_product(psi, apply_pattern(phi, pattern, adjoint=True))
+        assert abs(lhs.to_complex() - rhs.to_complex()) < 1e-12, \
+            pattern.to_json()
 
 
 def test_iter_supports_identity_first():

@@ -7,10 +7,13 @@ from quditqec.codes import build_identity_code, builtin, perfect5_block
 from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
                              enumerate_family, general, identity, phase_shift,
                              spin_flip, weyl)
-from quditqec.states import RegisterState
+from quditqec.states import RegisterState, inner_product
 from quditqec.transforms import dualize
 from quditqec.verifier import (VerificationError, kl_check, lambda_matrix,
                                reevaluate_witness)
+
+
+W3 = np.exp(2j * np.pi / 3)
 
 
 def weyl_family(width, window, t, n):
@@ -124,21 +127,6 @@ def test_monotonicity_under_register_restriction():
         assert kl_check(code, sub).passed
 
 
-def test_exact_engine_agrees_with_float():
-    code = builtin("shor9", 2, 1)
-    family = weyl_family(9, 9, 1, 2)
-    exact = kl_check(code, family, exact=True)
-    assert exact.passed
-    assert exact.engine == "exact"
-    assert exact.max_deviation == 0.0
-    bad = builtin("rate14_conv", 2, 1)
-    bad_family = weyl_family(8, 4, 1, 2)
-    float_report = kl_check(bad, bad_family)
-    exact_report = kl_check(bad, bad_family, exact=True)
-    assert not float_report.passed and not exact_report.passed
-    assert abs(float_report.max_deviation - exact_report.max_deviation) < 1e-9
-
-
 def force_engine(monkeypatch, engine):
     """Route float checks to one engine, whatever the cost rule says."""
     def choose(code, patterns):
@@ -190,6 +178,67 @@ def test_characteristic_engine_agrees_with_dense_oracle(monkeypatch):
 
 def witness_key(w):
     return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
+
+
+# (code, family, float engine) small enough for the exact engine: identity
+# codes have no boundary, spin_conv at L=3 has an interior and a boundary,
+# the duals run on the characteristic engine, and the phase shifts are no
+# Weyl operators
+EXACT_CASES = [
+    pytest.param(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2),
+                 "sparse-float", id="shor9"),
+    pytest.param(builtin("rate14_conv", 2, 1), weyl_family(8, 4, 1, 2),
+                 "sparse-float", id="rate14_conv"),
+    pytest.param(builtin("spin_conv", 2, 3),
+                 weyl_family(10, 4, 1, 2).restricted((4, 5, 6, 7)),
+                 "sparse-float", id="spin_conv-L3"),
+    pytest.param(build_identity_code(2, 3), weyl_family(3, 3, 1, 2),
+                 "sparse-float", id="identity-N2"),
+    pytest.param(build_identity_code(3, 2), weyl_family(2, 2, 1, 3),
+                 "sparse-float", id="identity-N3"),
+    pytest.param(dualize(builtin("majority3", 2, 1)), phase_family(3, 3, 2),
+                 "characteristic", id="dual-majority3-phases"),
+    pytest.param(dualize(builtin("majority3", 2, 1)), weyl_family(3, 3, 1, 2),
+                 "characteristic", id="dual-majority3-weyl"),
+    pytest.param(builtin("majority3", 3, 1),
+                 enumerate_family(3, 3, 1, n_levels=3, basis=(
+                     phase_shift([1, W3, W3 * W3]),)),
+                 "sparse-float", id="majority3-phase-shifts"),
+]
+
+
+@pytest.mark.parametrize("code, family, engine", EXACT_CASES)
+def test_exact_engine_agrees_with_float(code, family, engine):
+    exact = kl_check(code, family, exact=True)
+    floats = kl_check(code, family)
+    assert exact.engine == "exact"
+    assert floats.engine == engine
+    assert exact.verdict == floats.verdict
+    if exact.passed:
+        assert exact.max_deviation == 0.0
+    assert abs(exact.max_deviation - floats.max_deviation) < 1e-9
+    assert abs(exact.interior_max_deviation
+               - floats.interior_max_deviation) < 1e-9
+    assert exact.interior_verdict == floats.interior_verdict
+    # the witnesses themselves may differ where float deviations tie (N=3)
+    assert [witness_key(w) for w in exact.boundary_witnesses] == \
+        [witness_key(w) for w in floats.boundary_witnesses]
+    assert kl_check(code, family, exact=True, fail_fast=True).verdict == \
+        kl_check(code, family, fail_fast=True).verdict == exact.verdict
+
+
+def test_exact_engine_takes_the_reference_block_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return inner_product(a, b)
+    monkeypatch.setattr(verifier, "inner_product", counted)
+    report = kl_check(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2),
+                      exact=True)
+    assert report.passed
+    # 28 patterns, 2 logical words: blocks (0, 0), (0, 1) and (1, 1)
+    assert len(calls) == 3 * 28 ** 2 == 2352
 
 
 def test_characteristic_engine_matches_cached(monkeypatch):
@@ -321,6 +370,65 @@ def test_lambda_matrix_reuses_the_check(monkeypatch):
     lam = lambda_matrix(code, family, precomputed=report)
     assert lam.kind == report.lambda_summary["kind"]
     assert np.abs(lam.matrix - report.lam.toarray()).max() == 0.0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_lambda_matrix_checks_tolerance(tol):
+    code = builtin("shor9", 2, 1)
+    family = weyl_family(9, 9, 1, 2)
+    report = kl_check(code, family)
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        lambda_matrix(code, family, tol=tol, precomputed=report)
+
+
+def test_lambda_matrix_summarizes_what_the_check_did_not():
+    code = builtin("shor9", 2, 1)
+    family = weyl_family(9, 9, 1, 2)
+    expected = kl_check(code, family, tol=0.5).lambda_summary
+    assert expected["rank"] == 3  # 22 at the default tolerance
+    exact = kl_check(code, family, exact=True)
+    assert exact.lambda_summary is None
+    other_tol = kl_check(code, family)
+    assert other_tol.tolerance != 0.5
+    for report in (exact, other_tol):
+        lam = lambda_matrix(code, family, tol=0.5, precomputed=report)
+        assert (lam.kind, lam.rank) == (expected["kind"], expected["rank"])
+
+
+MIXED_MENU = (spin_flip([0, 0, 2]), phase_shift([1, W3, W3 * W3]),
+              general([[0.5, 0, 1j], [0.25, -1, 0], [0, 0.5, 0.5]]))
+
+
+# (code, basis, window, verdict): families of no Weyl operator, which only
+# the sparse Gram runs; the spin flip of the mixed menu is not injective
+NON_WEYL_CASES = [
+    pytest.param(builtin("majority3", 3, 1),
+                 (spin_flip([1, 2, 0]), spin_flip([2, 0, 1])), 3, "pass",
+                 id="majority3-cyclic-flips"),
+    pytest.param(builtin("majority3", 3, 1),
+                 (phase_shift([1, W3, W3 * W3]),
+                  phase_shift([1, W3 * W3, W3])), 3, "fail",
+                 id="majority3-phase-shifts"),
+    pytest.param(perfect5_block(3), MIXED_MENU, 5, "pass",
+                 id="perfect5-mixed"),
+]
+
+
+@pytest.mark.parametrize("code, basis, window, verdict", NON_WEYL_CASES)
+def test_non_weyl_families_agree_with_dense_oracle(code, basis, window,
+                                                   verdict):
+    family = enumerate_family(code.width, window, 1, basis=basis,
+                              n_levels=code.n_levels)
+    report = kl_check(code, family)
+    assert report.engine == "sparse-float"
+    assert report.verdict == verdict
+    deviation, oracle_lam = dense_kl_deviation(code, family)
+    assert abs(report.max_deviation - deviation.max()) < 1e-9
+    if report.passed:
+        lam = lambda_matrix(code, family, precomputed=report).matrix
+        assert np.abs(lam - oracle_lam).max() < 1e-9
+    if code.n_levels ** code.width <= 27:
+        assert dense_kl_check(code, family)[0] == verdict
 
 
 def test_jobs_do_not_change_the_report():
