@@ -4,7 +4,8 @@ Every subcommand prints one JSON report to standard output (or to the
 ``--out`` file) and a short human summary to standard error.  Exit codes:
 0 for pass/success verdicts, 1 for fail verdicts (the report is still
 emitted), 2 for usage or configuration errors, including an ``--out``
-file that cannot be written, a request that runs out of memory and any
+file that cannot be written (refused before any work when its directory
+is missing or not writable), a request that runs out of memory and any
 other unexpected error, and 130 on an interrupt.  Every exit other than 0
 and 1 prints one line on standard error and no traceback.
 
@@ -132,18 +133,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_path(out: str) -> str:
+    """The ``--out`` path with the ``QUDITQEC_REPORT_DIR`` rule applied,
+    refused before any work when its directory cannot take the file."""
+    override = os.environ.get(REPORT_DIR_VAR)
+    path = os.path.join(override, out) if override and not os.path.isabs(out) \
+        else out
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        problem = "no such directory"
+    elif os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return path
+    raise ConfigError(f"cannot write report to {path}: {problem}")
+
+
 def _emit(report: dict, args: argparse.Namespace, summary: str) -> None:
     text = json.dumps(stamp(report), indent=2)
     if args.out:
-        path = args.out
-        override = os.environ.get(REPORT_DIR_VAR)
-        if override and not os.path.isabs(path):
-            path = os.path.join(override, path)
         try:
-            with open(path, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
-            raise ConfigError(f"cannot write report to {path}: "
+            raise ConfigError(f"cannot write report to {args.out}: "
                               f"{exc.strerror or exc}") from exc
     else:
         print(text)
@@ -308,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
+        if args.out:
+            args.out = _report_path(args.out)
         return _HANDLERS[args.command](args)
     except (ConfigError, ValueError) as exc:
         return _fail(str(exc), 2)

@@ -6,7 +6,7 @@ entries (i != j) must vanish and diagonal entries must not depend on i;
 the shared diagonal value is the lambda matrix entry for (A, B).  This is
 the Knill-Laflamme criterion specialized to a finite pattern family.
 
-Three engines share one report format (``KLReport.engine`` names the one
+Four engines share one report format (``KLReport.engine`` names the one
 that ran):
 
 * ``sparse-float`` expands each error-applied ket into a sparse row over
@@ -21,21 +21,48 @@ that ran):
   behind the Shor-Laflamme weight enumerators).  One discrete Fourier
   transform over the (N,)*width grid per distinct D and logical pair gives
   every phase difference at once.
+* ``syndrome`` handles the same Weyl families on stabilizer codes over a
+  prime N, which every builtin, dual and paste is.  It reads the
+  stabilizer S off the kets (the affine support and phase ratios of v_0
+  give v_0's stabilizer; S is the part that acts on every ket with one
+  common phase) and checks it on every ket term.  A pattern's syndrome
+  is its symplectic products with S, its full label its products with the
+  normalizer S^perp.  For Weyl errors the condition fails exactly when
+  A^dag B commutes with S but is not in it (Gottesman 1997; Ketkar,
+  Klappenecker, Kumar and Sarvepalli 2006), so the check passes iff no
+  syndrome class holds two full labels.  Only such failing pairs have
+  their overlaps read off the kets; lambda is a direct sum of rank-1
+  blocks, one per label class, so its rank and eigenvalues are the class
+  count and the class sizes.  It is built as CSR and handed over dense on
+  a pass with at most ``LAMBDA_SUMMARY_MAX`` patterns.
 * ``exact`` walks operator pairs with cyclotomic amplitudes and certifies
   zeros symbolically; it is meant for small widths.
 
 The float engine is chosen by one rule that compares operation counts
-read from the input: ``|D| * N^width * width`` for the characteristic
-engine (D the set of distinct X-shift differences) against
-``|F|^2 * t^2 / N^width`` for the sparse Gram (F the family, t the mean
-number of ket terms: the expected multiply-adds of a Gram product of two
-|F| x N^width matrices with t terms per row).  Both counts are per
-logical pair.  The lower count wins; a tie keeps the sparse Gram.
-Sparse kets land on the sparse Gram, dense kets such as Fourier duals on
-the characteristic engine.  All three engines run in one thread and feed
-their deviations to one accumulator, which alone picks the witness (the
-largest deviation, ties going to the earliest (i, j, a, b)) and the
-boundary witnesses (the earliest ones above tolerance).
+read from the input, for the whole check (P = dim (dim + 1) / 2 logical
+pairs, F the family, t the mean number of ket terms):
+
+* sparse Gram: ``P * |F|^2 * t^2 / N^width``, the expected multiply-adds
+  of a Gram product of two |F| x N^width matrices with t terms per row;
+* characteristic: ``P * |D| * N^width * width``, D the set of distinct
+  X-shift differences;
+* syndrome: ``(dim * t + |F|) * width^2``, every generator of v_0's
+  stabilizer tried on every ket term, then one label per pattern.
+
+The lowest count wins; a tie keeps the sparse Gram.  Families with an
+operator that is no Weyl operator take the sparse Gram.  The syndrome
+engine falls back to the cheaper of the other two when N is composite or
+the kets are no stabilizer code (a support that is no affine space, a
+phase ratio that is no N-th root of unity, a generator that does not map
+every ket onto a multiple of itself, a stabilizer of the wrong rank, or
+kets of unequal norm).
+Sparse kets land on the syndrome engine or, when the family is small,
+the sparse Gram; dense kets such as Fourier duals on the characteristic
+engine for phase families and on the syndrome engine for wide Weyl
+families.  All four engines run in one thread and feed their deviations
+to one accumulator, which alone picks the witness (the largest
+deviation, ties going to the earliest (i, j, a, b)) and the boundary
+witnesses (the earliest ones above tolerance).
 
 Deviations are classified as interior or boundary by whether either
 pattern of the offending pair touches a register of the code's truncation
@@ -55,6 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import identity as sparse_identity
 
 from .codes import CodeSpec
 from .errors import PatternFamily, apply_pattern
@@ -63,6 +91,8 @@ from .states import RegisterState, inner_product
 BOUNDARY_WITNESS_CAP = 10
 LAMBDA_SAMPLE_DIM = 4
 # eigendecomposition for the rank summary is skipped above this family size
+# (the syndrome engine's summary is in closed form and has no cap; up to
+# this size its passing reports hold lambda dense)
 LAMBDA_SUMMARY_MAX = 4096
 
 
@@ -103,10 +133,14 @@ class KLReport:
 
     ``lam`` holds the lambda matrix in the form the engine produced it: a
     scipy CSR matrix from ``sparse-float``, a dense array from
-    ``characteristic`` and ``exact``.  It is complete on a pass; after a
-    ``fail_fast`` stop the characteristic engine fills only the entries it
-    reached and the sampled corner, and after an exact failure it is None.
-    It is not part of the JSON report.
+    ``characteristic`` and ``exact``.  ``syndrome`` builds CSR holding only
+    the entries that can be nonzero (pairs of one full label, and failing
+    pairs whose reference overlap is nonzero) and hands over a dense array
+    on a pass with at most ``LAMBDA_SUMMARY_MAX`` patterns.  Entry (a, b)
+    is <v_0| A^dag B |v_0>, on a failure too.  It is complete except after
+    a ``fail_fast`` stop of the characteristic engine, which fills only
+    the entries it reached and the sampled corner.  It is not part of the
+    JSON report.
     """
 
     verdict: str
@@ -181,15 +215,22 @@ def _monomial_table(op, n_levels: int):
     raise ValueError(f"unknown error kind {op.kind!r}")
 
 
+def _ket_digits(ket: RegisterState,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ket's digit rows and complex amplitudes, in term order."""
+    terms = ket.to_complex_terms()
+    digits = np.fromiter(itertools.chain.from_iterable(terms),
+                         dtype=np.int64, count=len(terms) * width)
+    amps = np.fromiter(terms.values(), dtype=np.complex128, count=len(terms))
+    return digits.reshape(-1, width), amps
+
+
 def _ket_arrays(ket: RegisterState,
                 place: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A ket's grid indices (big-endian, place values ``place``) and
     complex amplitudes, in term order."""
-    terms = ket.to_complex_terms()
-    digits = np.fromiter(itertools.chain.from_iterable(terms),
-                         dtype=np.int64, count=len(terms) * place.size)
-    amps = np.fromiter(terms.values(), dtype=np.complex128, count=len(terms))
-    return digits.reshape(-1, place.size) @ place, amps
+    digits, amps = _ket_digits(ket, place.size)
+    return digits @ place, amps
 
 
 def _family_matrix(ket: RegisterState, patterns, n_levels: int,
@@ -383,8 +424,9 @@ class _WeylPlan:
     place: np.ndarray
 
 
-def _weyl_plan(code: CodeSpec, patterns) -> _WeylPlan | None:
-    """The family's exponent tables, or None when an operator is not a
+def _weyl_exponents(code: CodeSpec, patterns):
+    """(shifts, phases): the family's X and Z exponents mod N, one row per
+    pattern and one column per register, or None when an operator is not a
     Weyl operator or the identity, or grid indices would overflow."""
     n, width = code.n_levels, code.width
     if n ** width >= 2 ** 62:
@@ -398,6 +440,18 @@ def _weyl_plan(code: CodeSpec, patterns) -> _WeylPlan | None:
                 phases[p_idx, pos - 1] = op.b % n
             elif op.kind != "identity":
                 return None
+    return shifts, phases
+
+
+def _weyl_plan(code: CodeSpec, patterns, exponents=None) -> _WeylPlan | None:
+    """The family's exponent tables, or None where ``_weyl_exponents`` is
+    None."""
+    if exponents is None:
+        exponents = _weyl_exponents(code, patterns)
+        if exponents is None:
+            return None
+    shifts, phases = exponents
+    n, width = code.n_levels, code.width
     place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
     _, first, row_of = np.unique(shifts @ place, return_index=True,
                                  return_inverse=True)
@@ -410,21 +464,39 @@ def _weyl_plan(code: CodeSpec, patterns) -> _WeylPlan | None:
 
 
 def _choose_engine(code: CodeSpec, patterns):
-    """("characteristic", plan) or ("sparse-float", None) by operation count.
+    """(engine, plan) by the operation counts in the module docstring.
 
-    The characteristic engine costs |D| * N^width * width per logical pair
-    (one transform per distinct X-shift difference), the sparse Gram
-    |F|^2 * t^2 / N^width (products of two |F| x N^width matrices holding
-    t terms per row).  The lower count wins; a tie keeps the sparse Gram.
+    |D| >= 1 bounds the characteristic count from below, so the shift
+    differences are only tabulated when that bound could win, and the
+    stabilizer is only read when the syndrome count wins.
     """
-    plan = _weyl_plan(code, patterns)
-    if plan is None:
+    exponents = _weyl_exponents(code, patterns)
+    if exponents is None:
         return "sparse-float", None
+    n, width, size = code.n_levels, code.width, len(patterns)
     logicals = code.logical_windows()
-    terms = sum(len(code.encoded_kets[w]) for w in logicals) / len(logicals)
-    space = code.n_levels ** code.width
-    sparse_cost = len(patterns) ** 2 * terms ** 2 / space
-    characteristic_cost = len(np.unique(plan.differences)) * space * code.width
+    dim = len(logicals)
+    terms = sum(len(code.encoded_kets[w]) for w in logicals) / dim
+    space = n ** width
+    pairs = dim * (dim + 1) / 2
+    sparse_cost = pairs * size ** 2 * terms ** 2 / space
+    syndrome_cost = (dim * terms + size) * width ** 2 if _is_prime(n) \
+        else math.inf
+    floor = pairs * space * width
+
+    def characteristic():
+        plan = _weyl_plan(code, patterns, exponents)
+        return pairs * len(np.unique(plan.differences)) * space * width, plan
+
+    plan, characteristic_cost = None, math.inf
+    if floor < min(sparse_cost, syndrome_cost):
+        characteristic_cost, plan = characteristic()
+    if syndrome_cost < min(sparse_cost, characteristic_cost):
+        syndrome = _syndrome_plan(code, patterns, exponents)
+        if syndrome is not None:
+            return "syndrome", syndrome
+        if plan is None and floor < sparse_cost:
+            characteristic_cost, plan = characteristic()
     if characteristic_cost < sparse_cost:
         return "characteristic", plan
     return "sparse-float", None
@@ -512,7 +584,7 @@ def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
 def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     """Cyclotomic overlaps, block by block as in the sparse Gram; an entry
     counts when its deviation is not a symbolic zero.  Returns (scan,
-    failed, lam), ``lam`` None on a failure."""
+    failed, lam), ``lam`` the reference block on either verdict."""
     logicals = code.logical_windows()
     applied = [[apply_pattern(code.encoded_kets[w], p) for p in patterns]
                for w in logicals]
@@ -535,7 +607,343 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
             scan.add(i, (j,), a, b, deviation[None, :], observed[None, :])
             if fail_fast:
                 break
-    return scan, failed, None if failed else lam
+    return scan, failed, lam
+
+
+# -- the syndrome engine ------------------------------------------------------
+#
+# A Weyl operator X^x Z^z is held as the row (x | z) over GF(N), N prime.
+# Rows compose by addition up to a phase, and W(s) W(s') = w^<s, s'> W(s')
+# W(s) with the symplectic product <s, s'> = z.x' - x.z'.
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for integer arrays with entries in range(p), through
+    floats: exact while width * p^2 stays below 2^53."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+
+
+def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p): the nonzero rows and their
+    pivot columns."""
+    m = rows % p
+    pivots: list[int] = []
+    for col in range(m.shape[1]):
+        top = len(pivots)
+        hit = np.flatnonzero(m[top:, col])
+        if hit.size == 0:
+            continue
+        m[[top, top + hit[0]]] = m[[top + hit[0], top]]
+        m[top] = m[top] * pow(int(m[top, col]), -1, p) % p
+        factor = m[:, col].copy()
+        factor[top] = 0
+        m = (m - factor[:, None] * m[top]) % p
+        pivots.append(col)
+        if len(pivots) == m.shape[0]:
+            break
+    return m[:len(pivots)], pivots
+
+
+def _span(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """``_rref`` of the span of many rows: rows are reduced against the
+    basis found so far in one product, and only survivors are eliminated."""
+    basis, pivots = rows[:0] % p, []
+    rest = rows % p
+    while True:
+        if pivots:
+            rest = (rest - _mod_matmul(rest[:, pivots], basis, p)) % p
+        rest = rest[rest.any(axis=1)]
+        if not rest.size:
+            return basis, pivots
+        basis, pivots = _rref(np.vstack([basis, rest[:rows.shape[1]]]), p)
+
+
+def _nullspace(rows: np.ndarray, p: int) -> np.ndarray:
+    """A basis of {v : rows @ v = 0 mod p}, one vector per row."""
+    basis, pivots = _rref(rows, p)
+    free = [c for c in range(rows.shape[1]) if c not in pivots]
+    out = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
+    for r, col in enumerate(free):
+        out[r, col] = 1
+        out[r, pivots] = -basis[:, col] % p
+    return out
+
+
+def _pairing(rows: np.ndarray) -> np.ndarray:
+    """Rows (x | z) as functionals v -> <row, v>, i.e. (z | -x)."""
+    half = rows.shape[1] // 2
+    return np.hstack([rows[:, half:], -rows[:, :half]])
+
+
+def _root_exponents(values: np.ndarray, p: int) -> np.ndarray | None:
+    """e with values = w^e (w = exp(2 pi i / p)), or None when a value is
+    not a p-th root of unity."""
+    turns = np.angle(values) * p / (2 * np.pi)
+    exponents = np.rint(turns)
+    if np.abs(np.abs(values) - 1).max(initial=0) > 1e-9 or \
+            np.abs(turns - exponents).max(initial=0) > 1e-9:
+        return None
+    return exponents.astype(np.int64) % p
+
+
+class _Kets:
+    """Encoded kets as sorted grid indices, for amplitude lookups."""
+
+    def __init__(self, code: CodeSpec, place: np.ndarray):
+        self.digits, self.indices, self.amps = [], [], []
+        for w in code.logical_windows():
+            digits, amps = _ket_digits(code.encoded_kets[w], place.size)
+            order = np.argsort(digits @ place)
+            self.digits.append(digits[order])
+            self.indices.append(digits[order] @ place)
+            self.amps.append(amps[order])
+        self.place = place
+        self.first = np.array([d[0] for d in self.digits])
+        self.norms = np.array([np.vdot(a, a).real for a in self.amps])
+
+    def amplitude(self, j: int, digits: np.ndarray) -> np.ndarray:
+        """Ket j's amplitudes at digit rows (reduced mod N), 0 off its
+        support."""
+        return self.lookup(j, digits @ self.place)
+
+    def lookup(self, j: int, index: np.ndarray) -> np.ndarray:
+        """Ket j's amplitudes at grid indices, 0 off its support."""
+        known = self.indices[j]
+        if known[-1] - known[0] == known.size - 1:
+            # the support is a run of the grid, a dense ket's whole grid
+            where = np.clip(index - known[0], 0, known.size - 1)
+        else:
+            where = np.minimum(np.searchsorted(known, index), known.size - 1)
+        return np.where(known[where] == index, self.amps[j][where], 0)
+
+    def eigenvalues(self, j: int, gens: np.ndarray, p: int):
+        """c with W(g) v_j = c[g] v_j for every generator row g, or None
+        when one of them does not map v_j onto a multiple of itself."""
+        digits, amps = self.digits[j], self.amps[j]
+        width = digits.shape[1]
+        roots = np.exp(2j * np.pi * np.arange(p) / p)
+        # (W v)(y + x) = w^(z.y) v(y), which must equal c v(y + x)
+        ratio = roots[_mod_matmul(gens[:, width:], digits.T, p)] * amps
+        for row, shift in zip(ratio, gens[:, :width]):
+            # only the registers the shift moves change the grid index
+            cols = np.flatnonzero(shift)
+            moved = self.lookup(j, self.indices[j] + (
+                (digits[:, cols] + shift[cols]) % p - digits[:, cols])
+                @ self.place[cols])
+            if (moved == 0).any():
+                return None
+            row /= moved
+        if np.abs(ratio - ratio[:, :1]).max(initial=0) > 1e-9:
+            return None
+        return ratio[:, 0]
+
+
+@dataclass
+class _Tableau:
+    """A stabilizer read off a code's kets.
+
+    ``stabilizer`` generates S, the Weyl rows that act on every ket as one
+    common phase; ``normalizer`` spans S^perp, the rows that commute with
+    all of S.  ``logical`` completes S to the stabilizer of v_0: ket j is
+    its eigenvector with exponents ``characters[j]``, and ``ket_of`` maps a
+    character, read as a base-N number, back to its ket.
+    """
+
+    stabilizer: np.ndarray
+    normalizer: np.ndarray
+    logical: np.ndarray
+    characters: np.ndarray
+    ket_of: np.ndarray
+    kets: _Kets
+
+
+def _read_tableau(code: CodeSpec) -> _Tableau | None:
+    """The code's stabilizer, read off its kets and checked on them.
+
+    The support of v_0 must be an affine space y_0 + W, which gives the X
+    parts of v_0's stabilizer; the ratio v_0(y - g) / v_0(y) along W gives
+    the Z part that goes with each shift g, and W^perp the pure Z rows.
+    Every one of these width generators must map every ket onto a multiple
+    of itself, with a p-th root of unity relative to v_0.  S is the part
+    whose root is 1 on every ket, and its rank must be width - log_N(dim).
+    The kets must share one norm and have distinct roots, which makes them
+    orthogonal.  None (no stabilizer code this engine can serve)
+    otherwise.
+    """
+    p, width = code.n_levels, code.width
+    if not _is_prime(p) or p ** width >= 2 ** 62:
+        return None
+    kets = _Kets(code, p ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    dim = len(kets.amps)
+    k = round(math.log(dim, p))
+    # unequal norms break the diagonal condition on every pair
+    if p ** k != dim or np.abs(kets.norms - kets.norms[0]).max() > 1e-9:
+        return None
+    digits, amps, y0 = kets.digits[0], kets.amps[0], kets.first[0]
+    shifts, pivots = _span(digits - y0, p)
+    if p ** len(pivots) != len(amps):
+        return None
+    # ratio(g, h) = v0(y0 + h - g) v0(y0) / (v0(y0 + h) v0(y0 - g)) = w^(-z_g.h)
+    at = lambda rows: kets.amplitude(0, rows % p)
+    ratio = at(y0 + shifts[None, :, :] - shifts[:, None, :]) * amps[0] / (
+        at(y0 + shifts)[None, :] * at(y0 - shifts)[:, None])
+    exponents = _root_exponents(ratio.reshape(-1), p)
+    if exponents is None:
+        return None
+    z_of_shift = np.zeros_like(shifts)
+    z_of_shift[:, pivots] = -exponents.reshape(len(shifts), len(shifts)) % p
+    pure_z = _nullspace(shifts, p)
+    gens = np.vstack([np.hstack([shifts, z_of_shift]),
+                      np.hstack([np.zeros_like(pure_z), pure_z])])
+    values = [kets.eigenvalues(j, gens, p) for j in range(dim)]
+    if any(v is None for v in values):
+        return None
+    # width x dim: generator m acts on ket j as w^characters[m, j]
+    characters = _root_exponents(np.stack(values, axis=1)
+                                 / values[0][:, None], p)
+    if characters is None:
+        return None
+    stabilizer = _mod_matmul(_nullspace(characters.T, p), gens, p)
+    if len(stabilizer) != width - k:
+        return None
+    _, independent = _rref(characters.T, p)
+    characters = characters[independent].T
+    keys = characters @ p ** np.arange(k, dtype=np.int64)
+    if np.unique(keys).size != dim:
+        return None
+    ket_of = np.empty(dim, dtype=np.int64)
+    ket_of[keys] = np.arange(dim)
+    return _Tableau(stabilizer, _nullspace(_pairing(stabilizer), p),
+                    gens[independent], characters, ket_of, kets)
+
+
+@dataclass
+class _SyndromePlan:
+    """What the syndrome engine reads: the code's tableau and the family."""
+
+    tableau: _Tableau
+    rows: np.ndarray        # pattern p as the Weyl row (x | z)
+
+
+def _syndrome_plan(code: CodeSpec, patterns,
+                   exponents=None) -> _SyndromePlan | None:
+    """The tableau and the family's Weyl rows, or None when either is
+    missing."""
+    if exponents is None:
+        exponents = _weyl_exponents(code, patterns)
+    tableau = None if exponents is None else _read_tableau(code)
+    if tableau is None:
+        return None
+    return _SyndromePlan(tableau, np.hstack(exponents))
+
+
+def _transfer(plan: _SyndromePlan, p: int, a, b, sources):
+    """Lists (i, mu), one entry per source ket j, with B v_j = mu A v_i
+    elementwise over the pattern arrays a, b, whose pairs commute with S.
+
+    A^dag B maps v_j onto the ket whose character is v_j's shifted by
+    <t, row_b - row_a> for each logical row t.  mu is read at one term: y
+    = y_i + x_A, where A v_i has the value w^(z_A.y_i) v_i(y_i) and B v_j
+    the value w^(z_B.(y - x_B)) v_j(y - x_B).
+    """
+    tab, rows = plan.tableau, plan.rows
+    kets = tab.kets
+    width = rows.shape[1] // 2
+    k = tab.characters.shape[1]
+    shift = _mod_matmul(rows[b] - rows[a], _pairing(tab.logical).T, p)
+    x_a, z_a = rows[a, :width], rows[a, width:]
+    x_b, z_b = rows[b, :width], rows[b, width:]
+    first_amps = np.array([amps[0] for amps in kets.amps])
+    targets, mus = [], []
+    for j in sources:
+        i = tab.ket_of[(tab.characters[j] + shift) % p
+                       @ p ** np.arange(k, dtype=np.int64)]
+        y = kets.first[i]
+        source = (y + x_a - x_b) % p
+        exponent = ((z_b * source).sum(axis=1) - (z_a * y).sum(axis=1)) % p
+        targets.append(i)
+        mus.append(np.exp(2j * np.pi * exponent / p)
+                   * kets.amplitude(j, source) / first_amps[i])
+    return targets, mus
+
+
+def _label_classes(rows: np.ndarray, functionals: np.ndarray, p: int):
+    """Class index of each row by its values under ``functionals``, and the
+    first row of each class."""
+    labels = _mod_matmul(rows, _pairing(functionals).T, p)
+    if not labels.shape[1]:
+        return np.zeros(len(rows), dtype=np.int64), np.zeros(1, np.int64)
+    _, first, inverse = np.unique(labels, axis=0, return_index=True,
+                                  return_inverse=True)
+    return inverse.ravel(), first
+
+
+def _pairs_within(classes: np.ndarray):
+    """All (a, b) with classes[a] == classes[b], in (a, b) order."""
+    members = np.argsort(classes, kind="stable")
+    sizes = np.bincount(classes)
+    start = np.cumsum(sizes) - sizes
+    counts = sizes[classes]
+    a = np.repeat(np.arange(len(classes)), counts)
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    return a, members[start[classes[a]] + offset]
+
+
+def _syndrome_engine(code: CodeSpec, patterns, plan: _SyndromePlan,
+                     tol: float, fail_fast: bool):
+    """Weyl families on stabilizer codes; see the module docstring.
+
+    A pair with different syndromes has A^dag B off the normalizer, so
+    every overlap is an exact zero; a pair with one full label has A^dag B
+    in S, so it passes with lambda_ab = conj(psi_a) psi_b |v_0|^2, psi
+    relative to the first pattern of the label class.  Only pairs with one
+    syndrome and two full labels reach the scan, block (i, j >= i) by
+    block; ``fail_fast`` stops after the first block holding a deviation
+    above ``tol``.  Returns (scan, lam, lambda summary or None on a
+    failure).
+    """
+    p, size = code.n_levels, len(patterns)
+    tab, kets = plan.tableau, plan.tableau.kets
+    syndrome, _ = _label_classes(plan.rows, tab.stabilizer, p)
+    label, first = _label_classes(plan.rows, tab.normalizer, p)
+    _, (psi,) = _transfer(plan, p, first[label], np.arange(size), [0])
+    rows, cols = _pairs_within(label)
+    values = psi[rows].conj() * psi[cols] * kets.norms[0]
+    a, b = _pairs_within(syndrome)
+    failing = label[a] != label[b]
+    a, b = a[failing], b[failing]
+    # (target ket, mu) of every failing pair, one column per source ket j
+    targets, mus = _transfer(plan, p, a, b, range(len(kets.amps)))
+    reference = np.where(targets[0] == 0, mus[0] * kets.norms[0], 0)
+    kept = reference != 0
+    lam = csr_matrix((np.concatenate([values, reference[kept]]),
+                      (np.concatenate([rows, a[kept]]),
+                       np.concatenate([cols, b[kept]]))), shape=(size, size))
+    lam.sort_indices()
+    scan = _Scan(code, patterns, tol, lam)
+    if a.size:
+        for i, j in _blocks_after_reference(len(kets.amps)):
+            observed = np.where(targets[j] == i, mus[j] * kets.norms[i], 0)
+            deviation = observed - reference if i == j else observed
+            scan.add(i, (j,), a, b, deviation[None, :], observed[None, :])
+            if fail_fast and scan.max_dev > tol:
+                break
+        return scan, lam, None
+    # lambda is a direct sum of rank-1 blocks, one per label class
+    eigenvalues = np.zeros(size)
+    eigenvalues[:len(first)] = np.bincount(label) * kets.norms[0]
+    summary = _summarize_lambda(lam, tol, eigenvalues)
+    if size <= LAMBDA_SUMMARY_MAX:
+        # hand lambda_matrix the dense matrix it returns, as the
+        # characteristic engine does, in the size range where the other
+        # engines densify lambda for their summary anyway
+        lam = lam.toarray()
+    return scan, lam, summary
 
 
 def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
@@ -544,17 +952,20 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     """Check the code against every ordered pair of patterns in the family.
 
     Float mode passes when the maximal deviation stays at or below `tol`;
-    it runs the ``sparse-float`` or the ``characteristic`` engine, whichever
-    needs fewer operations by the rule in the module docstring, and
-    ``report.engine`` names it.  Exact mode demands symbolic zeros and
-    reports the float magnitude of any residue it finds.  All three engines
-    pick witnesses and boundary witnesses through one accumulator.
+    it runs the ``sparse-float``, ``characteristic`` or ``syndrome``
+    engine, whichever needs fewer operations by the rule in the module
+    docstring, and ``report.engine`` names it.  Exact mode demands symbolic
+    zeros and reports the float magnitude of any residue it finds.  All
+    four engines pick witnesses and boundary witnesses through one
+    accumulator, and every passing report carries a lambda summary (the
+    syndrome engine's in closed form, the others' up to
+    ``LAMBDA_SUMMARY_MAX`` patterns).
 
     `fail_fast` stops early once a deviation above `tol` is found: the
-    sparse Gram after the first (i, j) logical block holding one, the
-    characteristic engine after the first delta group holding one (D = 0
-    first, then ascending grid index), the exact engine at the first
-    nonzero entry.  `tol` must be finite and nonnegative.  `jobs` is
+    sparse Gram and the syndrome engine after the first (i, j) logical
+    block holding one, the characteristic engine after the first delta
+    group holding one (D = 0 first, then ascending grid index), the exact
+    engine at the first nonzero entry.  `tol` must be finite and nonnegative.  `jobs` is
     accepted for compatibility and ignored: every engine runs in one
     thread.
     """
@@ -568,23 +979,26 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     patterns = list(family)
     started = time.perf_counter()
 
+    summary = None
     if exact:
         engine = "exact"
         scan, failed, lam = _exact_engine(code, patterns, tol, fail_fast)
     else:
         engine, plan = _choose_engine(code, patterns)
-        if plan is None:
-            scan, lam = _sparse_engine(code, patterns, tol, fail_fast)
-        else:
+        if engine == "syndrome":
+            scan, lam, summary = _syndrome_engine(code, patterns, plan, tol,
+                                                  fail_fast)
+        elif engine == "characteristic":
             scan, lam = _characteristic_engine(code, patterns, plan, tol,
                                                fail_fast)
+        else:
+            scan, lam = _sparse_engine(code, patterns, tol, fail_fast)
         failed = scan.max_dev > tol
     ok = not failed
-    summary = None
-    if ok and not exact and len(patterns) <= LAMBDA_SUMMARY_MAX:
-        summary = _summarize_lambda(_as_dense(lam), tol)
+    if ok and summary is None and len(patterns) <= LAMBDA_SUMMARY_MAX:
+        summary = _summarize_lambda(lam, tol)
     k = min(len(patterns), LAMBDA_SAMPLE_DIM)
-    corner = np.zeros((0, 0)) if lam is None else _as_dense(lam[:k, :k])
+    corner = _as_dense(lam[:k, :k])
     samples = {(a, b): complex(value)
                for (a, b), value in np.ndenumerate(corner)}
 
@@ -623,13 +1037,18 @@ def _as_dense(lam) -> np.ndarray:
     return lam.toarray() if issparse(lam) else lam
 
 
-def _summarize_lambda(matrix: np.ndarray, tol: float) -> dict:
-    hermitian = 0.5 * (matrix + matrix.conj().T)
-    eigenvalues = np.linalg.eigvalsh(hermitian)
+def _summarize_lambda(matrix, tol: float,
+                      eigenvalues: np.ndarray | None = None) -> dict:
+    """Kind, rank, size and least eigenvalue of a lambda matrix, dense or
+    CSR; the eigenvalues are taken from its Hermitian part unless given."""
+    size = matrix.shape[0]
+    if eigenvalues is None:
+        matrix = _as_dense(matrix)
+        eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
     scale = max(1.0, float(eigenvalues.max(initial=0.0)))
     rank = int((eigenvalues > max(tol, 1e-9) * scale).sum())
-    size = matrix.shape[0]
-    identity_dev = float(np.abs(matrix - np.eye(size)).max())
+    identity = sparse_identity(size) if issparse(matrix) else np.eye(size)
+    identity_dev = float(abs(matrix - identity).max())
     kind = "identity" if identity_dev <= max(tol, 1e-9) else "degenerate"
     return {"kind": kind, "rank": rank, "dim": size,
             "min_eigenvalue": float(eigenvalues.min(initial=0.0))}
@@ -661,8 +1080,8 @@ def lambda_matrix(code: CodeSpec, family: PatternFamily,
     `precomputed` skips the verification pass when the caller already holds
     a report for exactly this (code, family) pairing.  The matrix and its
     summary are the ones the check computed; the summary is taken again
-    only when the check skipped it (exact engine, families above
-    ``LAMBDA_SUMMARY_MAX``) or ran at another tolerance.  `jobs` is
+    only when the check skipped it (families above ``LAMBDA_SUMMARY_MAX``
+    on an engine without a closed form) or ran at another tolerance.  `jobs` is
     ignored, as in `kl_check`; `tol` is checked as there.
     """
     _check_tol(tol)

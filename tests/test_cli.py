@@ -240,6 +240,34 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("relative", [False, True])
+def test_unwritable_out_is_refused_before_the_check(tmp_path, capsys,
+                                                    monkeypatch, relative):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check ran before --out was checked")
+    monkeypatch.setattr(cli, "kl_check", refuse)
+    monkeypatch.setattr(cli, "builtin", refuse)
+    if relative:
+        monkeypatch.setenv("QUDITQEC_REPORT_DIR", str(tmp_path))
+        out = os.path.join("missing", "report.json")
+    else:
+        out = str(tmp_path / "missing" / "report.json")
+    code, report, err = run_cli(capsys, [
+        "verify-kl", "--code", "shor9", "--window", "9", "--out", out])
+    assert code == 2
+    assert report is None
+    assert err.count("\n") == 1
+    assert err.startswith(
+        f"quditqec: cannot write report to "
+        f"{tmp_path / 'missing' / 'report.json'}: no such directory")
+    # a directory given as the report file is refused the same way
+    code, _, err = run_cli(capsys, [
+        "verify-kl", "--code", "shor9", "--window", "9",
+        "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("quditqec: cannot write report")
+
+
 def test_report_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QUDITQEC_REPORT_DIR", str(tmp_path))
     code, _, _ = run_cli(capsys, [

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 import quditqec.verifier as verifier
 from dense_oracle import dense_kl_check, dense_kl_deviation
-from quditqec.codes import build_identity_code, builtin, perfect5_block
+from quditqec.codes import (CodeSpec, build_identity_code, build_qcc_from_qbc,
+                            builtin, lower_bidiagonal_mu, perfect5_block)
+from quditqec.cyclotomic import PhaseScalar
 from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
                              enumerate_family, general, identity, phase_shift,
                              spin_flip, weyl)
 from quditqec.states import RegisterState, inner_product
-from quditqec.transforms import dualize
+from quditqec.transforms import dualize, theorem2_pipeline
 from quditqec.verifier import (VerificationError, kl_check, lambda_matrix,
                                reevaluate_witness)
 
@@ -132,6 +135,8 @@ def force_engine(monkeypatch, engine):
     def choose(code, patterns):
         if engine == "sparse-float":
             return engine, None
+        if engine == "syndrome":
+            return engine, verifier._syndrome_plan(code, patterns)
         return engine, verifier._weyl_plan(code, patterns)
     monkeypatch.setattr(verifier, "_choose_engine", choose)
 
@@ -208,8 +213,9 @@ EXACT_CASES = [
 
 
 @pytest.mark.parametrize("code, family, engine", EXACT_CASES)
-def test_exact_engine_agrees_with_float(code, family, engine):
+def test_exact_engine_agrees_with_float(monkeypatch, code, family, engine):
     exact = kl_check(code, family, exact=True)
+    force_engine(monkeypatch, engine)
     floats = kl_check(code, family)
     assert exact.engine == "exact"
     assert floats.engine == engine
@@ -387,7 +393,7 @@ def test_lambda_matrix_summarizes_what_the_check_did_not():
     expected = kl_check(code, family, tol=0.5).lambda_summary
     assert expected["rank"] == 3  # 22 at the default tolerance
     exact = kl_check(code, family, exact=True)
-    assert exact.lambda_summary is None
+    assert exact.lambda_summary["rank"] == 22
     other_tol = kl_check(code, family)
     assert other_tol.tolerance != 0.5
     for report in (exact, other_tol):
@@ -474,3 +480,246 @@ def test_report_json_shape():
     bad_data = bad.to_json()
     assert bad_data["verdict"] == "fail"
     assert bad_data["witness"]["deviation"] > 0
+
+
+# -- the syndrome engine ------------------------------------------------------
+
+def cross_check(code, family, *references):
+    """The syndrome engine's report against each reference engine's."""
+    patterns = list(family)
+    assert verifier._syndrome_plan(code, patterns) is not None, code.label
+    reports = {}
+    for engine in ("syndrome",) + references:
+        with pytest.MonkeyPatch.context() as patch:
+            if engine != "exact":
+                force_engine(patch, engine)
+            reports[engine] = kl_check(code, family, exact=engine == "exact")
+            fast = kl_check(code, family, exact=engine == "exact",
+                            fail_fast=True)
+        assert reports[engine].engine == engine
+        assert fast.verdict == reports[engine].verdict, (code.label, engine)
+    ours = reports.pop("syndrome")
+    for engine, ref in reports.items():
+        where = (code.label, engine)
+        assert ours.verdict == ref.verdict, where
+        assert abs(ours.max_deviation - ref.max_deviation) < 1e-9, where
+        assert abs(ours.interior_max_deviation
+                   - ref.interior_max_deviation) < 1e-9, where
+        assert ours.interior_verdict == ref.interior_verdict, where
+        assert [witness_key(w) for w in ours.boundary_witnesses] == \
+            [witness_key(w) for w in ref.boundary_witnesses], where
+        assert ours.lambda_samples.keys() == ref.lambda_samples.keys()
+        for key, value in ref.lambda_samples.items():
+            assert abs(ours.lambda_samples[key] - value) < 1e-9, where
+        assert np.abs(verifier._as_dense(ours.lam)
+                      - verifier._as_dense(ref.lam)).max() < 1e-9, where
+        if ours.passed:
+            for key in ("kind", "rank", "dim"):
+                assert ours.lambda_summary[key] == \
+                    ref.lambda_summary[key], where
+            assert abs(ours.lambda_summary["min_eigenvalue"]
+                       - ref.lambda_summary["min_eigenvalue"]) < 1e-9
+    return ours
+
+
+def oracle_check(code, family, report):
+    """The syndrome report against the dense projector oracle."""
+    deviation, lam = dense_kl_deviation(code, family)
+    assert abs(report.max_deviation - deviation.max()) < 1e-9, code.label
+    assert np.abs(verifier._as_dense(report.lam) - lam).max() < 1e-9, \
+        code.label
+
+
+def qcc_perfect5(n, logical_len):
+    return build_qcc_from_qbc(perfect5_block(n), lower_bidiagonal_mu(2),
+                              logical_len)
+
+
+# (code, family, verdict) on stabilizer codes over N = 2, 3, 5: builtins,
+# Fourier duals, the Theorem-2 paste and a code pasted from the perfect
+# block, each passing and failing; every one is small enough for the
+# sparse Gram, the characteristic engine and the dense oracle
+SYNDROME_CASES = [
+    pytest.param(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2), "pass",
+                 id="shor9-N2"),
+    pytest.param(builtin("shor9", 2, 1), weyl_family(9, 3, 1, 2), "fail",
+                 id="shor9-N2-w3"),
+    pytest.param(builtin("shor9", 3, 1), weyl_family(9, 9, 1, 3), "pass",
+                 id="shor9-N3"),
+    pytest.param(builtin("majority3", 2, 2), flip_family(6, 3, 2), "pass",
+                 id="majority3-N2-flips"),
+    pytest.param(builtin("majority3", 5, 1), weyl_family(3, 3, 1, 5), "fail",
+                 id="majority3-N5"),
+    pytest.param(builtin("spin_conv", 3, 1), flip_family(6, 4, 3), "pass",
+                 id="spin_conv-N3-flips"),
+    pytest.param(builtin("spin_conv", 2, 2), weyl_family(8, 4, 1, 2), "fail",
+                 id="spin_conv-N2"),
+    pytest.param(builtin("rate14_conv", 2, 1), weyl_family(8, 4, 1, 2),
+                 "fail", id="rate14_conv-N2"),
+    pytest.param(builtin("rate14_conv", 3, 1), weyl_family(8, 8, 1, 3),
+                 "fail", id="rate14_conv-N3"),
+    pytest.param(builtin("perfect5", 2, 1), weyl_family(10, 5, 1, 2),
+                 "pass", id="perfect5-N2"),
+    pytest.param(perfect5_block(3), weyl_family(5, 5, 1, 3), "pass",
+                 id="perfect5_block-N3"),
+    pytest.param(perfect5_block(5), weyl_family(5, 5, 1, 5), "pass",
+                 id="perfect5_block-N5"),
+    pytest.param(perfect5_block(5), enumerate_family(
+        5, 5, 2, basis=(weyl(1, 0), weyl(0, 1)), n_levels=5), "fail",
+        id="perfect5_block-N5-two-errors"),
+    pytest.param(build_identity_code(3, 2), weyl_family(2, 2, 1, 3), "fail",
+                 id="identity-N3"),
+    pytest.param(dualize(builtin("majority3", 3, 1)), phase_family(3, 3, 3),
+                 "pass", id="dual-majority3-N3-phases"),
+    pytest.param(dualize(builtin("majority3", 2, 2)), weyl_family(6, 3, 1, 2),
+                 "fail", id="dual-majority3-N2"),
+    pytest.param(dualize(builtin("spin_conv", 2, 2)), phase_family(8, 4, 2),
+                 "pass", id="dual-spin_conv-N2-phases"),
+    pytest.param(dualize(builtin("spin_conv", 3, 1)), weyl_family(6, 4, 1, 3),
+                 "fail", id="dual-spin_conv-N3"),
+    pytest.param(theorem2_pipeline(builtin("spin_conv", 2, 1, flush=False)),
+                 weyl_family(8, 4, 1, 2), "fail", id="theorem2-N2"),
+    pytest.param(theorem2_pipeline(builtin("spin_conv", 2, 1, flush=False)),
+                 flip_family(8, 8, 2), "pass", id="theorem2-N2-flips"),
+    pytest.param(qcc_perfect5(3, 1), weyl_family(10, 10, 1, 3), "pass",
+                 id="qcc-perfect5-N3"),
+    pytest.param(qcc_perfect5(2, 2), weyl_family(10, 4, 1, 2), "fail",
+                 id="qcc-perfect5-N2"),
+]
+
+
+@pytest.mark.parametrize("code, family, verdict", SYNDROME_CASES)
+def test_syndrome_engine_agrees_with_every_engine(code, family, verdict):
+    # the characteristic engine and the oracle cost N^width per pattern pair
+    space = code.n_levels ** code.width
+    report = cross_check(code, family, "sparse-float", *(
+        ("characteristic",) if space <= 3 ** 7 else ()))
+    assert report.verdict == verdict
+    if space <= 3 ** 6 and len(family) <= 150:
+        oracle_check(code, family, report)
+    for w in report.boundary_witnesses + ((report.witness,)
+                                          if report.witness else ()):
+        assert abs(reevaluate_witness(code, family, w) - w.deviation) < 1e-9
+
+
+# small enough for exact arithmetic: passes and fails, N = 2 and 3, a dual
+@pytest.mark.parametrize("code, family", [
+    pytest.param(builtin("majority3", 3, 1), flip_family(3, 3, 3),
+                 id="majority3-N3-flips"),
+    pytest.param(build_identity_code(3, 2), weyl_family(2, 2, 1, 3),
+                 id="identity-N3"),
+    pytest.param(perfect5_block(2), weyl_family(5, 5, 1, 2),
+                 id="perfect5_block-N2"),
+    pytest.param(builtin("rate14_conv", 2, 1), weyl_family(8, 4, 1, 2),
+                 id="rate14_conv-N2"),
+    pytest.param(dualize(builtin("majority3", 2, 1)), weyl_family(3, 3, 1, 2),
+                 id="dual-majority3-N2"),
+])
+def test_syndrome_engine_agrees_with_exact(code, family):
+    cross_check(code, family, "exact")
+
+
+def test_syndrome_engine_is_chosen_for_the_stream_checks():
+    for label, n, L, window in (("perfect5", 3, 1, 5),
+                                ("rate14_conv", 2, 3, 8)):
+        code = builtin(label, n, L)
+        report = kl_check(code, weyl_family(code.width, window, 1, n))
+        assert report.engine == "syndrome", label
+    # phase families on Fourier duals keep the cheaper characteristic
+    # engine, small families on sparse kets the sparse Gram
+    dual = dualize(builtin("majority3", 3, 2))
+    assert kl_check(dual, phase_family(6, 3, 3)).engine == "characteristic"
+    assert kl_check(builtin("shor9", 3, 1),
+                    weyl_family(9, 9, 1, 3)).engine == "sparse-float"
+
+
+def test_syndrome_engine_passes_with_exact_zeros():
+    code = builtin("perfect5", 3, 1)
+    family = weyl_family(10, 5, 1, 3)
+    report = kl_check(code, family)
+    assert report.engine == "syndrome" and report.passed
+    assert report.max_deviation == report.interior_max_deviation == 0.0
+    assert report.lambda_summary == {"kind": "identity", "rank": len(family),
+                                     "dim": len(family), "min_eigenvalue": 0.0}
+    # below LAMBDA_SUMMARY_MAX a pass holds lambda dense, and lambda_matrix
+    # hands it on as it is
+    lam = lambda_matrix(code, family, precomputed=report)
+    assert lam.matrix is report.lam
+    assert np.abs(lam.matrix - np.eye(len(family))).max() < 1e-12
+
+
+def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
+    # composite N
+    code = builtin("majority3", 4, 1)
+    family = weyl_family(3, 3, 1, 4)
+    assert verifier._read_tableau(code) is None
+    report = kl_check(code, family)
+    assert report.engine != "syndrome"
+    assert report.verdict == dense_kl_check(code, family)[0] == "fail"
+    # kets that the engine must not serve: a support of three terms, a
+    # phase ratio that is no root of unity, and two norms
+    one = PhaseScalar.exact_one(2)
+    third = PhaseScalar.from_complex(3 ** -0.5)
+    eighth = PhaseScalar.from_complex(np.exp(0.25j * np.pi) / 2 ** 0.5)
+    half = PhaseScalar.from_complex(2 ** -0.5)
+    for kets in ({(0,): {(0, 0, 0): third, (0, 1, 1): third,
+                         (1, 0, 1): third},
+                  (1,): {(1, 1, 1): one}},
+                 {(0,): {(0, 0, 0): half, (1, 1, 1): eighth},
+                  (1,): {(0, 0, 0): half, (1, 1, 1): -eighth}},
+                 {(0,): {(0, 0, 0): one},
+                  (1,): {(1, 1, 1): PhaseScalar.from_complex(2)}}):
+        code = CodeSpec("handmade", 2, 1, 3, 0, 0, 1, {
+            w: RegisterState(2, 3, terms) for w, terms in kets.items()})
+        family = weyl_family(3, 3, 1, 2)
+        assert verifier._read_tableau(code) is None
+        report = kl_check(code, family)
+        assert report.engine != "syndrome"
+        deviation, _ = dense_kl_deviation(code, family)
+        assert abs(report.max_deviation - deviation.max()) < 1e-9
+    # a family with an operator that is no Weyl operator
+    code = builtin("shor9", 2, 1)
+    family = enumerate_family(9, 9, 1, n_levels=2,
+                              basis=(general([[0, 1], [1, 1]]),))
+    assert verifier._syndrome_plan(code, list(family)) is None
+    assert kl_check(code, family).engine == "sparse-float"
+
+
+def test_syndrome_engine_settles_rate14_conv_at_five_symbols():
+    # 4537 patterns at width 24; the sparse Gram ran for minutes on this
+    code = builtin("rate14_conv", 2, 5)
+    family = weyl_family(24, 8, 1, 2)
+    report = kl_check(code, family)
+    assert report.engine == "syndrome"
+    assert report.verdict == "fail"
+    assert reevaluate_witness(code, family, report.witness) > 1e-6
+    # lambda holds the label blocks and the failing pairs only
+    assert issparse(report.lam)
+    # every failing pair touches the head or the three tail blocks: the
+    # Z10.Z19 / Z18 flip witness reaches register 18, and no pair inside
+    # registers 5..12 fails, as the sparse Gram confirms on that range
+    assert report.interior_verdict == "pass"
+    assert kl_check(code, family.restricted(tuple(range(5, 13)))).passed
+
+
+def test_exact_reports_carry_lambda_data():
+    code = builtin("shor9", 2, 1)
+    family = weyl_family(9, 9, 1, 2)
+    exact, floats = (kl_check(code, family, exact=flag)
+                     for flag in (True, False))
+    assert exact.passed
+    for key in ("kind", "rank", "dim"):
+        assert exact.lambda_summary[key] == floats.lambda_summary[key]
+    assert abs(exact.lambda_summary["min_eigenvalue"]
+               - floats.lambda_summary["min_eigenvalue"]) < 1e-12
+    assert exact.to_json()["lambda_summary"]["rank"] == 22
+    code = builtin("rate14_conv", 2, 1)
+    family = weyl_family(8, 4, 1, 2)
+    exact, floats = (kl_check(code, family, exact=flag)
+                     for flag in (True, False))
+    assert exact.verdict == "fail" and exact.lambda_summary is None
+    assert len(exact.lambda_samples) == 16
+    assert exact.lambda_samples.keys() == floats.lambda_samples.keys()
+    for key, value in floats.lambda_samples.items():
+        assert abs(exact.lambda_samples[key] - value) < 1e-12
+    assert len(exact.to_json()["lambda_samples"]) == 16
