@@ -8,13 +8,28 @@ sequence, so runs reproduce bit for bit.
 
 For a fixed input the record of a trial depends on its injected pattern
 alone, so :func:`run_trials` draws every pattern first and works each
-distinct pattern once: corruption in floats, through the same family-matrix
-kernel the verifier uses, and decoding of a block of distinct patterns in
-one stacked sparse product.  It runs in one process; its ``jobs`` argument
-is a no-op kept for compatibility.  :func:`sample_channel` and
+distinct pattern once, on one of two paths:
+
+* ``"syndrome"``: when every family pattern and every distinct injected
+  pattern is a Weyl operator (or the identity) and the verifier can read a
+  stabilizer S off the code's kets (prime N).  For Weyl patterns the
+  squared projection of candidate c is exactly 1 when E_c^dag E_inj
+  commutes with S (it then maps the code space onto itself) and exactly 0
+  otherwise (some stabilizer moves the state to another eigenspace).  The
+  decoder's choice is therefore the earliest family member with the
+  injected pattern's syndrome, and the residual E_c^dag E_inj acts on the
+  logical kets as a phased permutation, read off the tableau.  No encoded
+  state, corrupted state or stacked decoder is built.
+* ``"ket"``: otherwise.  Corruption runs in floats, through the same
+  family-matrix kernel the verifier uses, and a block of distinct patterns
+  is decoded in one stacked sparse product.
+
+Both paths give the same records, fidelities equal up to rounding.
+:func:`run_trials` runs in one process; its ``jobs``
+argument is a no-op kept for compatibility.  :func:`sample_channel` and
 :func:`decode_mld` stay the one-state-at-a-time reference path:
 ``sample_channel`` corrupts exactly, and ``decode_mld`` scores in floats
-through the same decoder as :func:`run_trials`.
+through the ket path's decoder.
 
 The decoder assumes the code passed verification against the same family;
 on an unverified pairing it still runs, but in-family corruptions are then
@@ -25,6 +40,7 @@ means, and the trial records will show it).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +51,8 @@ from .cyclotomic import PhaseScalar
 from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
                      apply_pattern, weyl_basis)
 from .states import RegisterState
-from .verifier import _family_matrix
+from .verifier import (_SyndromePlan, _family_matrix, _label_classes,
+                       _syndrome_plan, _transfer)
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
 PROJECTION_FLOOR = 1e-9
@@ -68,6 +85,12 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("error probability must lie in [0, 1]")
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or \
+                    not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
         if self.trials < 1:
@@ -143,6 +166,13 @@ def sample_channel(state: RegisterState, cfg: ChannelConfig,
     return apply_pattern(state, pattern), pattern
 
 
+def _check_family_width(code: CodeSpec, family: PatternFamily) -> None:
+    if family.width != code.width:
+        raise ValueError(
+            f"family width {family.width} does not match code width "
+            f"{code.width}")
+
+
 class _Decoder:
     """Stacked candidate-corrected overlaps for one (code, family) pairing.
 
@@ -152,10 +182,7 @@ class _Decoder:
     """
 
     def __init__(self, code: CodeSpec, family: PatternFamily):
-        if family.width != code.width:
-            raise ValueError(
-                f"family width {family.width} does not match code width "
-                f"{code.width}")
+        _check_family_width(code, family)
         self.patterns = list(family)
         self.windows = code.logical_windows()
         self.stacked = vstack(
@@ -230,6 +257,7 @@ class ChannelSummary:
     conditional_success: float | None
     mean_fidelity: float
     seed: int
+    decoder: str            # "syndrome" or "ket": the path run_trials took
     records: tuple[TrialRecord, ...] | None = None
 
     def to_json(self) -> dict:
@@ -238,7 +266,50 @@ class ChannelSummary:
                 "in_family": self.in_family_count,
                 "success": self.success_count,
                 "conditional_success": self.conditional_success,
-                "mean_fidelity": self.mean_fidelity, "seed": self.seed}
+                "mean_fidelity": self.mean_fidelity, "seed": self.seed,
+                "decoder": self.decoder}
+
+
+def _frame_decode(plan: _SyndromePlan, n_levels: int, size: int,
+                  target: np.ndarray):
+    """Chosen family index (-1 for none) and fidelity of each injected row.
+
+    The first ``size`` rows of the plan are the family.  An injected
+    pattern B gets the earliest member A of its syndrome class; A^dag B
+    then maps logical ket v_j onto mu_j v_(i_j), so the corrected state's
+    logical amplitudes are beta_(i_j) = target_j mu_j.
+    """
+    classes, _ = _label_classes(plan.rows, plan.tableau.stabilizer, n_levels)
+    held, first = np.unique(classes[:size], return_index=True)
+    earliest = np.full(classes.max() + 1, -1)
+    earliest[held] = first
+    chosen = earliest[classes[size:]]
+    hit = np.flatnonzero(chosen >= 0)
+    targets, mus = _transfer(plan, n_levels, chosen[hit], size + hit,
+                             range(len(target)))
+    beta = np.zeros((len(target), hit.size), dtype=complex)
+    cols = np.arange(hit.size)
+    for amp, i, mu in zip(target, targets, mus):
+        beta[i, cols] = amp * mu
+    fidelity = np.zeros(len(chosen))
+    fidelity[hit] = np.abs(target.conj() @ beta) ** 2 \
+        / (np.abs(beta) ** 2).sum(axis=0)
+    return chosen, fidelity
+
+
+def _ket_decode(code: CodeSpec, family: PatternFamily, distinct,
+                logical_input: RegisterState, target: np.ndarray):
+    """``_frame_decode``'s result through the stacked float decoder."""
+    decoder = _Decoder(code, family)
+    encoded = code.encode(logical_input)
+    chosen, fidelity = [], []
+    for start in range(0, len(distinct), DECODE_BLOCK):
+        block = distinct[start:start + DECODE_BLOCK]
+        pick, _, logical = decoder.score(
+            _family_matrix(encoded, block, code.n_levels, code.width))
+        chosen.append(pick)
+        fidelity.append(np.abs(target.conj() @ logical) ** 2)
+    return np.concatenate(chosen), np.concatenate(fidelity)
 
 
 def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
@@ -248,13 +319,25 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
 
     Each trial draws its pattern exactly as :func:`sample_channel` does.
     The record of a trial is a function of its injected pattern alone, so
-    only the distinct patterns are worked, in first-seen order: their
-    corrupted states are rows of one float family matrix of the encoded
-    state, decoded ``DECODE_BLOCK`` at a time by one stacked sparse
-    product, and scored against the input in floats.  The records are then
-    laid out in trial order.  The summary is a pure function of (code, cfg,
-    family, input); `jobs` is accepted for compatibility and ignored.
+    only the distinct patterns are worked, in first-seen order, and the
+    records are then laid out in trial order.
+
+    The syndrome path runs when every family pattern and every distinct
+    injected pattern is Weyl or the identity and a stabilizer reads off
+    the code's kets (prime N); otherwise the ket path runs.  The syndrome
+    path gives each pattern its syndrome class, chooses the earliest family
+    member in the injected pattern's class (none when the class holds no
+    member) and scores the residual's logical action on the input.  This
+    is exactly the ket path's choice: a Weyl candidate's squared projection
+    onto the code space is 1 in the injected class and 0 outside it.  The
+    ket path corrupts the encoded state in floats, one family-matrix row
+    per pattern, decodes ``DECODE_BLOCK`` rows at a time by one stacked
+    sparse product, and scores against the input in floats.  The
+    summary's ``decoder`` names the path.  The summary is a pure function
+    of (code, cfg, family, input); `jobs` is accepted for compatibility and
+    ignored.
     """
+    _check_family_width(code, family)
     if logical_input.width != code.logical_width:
         raise ValueError(
             f"logical input must have width {code.logical_width}")
@@ -263,26 +346,30 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     injected = [_draw_pattern(cfg, code.width, menu, weights, t)
                 for t in range(cfg.trials)]
     distinct = list(dict.fromkeys(injected))
-    decoder = _Decoder(code, family)
-    encoded = code.encode(logical_input)
+    patterns = list(family)
     target = np.array([logical_input.amplitude(w).to_complex()
-                       for w in decoder.windows])
+                       for w in code.logical_windows()])
+    # the family's rows, then the distinct injected rows; None when a
+    # pattern is not Weyl or no stabilizer reads off the kets
+    plan = _syndrome_plan(code, patterns + distinct)
+    if plan is None:
+        decoder = "ket"
+        chosen, fidelity = _ket_decode(code, family, distinct, logical_input,
+                                       target)
+    else:
+        decoder = "syndrome"
+        chosen, fidelity = _frame_decode(plan, code.n_levels, len(patterns),
+                                         target)
     outcome: dict[ErrorPattern, TrialRecord] = {}
-    for start in range(0, len(distinct), DECODE_BLOCK):
-        block = distinct[start:start + DECODE_BLOCK]
-        chosen, _, logical = decoder.score(
-            _family_matrix(encoded, block, code.n_levels, code.width))
-        fidelity = np.abs(target.conj() @ logical) ** 2
-        for pattern, pick, fid in zip(block, chosen.tolist(),
-                                      fidelity.tolist()):
-            in_family = family.contains(pattern)
-            if pick < 0:
-                record = TrialRecord(pattern, in_family, None, 0.0, False)
-            else:
-                record = TrialRecord(pattern, in_family,
-                                     decoder.patterns[pick], fid,
-                                     fid >= SUCCESS_FIDELITY)
-            outcome[pattern] = record
+    for pattern, pick, fid in zip(distinct, chosen.tolist(),
+                                  fidelity.tolist()):
+        in_family = family.contains(pattern)
+        if pick < 0:
+            outcome[pattern] = TrialRecord(pattern, in_family, None, 0.0,
+                                           False)
+        else:
+            outcome[pattern] = TrialRecord(pattern, in_family, patterns[pick],
+                                           fid, fid >= SUCCESS_FIDELITY)
     records = [outcome[pattern] for pattern in injected]
 
     in_family_count = sum(r.in_family for r in records)
@@ -294,5 +381,5 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     return ChannelSummary(
         code.label, code.n_levels, code.logical_len, cfg.p, cfg.trials,
         in_family_count, success_count, in_family_success, conditional,
-        mean_fidelity, cfg.seed,
+        mean_fidelity, cfg.seed, decoder,
         records=tuple(records) if keep_records else None)

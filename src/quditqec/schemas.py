@@ -182,6 +182,7 @@ CHANNEL_SUMMARY_SCHEMA = {
         },
         "mean_fidelity": {"type": "number", "minimum": 0},
         "seed": {"type": "integer", "minimum": 0},
+        "decoder": {"enum": ["syndrome", "ket"]},
     },
 }
 

@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from quditqec import channel
 from quditqec.channel import (ChannelConfig, UncorrectableError, decode_mld,
                               run_trials, sample_channel)
 from quditqec.codes import build_identity_code, builtin
+from quditqec.cyclotomic import PhaseScalar
 from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
                              enumerate_family, general, phase_shift,
                              spin_flip, weyl)
 from quditqec.states import RegisterState, inner_product
+from quditqec.transforms import dualize
 
 
 def shor_setup():
@@ -46,6 +50,13 @@ def test_config_validation():
     cfg = ChannelConfig(p=0.1, seed=1, trials=10, error_menu=menu,
                         weights=(0.25, 0.75))
     assert cfg.weights == (0.25, 0.75)
+    # seed and trials are integers, not floats or bools
+    for bad in ({"seed": 1.5}, {"trials": 2.5}, {"seed": True},
+                {"trials": True}, {"seed": "1"}):
+        with pytest.raises(ValueError):
+            ChannelConfig(**{"p": 0.1, "seed": 1, "trials": 10, **bad})
+    cfg = ChannelConfig(p=0.1, seed=np.uint64(2 ** 63), trials=np.int64(3))
+    assert type(cfg.seed) is int and type(cfg.trials) is int
 
 
 def test_sample_channel_p_zero_is_identity():
@@ -240,6 +251,7 @@ def test_run_trials_matches_exact_reference(label, n, length, window,
     cfg = ChannelConfig(p=p, seed=4242, trials=trials)
     summary = assert_matches_reference(code, cfg, family,
                                        RegisterState.basis(n, logical))
+    assert summary.decoder == "syndrome"
     assert any(r.injected.weight > 0 for r in summary.records)
 
 
@@ -253,6 +265,7 @@ def test_run_trials_matches_exact_reference_non_weyl_menu():
                         weights=(0.25, 0.25, 0.5))
     summary = assert_matches_reference(code, cfg, family,
                                        RegisterState.basis(3, (1, 2)))
+    assert summary.decoder == "ket"
     kinds = {op.kind for r in summary.records for _, op in r.injected.ops}
     assert kinds == {"spin_flip", "phase_shift", "general"}
 
@@ -263,8 +276,10 @@ def test_run_trials_uncorrectable_trial():
     code = builtin("majority3", 2, 1)
     menu = (general([[0, 0], [0, 1]]),)
     cfg = ChannelConfig(p=0.5, seed=8, trials=40, error_menu=menu)
-    summary = run_trials(code, cfg, enumerate_family(3, 3, 1, n_levels=2),
-                         RegisterState.basis(2, (0,)), keep_records=True)
+    summary = assert_matches_reference(
+        code, cfg, enumerate_family(3, 3, 1, n_levels=2),
+        RegisterState.basis(2, (0,)))
+    assert summary.decoder == "ket"
     hit = [r for r in summary.records if r.injected.weight > 0]
     assert hit and len(hit) < 40
     for rec in hit:
@@ -284,6 +299,127 @@ def test_jobs_do_not_change_summary():
     assert solo.to_json() == multi.to_json()
 
 
+def test_ket_path_for_composite_n_and_non_weyl_family():
+    # N=4 has no stabilizer the frame path can read; a spin-flip family is
+    # not Weyl even where the injected menu is
+    code = builtin("majority3", 4, 1)
+    cfg = ChannelConfig(p=0.3, seed=12, trials=60)
+    summary = assert_matches_reference(
+        code, cfg, enumerate_family(3, 3, 1, n_levels=4),
+        RegisterState.basis(4, (3,)))
+    assert summary.decoder == "ket"
+    code = builtin("majority3", 2, 2)
+    family = enumerate_family(code.width, 3, 1, basis=(spin_flip([1, 0]),))
+    cfg = ChannelConfig(p=0.2, seed=13, trials=80)
+    summary = assert_matches_reference(code, cfg, family,
+                                       RegisterState.basis(2, (1, 0)))
+    assert summary.decoder == "ket"
+    assert any(r.injected.weight > 0 for r in summary.records)
+
+
+def force_ket(monkeypatch):
+    """Route run_trials to the ket path, whatever its inputs."""
+    monkeypatch.setattr(channel, "_syndrome_plan", lambda *args: None)
+
+
+def assert_frame_matches_ket(monkeypatch, code, cfg, family, logical):
+    frame = run_trials(code, cfg, family, logical, keep_records=True)
+    with monkeypatch.context() as patch:
+        force_ket(patch)
+        ket = run_trials(code, cfg, family, logical, keep_records=True)
+    assert (frame.decoder, ket.decoder) == ("syndrome", "ket")
+    for a, b in zip(frame.records, ket.records):
+        assert (a.injected, a.in_family, a.chosen, a.success) == \
+            (b.injected, b.in_family, b.chosen, b.success), a.to_json()
+        assert abs(a.logical_fidelity - b.logical_fidelity) < 1e-12
+    assert len(frame.records) == len(ket.records) == cfg.trials
+    return frame
+
+
+def superposed(n, width, seed):
+    rng = np.random.default_rng(seed)
+    words = list(itertools.product(range(n), repeat=width))
+    amps = rng.normal(size=len(words)) + 1j * rng.normal(size=len(words))
+    return RegisterState(n, width, {
+        w: PhaseScalar.from_complex(complex(a)) for w, a in zip(words, amps)})
+
+
+@pytest.mark.parametrize("label, n, length, window, logical, p, trials", [
+    ("rate14_conv", 2, 3, 8, (0, 1, 1), 0.02, 600),
+    ("rate14_conv", 2, 3, 8, (0, 1, 1), 0.2, 250),
+    ("perfect5", 3, 1, 5, (2,), 0.02, 60),
+    ("perfect5", 3, 1, 5, (2,), 0.2, 25),
+    ("shor9", 3, 1, 9, (1,), 0.05, 100),
+    ("rate14_conv", 3, 2, 8, (1, 2), 0.1, 150),
+    ("rate14_conv", 3, 2, 8, None, 0.1, 150),
+    ("perfect5", 3, 1, 5, None, 0.2, 100),
+])
+def test_frame_path_matches_ket_path(monkeypatch, label, n, length, window,
+                                     logical, p, trials):
+    code = builtin(label, n, length)
+    family = enumerate_family(code.width, window, 1, n_levels=n)
+    state = superposed(n, length, 5) if logical is None \
+        else RegisterState.basis(n, logical)
+    cfg = ChannelConfig(p=p, seed=2718, trials=trials)
+    summary = assert_frame_matches_ket(monkeypatch, code, cfg, family, state)
+    assert any(r.injected.weight > 0 for r in summary.records)
+    if logical is None:
+        # a superposed input sees fidelities strictly between 0 and 1
+        assert any(1e-6 < r.logical_fidelity < 1 - 1e-6
+                   for r in summary.records)
+
+
+def test_frame_path_matches_ket_path_on_a_phase_dual(monkeypatch):
+    dual = dualize(builtin("majority3", 3, 1))
+    family = enumerate_family(dual.width, 3, 1, n_levels=3,
+                              basis=(weyl(0, 1), weyl(0, 2)))
+    cfg = ChannelConfig(p=0.1, seed=31, trials=250, error_menu=family.basis)
+    summary = assert_frame_matches_ket(monkeypatch, dual, cfg, family,
+                                       RegisterState.basis(3, (1,)))
+    assert summary.in_family_count < cfg.trials
+
+
+def test_frame_path_pattern_without_family_syndrome(monkeypatch):
+    # at p=0.3 many trials hit shor9 twice, for example with flips in two
+    # blocks, whose syndrome no single-register candidate shares
+    code, family = shor_setup()
+    cfg = ChannelConfig(p=0.3, seed=17, trials=120)
+    summary = assert_frame_matches_ket(monkeypatch, code, cfg, family,
+                                       RegisterState.basis(2, (1,)))
+    missed = [r for r in summary.records if r.chosen is None]
+    assert missed
+    assert all((r.logical_fidelity, r.success, r.in_family) ==
+               (0.0, False, False) for r in missed)
+
+
+def test_frame_path_matches_ket_path_on_criterion_10(monkeypatch):
+    code = builtin("rate14_conv", 2, 3)
+    family = enumerate_family(16, 8, 1, n_levels=2)
+    cfg = ChannelConfig(p=0.02, seed=20260814, trials=10000)
+    summary = assert_frame_matches_ket(monkeypatch, code, cfg, family,
+                                       RegisterState.basis(2, (0, 1, 1)))
+    assert (summary.in_family_success_count, summary.in_family_count) == \
+        (8644, 9701)
+
+
+def test_family_width_mismatch_on_both_paths(monkeypatch):
+    code = builtin("shor9", 2, 1)
+    narrow = enumerate_family(8, 8, 1, n_levels=2)
+    logical = RegisterState.basis(2, (0,))
+    cfg = ChannelConfig(p=0.1, seed=1, trials=5)
+    with pytest.raises(ValueError, match="family width 8"):
+        run_trials(code, cfg, narrow, logical)
+    with monkeypatch.context() as patch:
+        force_ket(patch)
+        with pytest.raises(ValueError, match="family width 8"):
+            run_trials(code, cfg, narrow, logical)
+    # a non-Weyl menu would send the run to the ket path on its own
+    menu = (spin_flip([1, 0]),)
+    cfg = ChannelConfig(p=0.1, seed=1, trials=5, error_menu=menu)
+    with pytest.raises(ValueError, match="family width 8"):
+        run_trials(code, cfg, narrow, logical)
+
+
 def test_logical_width_mismatch():
     code, family = shor_setup()
     cfg = ChannelConfig(p=0.0, seed=1, trials=1)
@@ -295,6 +431,7 @@ def test_summary_json_keys():
     code, family = shor_setup()
     cfg = ChannelConfig(p=0.1, seed=42, trials=30)
     data = run_trials(code, cfg, family, RegisterState.basis(2, (0,))).to_json()
+    assert data["decoder"] == "syndrome"
     assert data["code"] == "shor9"
     assert data["N"] == 2 and data["L"] == 1
     assert data["trials"] == 30 and data["seed"] == 42

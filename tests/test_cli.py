@@ -139,6 +139,7 @@ def test_simulate_clean_run(capsys):
     assert report["trials"] == 50
     assert report["seed"] == 9
     assert report["conditional_success"] == 1.0
+    assert report["decoder"] == "syndrome"
 
 
 def test_simulate_logical_input_validation(capsys):
