@@ -19,7 +19,11 @@ distinct pattern once, on one of two paths:
   decoder's choice is therefore the earliest family member with the
   injected pattern's syndrome, and the residual E_c^dag E_inj acts on the
   logical kets as a phased permutation, read off the tableau.  No encoded
-  state, corrupted state or stacked decoder is built.
+  state, corrupted state or stacked decoder is built.  What depends on the
+  code or the family alone is built once: the stabilizer once per code
+  (kept on the code), and the family's Weyl rows and syndrome lookup once
+  per (code, family) (kept on the stabilizer).  A call labels only its
+  distinct injected rows, so its cost is mostly the per-trial seed stream.
 * ``"ket"``: otherwise.  Corruption runs in floats, through the same
   family-matrix kernel the verifier uses, and a block of distinct patterns
   is decoded in one stacked sparse product.
@@ -51,8 +55,8 @@ from .cyclotomic import PhaseScalar
 from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
                      apply_pattern, weyl_basis)
 from .states import RegisterState
-from .verifier import (_SyndromePlan, _family_matrix, _label_classes,
-                       _syndrome_plan, _transfer)
+from .verifier import (_SyndromePlan, _Tableau, _family_matrix, _mod_matmul,
+                       _pairing, _syndrome_plan, _transfer, _weyl_exponents)
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
 PROJECTION_FLOOR = 1e-9
@@ -83,6 +87,9 @@ class ChannelConfig:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise ValueError("error probability must be a real number")
+        object.__setattr__(self, "p", float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("error probability must lie in [0, 1]")
         for name in ("seed", "trials"):
@@ -141,16 +148,28 @@ class TrialRecord:
                 "success": self.success}
 
 
-def _draw_pattern(cfg: ChannelConfig, width: int, menu, weights,
+def _menu_cdf(weights) -> np.ndarray:
+    """The cumulative menu weights, normalized as ``Generator.choice``
+    normalizes its ``p``."""
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    return cdf / cdf[-1]
+
+
+def _draw_pattern(cfg: ChannelConfig, width: int, menu, cdf: np.ndarray,
                   trial: int) -> ErrorPattern:
-    """The pattern injected in one trial, drawn from (cfg.seed, trial)."""
+    """The pattern injected in one trial, drawn from (cfg.seed, trial).
+
+    One uniform per register decides the hit registers; then one uniform
+    per hit register, in register order, picks its menu entry by the
+    ``cdf`` of :func:`_menu_cdf`.  This is the stream of one
+    ``rng.choice(len(menu), p=weights)`` per hit register, draw for draw.
+    """
     rng = np.random.default_rng([cfg.seed, trial])
-    hits = rng.random(width) < cfg.p
-    placed = {}
-    for slot in np.flatnonzero(hits):
-        pick = int(rng.choice(len(menu), p=weights))
-        placed[int(slot) + 1] = menu[pick]
-    return ErrorPattern.from_dict(width, placed)
+    hits = np.flatnonzero(rng.random(width) < cfg.p)
+    picks = cdf.searchsorted(rng.random(hits.size), side="right")
+    return ErrorPattern(width, tuple(
+        (slot + 1, menu[pick])
+        for slot, pick in zip(hits.tolist(), picks.tolist())))
 
 
 def sample_channel(state: RegisterState, cfg: ChannelConfig,
@@ -162,7 +181,7 @@ def sample_channel(state: RegisterState, cfg: ChannelConfig,
     execution order.  The corruption is exact.
     """
     menu, weights = cfg.menu_for(state.n_levels)
-    pattern = _draw_pattern(cfg, state.width, menu, weights, trial)
+    pattern = _draw_pattern(cfg, state.width, menu, _menu_cdf(weights), trial)
     return apply_pattern(state, pattern), pattern
 
 
@@ -270,23 +289,59 @@ class ChannelSummary:
                 "decoder": self.decoder}
 
 
-def _frame_decode(plan: _SyndromePlan, n_levels: int, size: int,
-                  target: np.ndarray):
-    """Chosen family index (-1 for none) and fidelity of each injected row.
+def _syndromes(rows: np.ndarray, tableau: _Tableau, p: int) -> np.ndarray:
+    """Each Weyl row's syndrome, read as one base-p integer (exact: p^width
+    stays below 2^62 wherever a tableau reads)."""
+    digits = _mod_matmul(rows, _pairing(tableau.stabilizer).T, p)
+    return digits @ p ** np.arange(digits.shape[1], dtype=np.int64)
 
-    The first ``size`` rows of the plan are the family.  An injected
-    pattern B gets the earliest member A of its syndrome class; A^dag B
-    then maps logical ket v_j onto mu_j v_(i_j), so the corrected state's
-    logical amplitudes are beta_(i_j) = target_j mu_j.
+
+@dataclass
+class _Frame:
+    """A Weyl family's syndrome lookup on one code: ``keys`` holds every
+    syndrome the family reaches, sorted, and ``earliest`` the first member
+    with each."""
+
+    patterns: list[ErrorPattern]
+    rows: np.ndarray        # member i as the Weyl row (x | z)
+    keys: np.ndarray
+    earliest: np.ndarray
+
+
+def _frame_table(code: CodeSpec, tableau: _Tableau,
+                 family: PatternFamily) -> _Frame | None:
+    """The family's frame table, built once per (code, family) and kept on
+    the code's tableau; None when a member is not Weyl."""
+    if family not in tableau.frames:
+        patterns = list(family)
+        exponents = _weyl_exponents(code, patterns)
+        frame = None
+        if exponents is not None:
+            rows = np.hstack(exponents)
+            keys, earliest = np.unique(
+                _syndromes(rows, tableau, code.n_levels), return_index=True)
+            frame = _Frame(patterns, rows, keys, earliest)
+        tableau.frames[family] = frame
+    return tableau.frames[family]
+
+
+def _frame_decode(plan: _SyndromePlan, frame: _Frame, n_levels: int,
+                  target: np.ndarray):
+    """Chosen family index (-1 for none) and fidelity of each injected row
+    of the plan.
+
+    An injected pattern B gets the earliest member A of its syndrome class;
+    A^dag B then maps logical ket v_j onto mu_j v_(i_j), so the corrected
+    state's logical amplitudes are beta_(i_j) = target_j mu_j.
     """
-    classes, _ = _label_classes(plan.rows, plan.tableau.stabilizer, n_levels)
-    held, first = np.unique(classes[:size], return_index=True)
-    earliest = np.full(classes.max() + 1, -1)
-    earliest[held] = first
-    chosen = earliest[classes[size:]]
+    keys = _syndromes(plan.rows, plan.tableau, n_levels)
+    where = np.minimum(frame.keys.searchsorted(keys), frame.keys.size - 1)
+    chosen = np.where(frame.keys[where] == keys, frame.earliest[where], -1)
     hit = np.flatnonzero(chosen >= 0)
-    targets, mus = _transfer(plan, n_levels, chosen[hit], size + hit,
-                             range(len(target)))
+    size = len(frame.patterns)
+    targets, mus = _transfer(
+        _SyndromePlan(plan.tableau, np.vstack([frame.rows, plan.rows])),
+        n_levels, chosen[hit], size + hit, range(len(target)))
     beta = np.zeros((len(target), hit.size), dtype=complex)
     cols = np.arange(hit.size)
     for amp, i, mu in zip(target, targets, mus):
@@ -330,6 +385,11 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     member) and scores the residual's logical action on the input.  This
     is exactly the ket path's choice: a Weyl candidate's squared projection
     onto the code space is 1 in the injected class and 0 outside it.  The
+    stabilizer is read once per code and the family's syndrome table built
+    once per (code, family), both kept with the code, so a repeated call
+    labels only its distinct injected rows; what is left per call is
+    mostly the per-trial seed stream (one ``default_rng([seed, trial])``
+    per trial), the floor while that stream stays bit for bit.  The
     ket path corrupts the encoded state in floats, one family-matrix row
     per pattern, decodes ``DECODE_BLOCK`` rows at a time by one stacked
     sparse product, and scores against the input in floats.  The
@@ -343,34 +403,39 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
             f"logical input must have width {code.logical_width}")
     logical_input = logical_input.normalized()
     menu, weights = cfg.menu_for(code.n_levels)
-    injected = [_draw_pattern(cfg, code.width, menu, weights, t)
-                for t in range(cfg.trials)]
-    distinct = list(dict.fromkeys(injected))
-    patterns = list(family)
+    cdf = _menu_cdf(weights)
+    width = code.width
+    # each trial's index into the distinct patterns, in first-seen order
+    first_seen: dict[ErrorPattern, int] = {}
+    slots = [first_seen.setdefault(_draw_pattern(cfg, width, menu, cdf, t),
+                                   len(first_seen))
+             for t in range(cfg.trials)]
+    distinct = list(first_seen)
     target = np.array([logical_input.amplitude(w).to_complex()
                        for w in code.logical_windows()])
-    # the family's rows, then the distinct injected rows; None when a
+    # the distinct injected rows, then the family's table; None when a
     # pattern is not Weyl or no stabilizer reads off the kets
-    plan = _syndrome_plan(code, patterns + distinct)
-    if plan is None:
+    plan = _syndrome_plan(code, distinct)
+    frame = None if plan is None else _frame_table(code, plan.tableau, family)
+    if frame is None:
         decoder = "ket"
+        patterns = list(family)
         chosen, fidelity = _ket_decode(code, family, distinct, logical_input,
                                        target)
     else:
         decoder = "syndrome"
-        chosen, fidelity = _frame_decode(plan, code.n_levels, len(patterns),
-                                         target)
-    outcome: dict[ErrorPattern, TrialRecord] = {}
+        patterns = frame.patterns
+        chosen, fidelity = _frame_decode(plan, frame, code.n_levels, target)
+    outcome = []
     for pattern, pick, fid in zip(distinct, chosen.tolist(),
                                   fidelity.tolist()):
         in_family = family.contains(pattern)
         if pick < 0:
-            outcome[pattern] = TrialRecord(pattern, in_family, None, 0.0,
-                                           False)
+            outcome.append(TrialRecord(pattern, in_family, None, 0.0, False))
         else:
-            outcome[pattern] = TrialRecord(pattern, in_family, patterns[pick],
-                                           fid, fid >= SUCCESS_FIDELITY)
-    records = [outcome[pattern] for pattern in injected]
+            outcome.append(TrialRecord(pattern, in_family, patterns[pick],
+                                       fid, fid >= SUCCESS_FIDELITY))
+    records = [outcome[slot] for slot in slots]
 
     in_family_count = sum(r.in_family for r in records)
     success_count = sum(r.success for r in records)

@@ -35,6 +35,9 @@ from .states import Digits, RegisterState
 
 BUILTIN_LABELS = ("majority3", "shor9", "spin_conv", "rate14_conv", "perfect5")
 
+# marks a CodeSpec whose stabilizer has not been read yet
+UNREAD = object()
+
 
 @dataclass
 class CodeSpec:
@@ -43,6 +46,12 @@ class CodeSpec:
     ``n``/``m`` are logical/physical registers per block, ``memory`` is how
     many previous logical symbols the encoder references, ``flush_depth``
     how many zero symbols are appended to terminate the window.
+
+    The encoded kets are treated as immutable once built: the verifier
+    reads the code's stabilizer off them once and keeps the result, None
+    included, in ``_stabilizer`` (with the channel's per-family frame
+    tables on it).  That cache is neither compared nor pickled; a code
+    whose kets must change is built anew.
     """
 
     label: str
@@ -56,6 +65,8 @@ class CodeSpec:
     boundary_registers: frozenset[int] = frozenset()
     rebuild: Callable[[int, int, bool], "CodeSpec"] | None = \
         field(default=None, repr=False, compare=False)
+    _stabilizer: object = field(default=UNREAD, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         widths = {state.width for state in self.encoded_kets.values()}
@@ -68,13 +79,15 @@ class CodeSpec:
                     f"logical window {k} does not have {expected} registers")
 
     def __getstate__(self):
-        # rebuild hooks are closures and cannot cross process boundaries
+        # rebuild hooks are closures and cannot cross process boundaries;
+        # the stabilizer is read again where it is needed
         state = self.__dict__.copy()
         state["rebuild"] = None
+        state.pop("_stabilizer", None)
         return state
 
     def __setstate__(self, state):
-        self.__dict__.update(state)
+        self.__dict__.update(state, _stabilizer=UNREAD)
 
     @property
     def width(self) -> int:

@@ -84,7 +84,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse import identity as sparse_identity
 
-from .codes import CodeSpec
+from .codes import UNREAD, CodeSpec
 from .errors import PatternFamily, apply_pattern
 from .states import RegisterState, inner_product
 
@@ -750,7 +750,8 @@ class _Tableau:
     common phase; ``normalizer`` spans S^perp, the rows that commute with
     all of S.  ``logical`` completes S to the stabilizer of v_0: ket j is
     its eigenvector with exponents ``characters[j]``, and ``ket_of`` maps a
-    character, read as a base-N number, back to its ket.
+    character, read as a base-N number, back to its ket.  ``frames`` holds
+    the channel's frame table of each family run on the code.
     """
 
     stabilizer: np.ndarray
@@ -759,9 +760,18 @@ class _Tableau:
     characters: np.ndarray
     ket_of: np.ndarray
     kets: _Kets
+    frames: dict = field(default_factory=dict)
 
 
 def _read_tableau(code: CodeSpec) -> _Tableau | None:
+    """The code's stabilizer, read off its kets once per code: the result,
+    None included, is kept on the code."""
+    if code._stabilizer is UNREAD:
+        code._stabilizer = _tableau_off_kets(code)
+    return code._stabilizer
+
+
+def _tableau_off_kets(code: CodeSpec) -> _Tableau | None:
     """The code's stabilizer, read off its kets and checked on them.
 
     The support of v_0 must be an affine space y_0 + W, which gives the X

@@ -14,6 +14,7 @@ from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
                              spin_flip, weyl)
 from quditqec.states import RegisterState, inner_product
 from quditqec.transforms import dualize
+from quditqec.verifier import kl_check
 
 
 def shor_setup():
@@ -57,6 +58,13 @@ def test_config_validation():
             ChannelConfig(**{"p": 0.1, "seed": 1, "trials": 10, **bad})
     cfg = ChannelConfig(p=0.1, seed=np.uint64(2 ** 63), trials=np.int64(3))
     assert type(cfg.seed) is int and type(cfg.trials) is int
+    # p is a real number, not a bool or a string, and is kept as a float
+    for bad in (True, False, "0.1", None, 0.5j, float("nan")):
+        with pytest.raises(ValueError):
+            ChannelConfig(p=bad, seed=1, trials=10)
+    for good in (1, np.float32(0.25), np.int64(0)):
+        cfg = ChannelConfig(p=good, seed=1, trials=10)
+        assert type(cfg.p) is float and cfg.p == float(good)
 
 
 def test_sample_channel_p_zero_is_identity():
@@ -84,6 +92,79 @@ def test_sample_channel_deterministic_per_trial():
     second = [sample_channel(state, cfg, t)[1] for t in range(20)]
     assert first == second
     assert len({p.support for p in first}) > 1
+
+
+def draw_before(cfg, width, menu, weights, trial):
+    """The per-trial draw as it was first written: one ``rng.choice`` per
+    hit register.  The channel's draw must reproduce it bit for bit."""
+    rng = np.random.default_rng([cfg.seed, trial])
+    hits = rng.random(width) < cfg.p
+    placed = {}
+    for slot in np.flatnonzero(hits):
+        pick = int(rng.choice(len(menu), p=weights))
+        placed[int(slot) + 1] = menu[pick]
+    return ErrorPattern.from_dict(width, placed)
+
+
+ZERO_WEIGHT_MENU = ((weyl(1, 0), weyl(0, 1), weyl(1, 1), weyl(0, 2)),
+                    (0.3, 0.0, 0.45, 0.25))
+
+
+@pytest.mark.parametrize("n, menu", [
+    (2, None), (3, None), (3, ZERO_WEIGHT_MENU)])
+def test_draw_stream_is_pinned(n, menu):
+    state = RegisterState.basis(n, (0,) * 12)
+    for p, seed in itertools.product((0.0, 0.02, 0.2, 1.0), (1, 2, 4242)):
+        if menu is None:
+            cfg = ChannelConfig(p=p, seed=seed, trials=1)
+        else:
+            cfg = ChannelConfig(p=p, seed=seed, trials=1, error_menu=menu[0],
+                                weights=menu[1])
+        entries, weights = cfg.menu_for(n)
+        for trial in range(25):
+            _, pattern = sample_channel(state, cfg, trial)
+            assert pattern == draw_before(cfg, 12, entries, weights, trial), \
+                (p, seed, trial)
+
+
+# numpy's PCG64: state' = state * multiplier + increment, and the output is
+# the low word of state' xor its high word, rotated by the top six bits
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_drawing(value, position):
+    """A numpy Generator whose uniform number ``position`` (from 0) is
+    exactly ``value``, a multiple of 2^-53 in [0, 1)."""
+    modulus = 1 << 128
+    increment = np.random.PCG64(0).state["state"]["inc"]
+    inverse = pow(PCG64_MULTIPLIER, -1, modulus)
+    # high word 0: no rotation, and the output is the low word
+    state = int(value * 2 ** 53) << 11
+    for _ in range(position + 1):
+        state = (state - increment) * inverse % modulus
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": state, "inc": increment},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+def test_draw_breaks_ties_as_choice(monkeypatch):
+    # a uniform that equals a cumulative weight exactly, on either side of
+    # a zero weight: only the tie rule decides between the entries
+    menu = (weyl(1, 0), weyl(0, 1), weyl(1, 1))
+    state = RegisterState.basis(2, (0,))
+    for weights, tie, pick in (((0.0, 0.5, 0.5), 0.0, 1),
+                               ((0.5, 0.0, 0.5), 0.5, 2),
+                               ((0.25, 0.5, 0.25), 0.25, 1)):
+        assert generator_drawing(tie, 1).random(2)[1] == tie
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed, tie=tie: generator_drawing(tie, 1))
+        cfg = ChannelConfig(p=1.0, seed=1, trials=1, error_menu=menu,
+                            weights=weights)
+        _, pattern = sample_channel(state, cfg, 0)
+        assert pattern == draw_before(cfg, 1, menu, weights, 0), weights
+        assert pattern.ops == ((1, menu[pick]),)
 
 
 def test_decode_uncorrupted_shor9():
@@ -436,3 +517,54 @@ def test_summary_json_keys():
     assert data["N"] == 2 and data["L"] == 1
     assert data["trials"] == 30 and data["seed"] == 42
     assert 0 <= data["mean_fidelity"] <= 1
+
+
+def test_repeated_runs_give_equal_records():
+    code, family = shor_setup()
+    logical = RegisterState.basis(2, (1,))
+    cfg = ChannelConfig(p=0.2, seed=5, trials=150)
+    first = run_trials(code, cfg, family, logical, keep_records=True)
+    tableau = code._stabilizer
+    second = run_trials(code, cfg, family, logical, keep_records=True)
+    assert first.decoder == second.decoder == "syndrome"
+    assert first.records == second.records
+    assert first.to_json() == second.to_json()
+    # the stabilizer was read once and holds one frame table
+    assert code._stabilizer is tableau
+    assert list(tableau.frames) == [family]
+
+
+def test_two_families_on_one_code_match_fresh_codes():
+    code = builtin("rate14_conv", 2, 3)
+    wide = enumerate_family(16, 5, 1, n_levels=2)
+    narrow = wide.restricted(range(4, 13))
+    logical = RegisterState.basis(2, (1, 0, 1))
+    cfg = ChannelConfig(p=0.1, seed=9, trials=200)
+    runs = {}
+    for family in (wide, narrow, wide):
+        shared = run_trials(code, cfg, family, logical, keep_records=True)
+        fresh = run_trials(builtin("rate14_conv", 2, 3), cfg, family,
+                           logical, keep_records=True)
+        assert shared.decoder == fresh.decoder == "syndrome"
+        assert shared.records == fresh.records
+        runs[family] = shared.records
+    assert len(code._stabilizer.frames) == 2
+    # the two tables differ: a single error off the narrow registers
+    assert any(a.in_family and not b.in_family
+               for a, b in zip(runs[wide], runs[narrow]))
+
+
+def test_kl_report_unchanged_by_a_channel_run():
+    code = builtin("rate14_conv", 2, 3)
+    family = enumerate_family(16, 8, 1, n_levels=2)
+
+    def report():
+        data = kl_check(code, family).to_json()
+        del data["elapsed_seconds"]
+        return data
+
+    before = report()
+    assert before["engine"] == "syndrome"
+    run_trials(code, ChannelConfig(p=0.2, seed=3, trials=100), family,
+               RegisterState.basis(2, (0, 1, 1)))
+    assert report() == before

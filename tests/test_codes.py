@@ -1,14 +1,17 @@
+import copy
 import itertools
 import pickle
 from fractions import Fraction
 
 import pytest
 
-from quditqec.codes import (BUILTIN_LABELS, CodeSpec, MuMatrix, builtin,
-                            build_identity_code, build_qcc_from_qbc,
+from quditqec.channel import ChannelConfig, run_trials
+from quditqec.codes import (BUILTIN_LABELS, UNREAD, CodeSpec, MuMatrix,
+                            builtin, build_identity_code, build_qcc_from_qbc,
                             classical_conv_encode, lower_bidiagonal_mu,
                             perfect5_block)
 from quditqec.cyclotomic import PhaseScalar
+from quditqec.errors import enumerate_family
 from quditqec.states import (RegisterState, inner_product, plus_state,
                              states_equal_up_to_phase)
 
@@ -221,6 +224,27 @@ def test_codespec_pickles_without_rebuild_hook():
     for window in code.logical_windows():
         assert states_equal_up_to_phase(clone.encoded_kets[window],
                                         code.encoded_kets[window])
+
+
+def test_codespec_pickles_without_cached_stabilizer():
+    code = builtin("rate14_conv", 2, 2)
+    plain = pickle.dumps(code)
+    family = enumerate_family(code.width, 8, 1, n_levels=2)
+    cfg = ChannelConfig(p=0.2, seed=1, trials=20)
+    logical = RegisterState.basis(2, (0, 1))
+    summary = run_trials(code, cfg, family, logical).to_json()
+    assert code._stabilizer.frames
+    data = pickle.dumps(code)
+    assert len(data) == len(plain) and b"_Kets" not in data
+    clone = pickle.loads(data)
+    # RegisterState has no value equality, so a clone compares field by
+    # field; a copy that shares the kets compares equal despite the cache
+    assert clone.to_manifest() == code.to_manifest()
+    assert clone.kets_json() == code.kets_json()
+    assert copy.copy(code) == code
+    assert clone._stabilizer is UNREAD
+    assert run_trials(clone, cfg, family, logical).to_json() == summary
+    assert clone._stabilizer.frames
 
 
 def test_codespec_rejects_mixed_widths():
