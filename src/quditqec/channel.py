@@ -12,7 +12,7 @@ distinct pattern once, on one of two paths:
 
 * ``"syndrome"``: when every family pattern and every distinct injected
   pattern is a Weyl operator (or the identity) and the verifier can read a
-  stabilizer S off the code's kets (prime N).  For Weyl patterns the
+  stabilizer S off the code's kets.  For Weyl patterns the
   squared projection of candidate c is exactly 1 when E_c^dag E_inj
   commutes with S (it then maps the code space onto itself) and exactly 0
   otherwise (some stabilizer moves the state to another eigenspace).  The
@@ -289,11 +289,11 @@ class ChannelSummary:
                 "decoder": self.decoder}
 
 
-def _syndromes(rows: np.ndarray, tableau: _Tableau, p: int) -> np.ndarray:
-    """Each Weyl row's syndrome, read as one base-p integer (exact: p^width
-    stays below 2^62 wherever a tableau reads)."""
-    digits = _mod_matmul(rows, _pairing(tableau.stabilizer).T, p)
-    return digits @ p ** np.arange(digits.shape[1], dtype=np.int64)
+def _syndromes(rows: np.ndarray, tableau: _Tableau, n: int) -> np.ndarray:
+    """Each Weyl row's syndrome, read as one base-N integer (exact: N^r
+    stays below 2^62 wherever a tableau reads, r the stabilizer's rows)."""
+    digits = _mod_matmul(rows, _pairing(tableau.stabilizer).T, n)
+    return digits @ n ** np.arange(digits.shape[1], dtype=np.int64)
 
 
 @dataclass
@@ -379,7 +379,7 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
 
     The syndrome path runs when every family pattern and every distinct
     injected pattern is Weyl or the identity and a stabilizer reads off
-    the code's kets (prime N); otherwise the ket path runs.  The syndrome
+    the code's kets; otherwise the ket path runs.  The syndrome
     path gives each pattern its syndrome class, chooses the earliest family
     member in the injected pattern's class (none when the class holds no
     member) and scores the residual's logical action on the input.  This

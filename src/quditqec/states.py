@@ -88,6 +88,19 @@ class RegisterState:
     def is_exact(self) -> bool:
         return all(a.is_exact for a in self.terms.values())
 
+    def __eq__(self, other) -> bool:
+        """Same registers, same terms, and every amplitude equal as
+        ``PhaseScalar.equals`` with no tolerance."""
+        if not isinstance(other, RegisterState):
+            return NotImplemented
+        return (self.n_levels, self.width) == (other.n_levels, other.width) \
+            and self.terms.keys() == other.terms.keys() \
+            and all(amp.equals(other.terms[k], tol=0)
+                    for k, amp in self.terms.items())
+
+    # states are compared, never used as keys
+    __hash__ = None
+
     def __len__(self) -> int:
         return len(self.terms)
 

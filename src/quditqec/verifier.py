@@ -6,60 +6,39 @@ entries (i != j) must vanish and diagonal entries must not depend on i;
 the shared diagonal value is the lambda matrix entry for (A, B).  This is
 the Knill-Laflamme criterion specialized to a finite pattern family.
 
-Four engines share one report format (``KLReport.engine`` names the one
+Three engines share one report format (``KLReport.engine`` names the one
 that ran):
 
 * ``sparse-float`` expands each error-applied ket into a sparse row over
   the full computational basis, keeps one such matrix per logical word
   (columns that are zero in all of them dropped) and forms the Gram
   blocks (i, j >= i) with scipy, in order.
-* ``characteristic`` handles families whose operators are all Weyl
-  operators (or the identity).  For A = X^a_A Z^b_A, B = X^a_B Z^b_B and
-  the X-shift difference D = a_A - a_B,
-  <A v_i, B v_j> = w^(b_B.D) sum_x w^((b_B - b_A).x) conj(v_i(x)) v_j(x + D),
-  which is one entry of the code's characteristic function (the quantity
-  behind the Shor-Laflamme weight enumerators).  One discrete Fourier
-  transform over the (N,)*width grid per distinct D and logical pair gives
-  every phase difference at once.
-* ``syndrome`` handles the same Weyl families on stabilizer codes over a
-  prime N, which every builtin, dual and paste is.  It reads the
-  stabilizer S off the kets (the affine support and phase ratios of v_0
-  give v_0's stabilizer; S is the part that acts on every ket with one
-  common phase) and checks it on every ket term.  A pattern's syndrome
-  is its symplectic products with S, its full label its products with the
-  normalizer S^perp.  For Weyl errors the condition fails exactly when
-  A^dag B commutes with S but is not in it (Gottesman 1997; Ketkar,
-  Klappenecker, Kumar and Sarvepalli 2006), so the check passes iff no
-  syndrome class holds two full labels.  Only such failing pairs have
-  their overlaps read off the kets; lambda is a direct sum of rank-1
-  blocks, one per label class, so its rank and eigenvalues are the class
-  count and the class sizes.  It is built as CSR and handed over dense on
-  a pass with at most ``LAMBDA_SUMMARY_MAX`` patterns.
+* ``syndrome`` handles families whose operators are all Weyl operators
+  (or the identity) on stabilizer codes over Z_N, which every builtin,
+  dual and paste is.  It reads the stabilizer S off the kets (the affine
+  support and phase ratios of v_0 give v_0's stabilizer; S is the part
+  that acts on every ket with one common phase) and checks it on every
+  ket term; spans and kernels over Z_N come from the Howell form.  A
+  pattern's syndrome is its symplectic products with S, its full label
+  its coset of S.  For Weyl errors the
+  condition fails exactly when A^dag B commutes with S but is not in it
+  (Gottesman 1997; Ketkar, Klappenecker, Kumar and Sarvepalli 2006), so
+  the check passes iff no syndrome class holds two full labels.  Only
+  such failing pairs have their overlaps read off the kets; lambda is a
+  direct sum of rank-1 blocks, one per label class, so its rank and
+  eigenvalues are the class count and the class sizes.  It is built as
+  CSR and handed over dense on a pass with at most
+  ``LAMBDA_SUMMARY_MAX`` patterns.
 * ``exact`` walks operator pairs with cyclotomic amplitudes and certifies
   zeros symbolically; it is meant for small widths.
 
-The float engine is chosen by one rule that compares operation counts
-read from the input, for the whole check (P = dim (dim + 1) / 2 logical
-pairs, F the family, t the mean number of ket terms):
-
-* sparse Gram: ``P * |F|^2 * t^2 / N^width``, the expected multiply-adds
-  of a Gram product of two |F| x N^width matrices with t terms per row;
-* characteristic: ``P * |D| * N^width * width``, D the set of distinct
-  X-shift differences;
-* syndrome: ``(dim * t + |F|) * width^2``, every generator of v_0's
-  stabilizer tried on every ket term, then one label per pattern.
-
-The lowest count wins; a tie keeps the sparse Gram.  Families with an
-operator that is no Weyl operator take the sparse Gram.  The syndrome
-engine falls back to the cheaper of the other two when N is composite or
-the kets are no stabilizer code (a support that is no affine space, a
-phase ratio that is no N-th root of unity, a generator that does not map
-every ket onto a multiple of itself, a stabilizer of the wrong rank, or
-kets of unequal norm).
-Sparse kets land on the syndrome engine or, when the family is small,
-the sparse Gram; dense kets such as Fourier duals on the characteristic
-engine for phase families and on the syndrome engine for wide Weyl
-families.  All four engines run in one thread and feed their deviations
+A float check runs the syndrome engine when every pattern is Weyl (or
+the identity) and a stabilizer reads off the kets, and the sparse Gram
+otherwise: for a family with another operator, or kets that are no
+stabilizer code (a support that is no affine space, a phase ratio that
+is no N-th root of unity, a generator that does not map every ket onto a
+multiple of itself, a stabilizer of the wrong order, or kets of unequal
+norm).  All three engines run in one thread and feed their deviations
 to one accumulator, which alone picks the witness (the largest
 deviation, ties going to the earliest (i, j, a, b)) and the boundary
 witnesses (the earliest ones above tolerance).
@@ -132,15 +111,13 @@ class KLReport:
     """Outcome of one check.
 
     ``lam`` holds the lambda matrix in the form the engine produced it: a
-    scipy CSR matrix from ``sparse-float``, a dense array from
-    ``characteristic`` and ``exact``.  ``syndrome`` builds CSR holding only
-    the entries that can be nonzero (pairs of one full label, and failing
-    pairs whose reference overlap is nonzero) and hands over a dense array
-    on a pass with at most ``LAMBDA_SUMMARY_MAX`` patterns.  Entry (a, b)
-    is <v_0| A^dag B |v_0>, on a failure too.  It is complete except after
-    a ``fail_fast`` stop of the characteristic engine, which fills only
-    the entries it reached and the sampled corner.  It is not part of the
-    JSON report.
+    scipy CSR matrix from ``sparse-float``, a dense array from ``exact``.
+    ``syndrome`` builds CSR holding only the entries that can be nonzero
+    (pairs of one full label, and failing pairs whose reference overlap
+    is nonzero) and hands over a dense array on a pass with at most
+    ``LAMBDA_SUMMARY_MAX`` patterns.  Entry (a, b) is <v_0| A^dag B |v_0>,
+    on a failure and after a ``fail_fast`` stop too.  It is not part of
+    the JSON report.
     """
 
     verdict: str
@@ -225,14 +202,6 @@ def _ket_digits(ket: RegisterState,
     return digits.reshape(-1, width), amps
 
 
-def _ket_arrays(ket: RegisterState,
-                place: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A ket's grid indices (big-endian, place values ``place``) and
-    complex amplitudes, in term order."""
-    digits, amps = _ket_digits(ket, place.size)
-    return digits @ place, amps
-
-
 def _family_matrix(ket: RegisterState, patterns, n_levels: int,
                    width: int) -> csr_matrix:
     """Sparse matrix whose row p is pattern p applied to the ket.
@@ -249,7 +218,8 @@ def _family_matrix(ket: RegisterState, patterns, n_levels: int,
     if n ** width >= 2 ** 62:
         raise ValueError(f"{n}^{width} basis indices overflow int64")
     place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    base_cols, base_amps = _ket_arrays(ket, place)
+    digits, base_amps = _ket_digits(ket, width)
+    base_cols = digits @ place
     groups: dict = {}
     for p_idx, pattern in enumerate(patterns):
         for pos, op in pattern.ops:
@@ -407,23 +377,6 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     return scan, lam
 
 
-@dataclass
-class _WeylPlan:
-    """Exponent tables of a Weyl family, as the characteristic engine reads
-    them.
-
-    ``phases[p]`` holds pattern p's Z exponents, ``row_of[p]`` the index of
-    its X-shift among the distinct shifts, and ``differences[u, v]`` the
-    grid index of shift u minus shift v (mod N).  Grid indices are
-    big-endian, register 1 first, with place values ``place``.
-    """
-
-    phases: np.ndarray
-    row_of: np.ndarray
-    differences: np.ndarray
-    place: np.ndarray
-
-
 def _weyl_exponents(code: CodeSpec, patterns):
     """(shifts, phases): the family's X and Z exponents mod N, one row per
     pattern and one column per register, or None when an operator is not a
@@ -441,144 +394,6 @@ def _weyl_exponents(code: CodeSpec, patterns):
             elif op.kind != "identity":
                 return None
     return shifts, phases
-
-
-def _weyl_plan(code: CodeSpec, patterns, exponents=None) -> _WeylPlan | None:
-    """The family's exponent tables, or None where ``_weyl_exponents`` is
-    None."""
-    if exponents is None:
-        exponents = _weyl_exponents(code, patterns)
-        if exponents is None:
-            return None
-    shifts, phases = exponents
-    n, width = code.n_levels, code.width
-    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    _, first, row_of = np.unique(shifts @ place, return_index=True,
-                                 return_inverse=True)
-    rows = shifts[first]
-    step = max(1, (1 << 20) // (len(rows) * width))
-    differences = np.concatenate([
-        ((rows[start:start + step, None, :] - rows[None, :, :]) % n) @ place
-        for start in range(0, len(rows), step)])
-    return _WeylPlan(phases, row_of.ravel(), differences, place)
-
-
-def _choose_engine(code: CodeSpec, patterns):
-    """(engine, plan) by the operation counts in the module docstring.
-
-    |D| >= 1 bounds the characteristic count from below, so the shift
-    differences are only tabulated when that bound could win, and the
-    stabilizer is only read when the syndrome count wins.
-    """
-    exponents = _weyl_exponents(code, patterns)
-    if exponents is None:
-        return "sparse-float", None
-    n, width, size = code.n_levels, code.width, len(patterns)
-    logicals = code.logical_windows()
-    dim = len(logicals)
-    terms = sum(len(code.encoded_kets[w]) for w in logicals) / dim
-    space = n ** width
-    pairs = dim * (dim + 1) / 2
-    sparse_cost = pairs * size ** 2 * terms ** 2 / space
-    syndrome_cost = (dim * terms + size) * width ** 2 if _is_prime(n) \
-        else math.inf
-    floor = pairs * space * width
-
-    def characteristic():
-        plan = _weyl_plan(code, patterns, exponents)
-        return pairs * len(np.unique(plan.differences)) * space * width, plan
-
-    plan, characteristic_cost = None, math.inf
-    if floor < min(sparse_cost, syndrome_cost):
-        characteristic_cost, plan = characteristic()
-    if syndrome_cost < min(sparse_cost, characteristic_cost):
-        syndrome = _syndrome_plan(code, patterns, exponents)
-        if syndrome is not None:
-            return "syndrome", syndrome
-        if plan is None and floor < sparse_cost:
-            characteristic_cost, plan = characteristic()
-    if characteristic_cost < sparse_cost:
-        return "characteristic", plan
-    return "sparse-float", None
-
-
-def _dense_kets(code: CodeSpec, place: np.ndarray) -> np.ndarray:
-    """Encoded kets as a (dim, N, ..., N) array, register 1 on axis 1."""
-    n, width = code.n_levels, code.width
-    logicals = code.logical_windows()
-    out = np.zeros((len(logicals), n ** width), dtype=np.complex128)
-    for row, w in zip(out, logicals):
-        cols, amps = _ket_arrays(code.encoded_kets[w], place)
-        row[cols] = amps
-    return out.reshape((len(logicals),) + (n,) * width)
-
-
-def _characteristic_engine(code: CodeSpec, patterns, plan: _WeylPlan,
-                           tol: float, fail_fast: bool):
-    """Weyl families through the characteristic function; see the module
-    docstring.
-
-    Delta groups are scanned in ascending grid index, so D = 0 comes
-    first; within a group one logical row i at a time, and within a row
-    the pairs in (j, a, b) order.  ``fail_fast`` stops after the first
-    group holding a deviation above ``tol``.
-    """
-    # imported here, not at module level: scipy.fft adds about 0.1 s to
-    # every import of the package, CLI starts included
-    import scipy.fft
-
-    n, width = code.n_levels, code.width
-    size = len(patterns)
-    kets = _dense_kets(code, plan.place)
-    dim = kets.shape[0]
-    axes = tuple(range(1, width + 1))
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    # flat (a, b) pair indices grouped by delta, in (a, b) order in a group
-    pair_delta = plan.differences[np.ix_(plan.row_of, plan.row_of)].ravel()
-    by_delta = np.argsort(pair_delta, kind="stable")
-    deltas, group_start = np.unique(pair_delta[by_delta], return_index=True)
-    group_end = np.append(group_start[1:], pair_delta.size)
-
-    def group(g):
-        """Pairs of delta group g with the kets shifted by its delta."""
-        a, b = np.divmod(by_delta[group_start[g]:group_end[g]], size)
-        delta = (deltas[g] // plan.place) % n
-        shifted = np.roll(kets, tuple(-delta), axis=axes) if delta.any() \
-            else kets
-        spot = ((plan.phases[a] - plan.phases[b]) % n) @ plan.place
-        twist = roots[(plan.phases[b] @ delta) % n]
-
-        def entries(i, stop=dim):
-            """<A v_i, B v_j> for j in i..stop-1 (rows) and the pairs."""
-            spectrum = scipy.fft.fftn(kets[i].conj() * shifted[i:stop],
-                                      axes=axes, overwrite_x=True)
-            return spectrum.reshape(stop - i, -1)[:, spot] * twist
-        return a, b, entries
-
-    lam = np.zeros((size, size), dtype=np.complex128)
-    scan = _Scan(code, patterns, tol, lam)
-    scanned = 0
-    for g in range(len(deltas)):
-        a, b, entries = group(g)
-        for i in range(dim):
-            values = entries(i)
-            if i == 0:
-                reference = lam[a, b] = values[0]
-            deviation = values.copy()
-            deviation[0] -= reference
-            scan.add(i, range(i, dim), a, b, deviation, values)
-        scanned = g + 1
-        if fail_fast and scan.max_dev > tol:
-            break
-    if scanned < len(deltas):
-        # the report samples the lambda corner; fill what the stop skipped
-        corner = min(size, LAMBDA_SAMPLE_DIM)
-        skipped = np.searchsorted(deltas, pair_delta.reshape(size, size)[
-            :corner, :corner].ravel())
-        for g in sorted({int(g) for g in skipped if g >= scanned}):
-            a, b, entries = group(g)
-            lam[a, b] = entries(0, 1)[0]
-    return scan, lam
 
 
 def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
@@ -612,65 +427,139 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
 
 # -- the syndrome engine ------------------------------------------------------
 #
-# A Weyl operator X^x Z^z is held as the row (x | z) over GF(N), N prime.
-# Rows compose by addition up to a phase, and W(s) W(s') = w^<s, s'> W(s')
-# W(s) with the symplectic product <s, s'> = z.x' - x.z'.
+# A Weyl operator X^x Z^z is held as the row (x | z) over Z_N.  Rows compose
+# by addition up to a phase, and W(s) W(s') = w^<s, s'> W(s') W(s) with the
+# symplectic product <s, s'> = z.x' - x.z'.
+#
+# Spans and kernels over Z_N are read off the Howell form (Howell 1986;
+# Storjohann and Mulders 1998): echelon rows whose pivots divide N, the
+# entries above each pivot reduced below it, such that the elements of the
+# span that vanish on the first c columns are the combinations of the rows
+# whose pivot lies beyond c.  The span then has prod N / pivot elements, a
+# row is in it iff it reduces to zero, and at prime N the form is the
+# reduced row echelon form.
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+def _mod_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a @ b mod n for integer arrays with entries in range(n), through
+    floats: exact while width * n^2 stays below 2^53."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % n
 
 
-def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for integer arrays with entries in range(p), through
-    floats: exact while width * p^2 stays below 2^53."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b)."""
+    s, s_next, t, t_next = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s, s_next = s_next, s - q * s_next
+        t, t_next = t_next, t - q * t_next
+    return a, s, t
 
 
-def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p): the nonzero rows and their
-    pivot columns."""
-    m = rows % p
+def _unit_towards(a: int, n: int) -> int:
+    """A unit u of Z_n with u a = gcd(a, n), for 0 < a < n."""
+    d = math.gcd(a, n)
+    u = pow(a // d, -1, n // d)
+    # the lifts u + k n / d hold a unit of Z_n
+    while math.gcd(u, n) != 1:
+        u += n // d
+    return u
+
+
+def _howell(rows: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
+    """Howell form over Z_n: the nonzero rows and their pivot columns.
+
+    A column that holds a unit takes it as pivot 1 and is cleared in one
+    pass.  Otherwise the rows that hold the column are merged pairwise by
+    extended gcd into one, scaled by a unit to a pivot d dividing n, and
+    (n / d) times that row, which vanishes on the column, joins the rows
+    still to be reduced.
+    """
+    m = rows % n
+    is_unit = np.gcd(np.arange(n), n) == 1
     pivots: list[int] = []
     for col in range(m.shape[1]):
         top = len(pivots)
-        hit = np.flatnonzero(m[top:, col])
+        hit = top + np.flatnonzero(m[top:, col])
         if hit.size == 0:
             continue
-        m[[top, top + hit[0]]] = m[[top + hit[0], top]]
-        m[top] = m[top] * pow(int(m[top, col]), -1, p) % p
-        factor = m[:, col].copy()
+        units = hit[is_unit[m[hit, col]]]
+        lead = units[0] if units.size else hit[0]
+        if lead != top:
+            m[[top, lead]] = m[[lead, top]]
+        if not units.size:
+            for r in hit[1:]:
+                a, b = int(m[top, col]), int(m[r, col])
+                g, s, t = _xgcd(a, b)
+                m[top], m[r] = (s * m[top] + t * m[r]) % n, \
+                    (a // g * m[r] - b // g * m[top]) % n
+        m[top] = m[top] * _unit_towards(int(m[top, col]), n) % n
+        pivot = int(m[top, col])
+        factor = m[:, col] // pivot
         factor[top] = 0
-        m = (m - factor[:, None] * m[top]) % p
+        m = (m - factor[:, None] * m[top]) % n
         pivots.append(col)
+        if pivot > 1:
+            m = np.vstack([m, n // pivot * m[top] % n])
         if len(pivots) == m.shape[0]:
             break
     return m[:len(pivots)], pivots
 
 
-def _span(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """``_rref`` of the span of many rows: rows are reduced against the
-    basis found so far in one product, and only survivors are eliminated."""
-    basis, pivots = rows[:0] % p, []
-    rest = rows % p
+def _order(rows: np.ndarray, pivots, n: int) -> int:
+    """Number of elements of the span of Howell rows."""
+    return math.prod(n // int(rows[k, col]) for k, col in enumerate(pivots))
+
+
+def _reduce(rows: np.ndarray, basis: np.ndarray, pivots,
+            n: int) -> np.ndarray:
+    """Rows reduced against Howell rows: one representative per coset of
+    their span, zero on the span itself.  Every other row vanishes on the
+    column of a pivot 1, so those rows go in one product; the others in
+    order."""
+    pivots = np.asarray(pivots, dtype=np.int64)
+    unit = basis[np.arange(pivots.size), pivots] == 1
+    if unit.any():
+        rows = (rows - _mod_matmul(rows[:, pivots[unit]], basis[unit], n)) % n
+    for row, col in zip(basis[~unit], pivots[~unit]):
+        rows = (rows - (rows[:, col] // row[col])[:, None] * row) % n
+    return rows
+
+
+def _span(rows: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
+    """``_howell`` of the span of many rows: rows are reduced against the
+    basis found so far, and only survivors are eliminated."""
+    basis, pivots = rows[:0] % n, []
+    rest = rows % n
     while True:
-        if pivots:
-            rest = (rest - _mod_matmul(rest[:, pivots], basis, p)) % p
+        rest = _reduce(rest, basis, pivots, n)
         rest = rest[rest.any(axis=1)]
         if not rest.size:
             return basis, pivots
-        basis, pivots = _rref(np.vstack([basis, rest[:rows.shape[1]]]), p)
+        basis, pivots = _howell(np.vstack([basis, rest[:rows.shape[1]]]), n)
 
 
-def _nullspace(rows: np.ndarray, p: int) -> np.ndarray:
-    """A basis of {v : rows @ v = 0 mod p}, one vector per row."""
-    basis, pivots = _rref(rows, p)
-    free = [c for c in range(rows.shape[1]) if c not in pivots]
-    out = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
-    for r, col in enumerate(free):
-        out[r, col] = 1
-        out[r, pivots] = -basis[:, col] % p
-    return out
+def _nullspace(rows: np.ndarray, n: int) -> np.ndarray:
+    """Howell rows spanning {v : rows @ v = 0 mod n}: the rows of the Howell
+    form of [rows^T | I] whose first part vanishes."""
+    count, size = rows.shape
+    basis, pivots = _howell(np.hstack([rows.T % n,
+                                       np.eye(size, dtype=np.int64)]), n)
+    return basis[[col >= count for col in pivots], count:]
+
+
+def _solve(basis: np.ndarray, pivots, rhs: np.ndarray,
+           n: int) -> np.ndarray | None:
+    """z with basis @ z = rhs mod n, one column per column of ``rhs``, by
+    back substitution through Howell rows; None when there is none."""
+    z = np.zeros((basis.shape[1], rhs.shape[1]), dtype=np.int64)
+    for k in range(len(pivots) - 1, -1, -1):
+        pivot = int(basis[k, pivots[k]])
+        residue = (rhs[k] - basis[k] @ z) % n
+        if (residue % pivot).any():
+            return None
+        z[pivots[k]] = residue // pivot
+    return z
 
 
 def _pairing(rows: np.ndarray) -> np.ndarray:
@@ -679,15 +568,15 @@ def _pairing(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows[:, half:], -rows[:, :half]])
 
 
-def _root_exponents(values: np.ndarray, p: int) -> np.ndarray | None:
-    """e with values = w^e (w = exp(2 pi i / p)), or None when a value is
-    not a p-th root of unity."""
-    turns = np.angle(values) * p / (2 * np.pi)
+def _root_exponents(values: np.ndarray, n: int) -> np.ndarray | None:
+    """e with values = w^e (w = exp(2 pi i / n)), or None when a value is
+    not an n-th root of unity."""
+    turns = np.angle(values) * n / (2 * np.pi)
     exponents = np.rint(turns)
     if np.abs(np.abs(values) - 1).max(initial=0) > 1e-9 or \
             np.abs(turns - exponents).max(initial=0) > 1e-9:
         return None
-    return exponents.astype(np.int64) % p
+    return exponents.astype(np.int64) % n
 
 
 class _Kets:
@@ -720,19 +609,19 @@ class _Kets:
             where = np.minimum(np.searchsorted(known, index), known.size - 1)
         return np.where(known[where] == index, self.amps[j][where], 0)
 
-    def eigenvalues(self, j: int, gens: np.ndarray, p: int):
+    def eigenvalues(self, j: int, gens: np.ndarray, n: int):
         """c with W(g) v_j = c[g] v_j for every generator row g, or None
         when one of them does not map v_j onto a multiple of itself."""
         digits, amps = self.digits[j], self.amps[j]
         width = digits.shape[1]
-        roots = np.exp(2j * np.pi * np.arange(p) / p)
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
         # (W v)(y + x) = w^(z.y) v(y), which must equal c v(y + x)
-        ratio = roots[_mod_matmul(gens[:, width:], digits.T, p)] * amps
+        ratio = roots[_mod_matmul(gens[:, width:], digits.T, n)] * amps
         for row, shift in zip(ratio, gens[:, :width]):
             # only the registers the shift moves change the grid index
             cols = np.flatnonzero(shift)
             moved = self.lookup(j, self.indices[j] + (
-                (digits[:, cols] + shift[cols]) % p - digits[:, cols])
+                (digits[:, cols] + shift[cols]) % n - digits[:, cols])
                 @ self.place[cols])
             if (moved == 0).any():
                 return None
@@ -746,18 +635,21 @@ class _Kets:
 class _Tableau:
     """A stabilizer read off a code's kets.
 
-    ``stabilizer`` generates S, the Weyl rows that act on every ket as one
-    common phase; ``normalizer`` spans S^perp, the rows that commute with
-    all of S.  ``logical`` completes S to the stabilizer of v_0: ket j is
-    its eigenvector with exponents ``characters[j]``, and ``ket_of`` maps a
-    character, read as a base-N number, back to its ket.  ``frames`` holds
+    ``stabilizer`` holds the Howell rows of S, the Weyl rows that act on
+    every ket as one common phase, and ``pivots`` their pivot columns, so
+    that a row's coset of S is its ``_reduce`` against them.  ``logical``
+    completes S to
+    the stabilizer of v_0: ket j is its eigenvector with exponents
+    ``characters[j]``.  ``keys`` holds the kets' characters read as base-N
+    numbers, sorted, and ``ket_of`` the ket of each key.  ``frames`` holds
     the channel's frame table of each family run on the code.
     """
 
     stabilizer: np.ndarray
-    normalizer: np.ndarray
+    pivots: list[int]
     logical: np.ndarray
     characters: np.ndarray
+    keys: np.ndarray
     ket_of: np.ndarray
     kets: _Kets
     frames: dict = field(default_factory=dict)
@@ -776,59 +668,66 @@ def _tableau_off_kets(code: CodeSpec) -> _Tableau | None:
 
     The support of v_0 must be an affine space y_0 + W, which gives the X
     parts of v_0's stabilizer; the ratio v_0(y - g) / v_0(y) along W gives
-    the Z part that goes with each shift g, and W^perp the pure Z rows.
-    Every one of these width generators must map every ket onto a multiple
-    of itself, with a p-th root of unity relative to v_0.  S is the part
-    whose root is 1 on every ket, and its rank must be width - log_N(dim).
-    The kets must share one norm and have distinct roots, which makes them
-    orthogonal.  None (no stabilizer code this engine can serve)
-    otherwise.
+    the Z part that goes with each shift g, solved for through the Howell
+    rows of W, and W^perp the pure Z rows.  Every one of these generators
+    must map every ket onto a multiple of itself, with an N-th root of
+    unity relative to v_0.  One Howell form of (roots | generators) splits
+    S, the rows whose root is 1 on every ket, from the logical rows, and
+    |S| dim must be N^width.  The kets must share one norm and have
+    distinct roots, which makes them orthogonal.  None (no stabilizer code
+    this engine can serve) otherwise, and also when N to the number of
+    rows of S, or of the logical rows, reaches 2^62: syndromes and ket keys
+    are read as base-N integers.
     """
-    p, width = code.n_levels, code.width
-    if not _is_prime(p) or p ** width >= 2 ** 62:
+    n, width = code.n_levels, code.width
+    if n ** width >= 2 ** 62:
         return None
-    kets = _Kets(code, p ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    kets = _Kets(code, n ** np.arange(width - 1, -1, -1, dtype=np.int64))
     dim = len(kets.amps)
-    k = round(math.log(dim, p))
     # unequal norms break the diagonal condition on every pair
-    if p ** k != dim or np.abs(kets.norms - kets.norms[0]).max() > 1e-9:
+    if np.abs(kets.norms - kets.norms[0]).max() > 1e-9:
         return None
     digits, amps, y0 = kets.digits[0], kets.amps[0], kets.first[0]
-    shifts, pivots = _span(digits - y0, p)
-    if p ** len(pivots) != len(amps):
+    shifts, pivots = _span(digits - y0, n)
+    if _order(shifts, pivots, n) != len(amps):
         return None
     # ratio(g, h) = v0(y0 + h - g) v0(y0) / (v0(y0 + h) v0(y0 - g)) = w^(-z_g.h)
-    at = lambda rows: kets.amplitude(0, rows % p)
+    at = lambda rows: kets.amplitude(0, rows % n)
     ratio = at(y0 + shifts[None, :, :] - shifts[:, None, :]) * amps[0] / (
         at(y0 + shifts)[None, :] * at(y0 - shifts)[:, None])
-    exponents = _root_exponents(ratio.reshape(-1), p)
+    exponents = _root_exponents(ratio.reshape(-1), n)
     if exponents is None:
         return None
-    z_of_shift = np.zeros_like(shifts)
-    z_of_shift[:, pivots] = -exponents.reshape(len(shifts), len(shifts)) % p
-    pure_z = _nullspace(shifts, p)
-    gens = np.vstack([np.hstack([shifts, z_of_shift]),
+    z_of_shift = _solve(shifts, pivots, -exponents.reshape(
+        len(shifts), len(shifts)).T, n)
+    if z_of_shift is None:
+        return None
+    pure_z = _nullspace(shifts, n)
+    gens = np.vstack([np.hstack([shifts, z_of_shift.T]),
                       np.hstack([np.zeros_like(pure_z), pure_z])])
-    values = [kets.eigenvalues(j, gens, p) for j in range(dim)]
+    values = [kets.eigenvalues(j, gens, n) for j in range(dim)]
     if any(v is None for v in values):
         return None
-    # width x dim: generator m acts on ket j as w^characters[m, j]
-    characters = _root_exponents(np.stack(values, axis=1)
-                                 / values[0][:, None], p)
-    if characters is None:
+    # generator m acts on ket j as w^roots[m, j] relative to v_0
+    roots = _root_exponents(np.stack(values, axis=1) / values[0][:, None], n)
+    if roots is None:
         return None
-    stabilizer = _mod_matmul(_nullspace(characters.T, p), gens, p)
-    if len(stabilizer) != width - k:
+    rows, pivots = _howell(np.hstack([roots, gens]), n)
+    logical = np.array([col < dim for col in pivots], dtype=bool)
+    stabilizer = rows[~logical, dim:]
+    s_pivots = [col - dim for col in pivots if col >= dim]
+    if _order(stabilizer, s_pivots, n) * dim != n ** width:
         return None
-    _, independent = _rref(characters.T, p)
-    characters = characters[independent].T
-    keys = characters @ p ** np.arange(k, dtype=np.int64)
-    if np.unique(keys).size != dim:
+    if n ** max(len(stabilizer), int(logical.sum())) >= 2 ** 62:
         return None
-    ket_of = np.empty(dim, dtype=np.int64)
-    ket_of[keys] = np.arange(dim)
-    return _Tableau(stabilizer, _nullspace(_pairing(stabilizer), p),
-                    gens[independent], characters, ket_of, kets)
+    characters = rows[logical, :dim].T
+    keys = characters @ n ** np.arange(characters.shape[1], dtype=np.int64)
+    ket_of = np.argsort(keys)
+    keys = keys[ket_of]
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return _Tableau(stabilizer, s_pivots, rows[logical, dim:], characters,
+                    keys, ket_of, kets)
 
 
 @dataclass
@@ -839,19 +738,17 @@ class _SyndromePlan:
     rows: np.ndarray        # pattern p as the Weyl row (x | z)
 
 
-def _syndrome_plan(code: CodeSpec, patterns,
-                   exponents=None) -> _SyndromePlan | None:
+def _syndrome_plan(code: CodeSpec, patterns) -> _SyndromePlan | None:
     """The tableau and the family's Weyl rows, or None when either is
     missing."""
-    if exponents is None:
-        exponents = _weyl_exponents(code, patterns)
+    exponents = _weyl_exponents(code, patterns)
     tableau = None if exponents is None else _read_tableau(code)
     if tableau is None:
         return None
     return _SyndromePlan(tableau, np.hstack(exponents))
 
 
-def _transfer(plan: _SyndromePlan, p: int, a, b, sources):
+def _transfer(plan: _SyndromePlan, n: int, a, b, sources):
     """Lists (i, mu), one entry per source ket j, with B v_j = mu A v_i
     elementwise over the pattern arrays a, b, whose pairs commute with S.
 
@@ -863,30 +760,30 @@ def _transfer(plan: _SyndromePlan, p: int, a, b, sources):
     tab, rows = plan.tableau, plan.rows
     kets = tab.kets
     width = rows.shape[1] // 2
-    k = tab.characters.shape[1]
-    shift = _mod_matmul(rows[b] - rows[a], _pairing(tab.logical).T, p)
+    place = n ** np.arange(tab.characters.shape[1], dtype=np.int64)
+    shift = _mod_matmul(rows[b] - rows[a], _pairing(tab.logical).T, n)
     x_a, z_a = rows[a, :width], rows[a, width:]
     x_b, z_b = rows[b, :width], rows[b, width:]
     first_amps = np.array([amps[0] for amps in kets.amps])
     targets, mus = [], []
     for j in sources:
-        i = tab.ket_of[(tab.characters[j] + shift) % p
-                       @ p ** np.arange(k, dtype=np.int64)]
+        # the shifted character is a ket's, since A^dag B keeps the code
+        i = tab.ket_of[tab.keys.searchsorted(
+            (tab.characters[j] + shift) % n @ place)]
         y = kets.first[i]
-        source = (y + x_a - x_b) % p
-        exponent = ((z_b * source).sum(axis=1) - (z_a * y).sum(axis=1)) % p
+        source = (y + x_a - x_b) % n
+        exponent = ((z_b * source).sum(axis=1) - (z_a * y).sum(axis=1)) % n
         targets.append(i)
-        mus.append(np.exp(2j * np.pi * exponent / p)
+        mus.append(np.exp(2j * np.pi * exponent / n)
                    * kets.amplitude(j, source) / first_amps[i])
     return targets, mus
 
 
-def _label_classes(rows: np.ndarray, functionals: np.ndarray, p: int):
-    """Class index of each row by its values under ``functionals``, and the
-    first row of each class."""
-    labels = _mod_matmul(rows, _pairing(functionals).T, p)
+def _label_classes(labels: np.ndarray):
+    """Class index of each row of ``labels`` by its value, and the first row
+    of each class."""
     if not labels.shape[1]:
-        return np.zeros(len(rows), dtype=np.int64), np.zeros(1, np.int64)
+        return np.zeros(len(labels), dtype=np.int64), np.zeros(1, np.int64)
     _, first, inverse = np.unique(labels, axis=0, return_index=True,
                                   return_inverse=True)
     return inverse.ravel(), first
@@ -909,26 +806,29 @@ def _syndrome_engine(code: CodeSpec, patterns, plan: _SyndromePlan,
     """Weyl families on stabilizer codes; see the module docstring.
 
     A pair with different syndromes has A^dag B off the normalizer, so
-    every overlap is an exact zero; a pair with one full label has A^dag B
-    in S, so it passes with lambda_ab = conj(psi_a) psi_b |v_0|^2, psi
-    relative to the first pattern of the label class.  Only pairs with one
+    every overlap is an exact zero; a pair with one full label (one coset
+    of S) has A^dag B in S, so it passes with
+    lambda_ab = conj(psi_a) psi_b |v_0|^2, psi relative to the first
+    pattern of the label class.  Only pairs with one
     syndrome and two full labels reach the scan, block (i, j >= i) by
     block; ``fail_fast`` stops after the first block holding a deviation
     above ``tol``.  Returns (scan, lam, lambda summary or None on a
     failure).
     """
-    p, size = code.n_levels, len(patterns)
+    n, size = code.n_levels, len(patterns)
     tab, kets = plan.tableau, plan.tableau.kets
-    syndrome, _ = _label_classes(plan.rows, tab.stabilizer, p)
-    label, first = _label_classes(plan.rows, tab.normalizer, p)
-    _, (psi,) = _transfer(plan, p, first[label], np.arange(size), [0])
+    syndrome, _ = _label_classes(
+        _mod_matmul(plan.rows, _pairing(tab.stabilizer).T, n))
+    label, first = _label_classes(
+        _reduce(plan.rows, tab.stabilizer, tab.pivots, n))
+    _, (psi,) = _transfer(plan, n, first[label], np.arange(size), [0])
     rows, cols = _pairs_within(label)
     values = psi[rows].conj() * psi[cols] * kets.norms[0]
     a, b = _pairs_within(syndrome)
     failing = label[a] != label[b]
     a, b = a[failing], b[failing]
     # (target ket, mu) of every failing pair, one column per source ket j
-    targets, mus = _transfer(plan, p, a, b, range(len(kets.amps)))
+    targets, mus = _transfer(plan, n, a, b, range(len(kets.amps)))
     reference = np.where(targets[0] == 0, mus[0] * kets.norms[0], 0)
     kept = reference != 0
     lam = csr_matrix((np.concatenate([values, reference[kept]]),
@@ -949,9 +849,8 @@ def _syndrome_engine(code: CodeSpec, patterns, plan: _SyndromePlan,
     eigenvalues[:len(first)] = np.bincount(label) * kets.norms[0]
     summary = _summarize_lambda(lam, tol, eigenvalues)
     if size <= LAMBDA_SUMMARY_MAX:
-        # hand lambda_matrix the dense matrix it returns, as the
-        # characteristic engine does, in the size range where the other
-        # engines densify lambda for their summary anyway
+        # hand lambda_matrix the dense matrix it returns, in the size range
+        # where the sparse Gram densifies lambda for its summary anyway
         lam = lam.toarray()
     return scan, lam, summary
 
@@ -961,23 +860,21 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
              jobs: int = 1) -> KLReport:
     """Check the code against every ordered pair of patterns in the family.
 
-    Float mode passes when the maximal deviation stays at or below `tol`;
-    it runs the ``sparse-float``, ``characteristic`` or ``syndrome``
-    engine, whichever needs fewer operations by the rule in the module
-    docstring, and ``report.engine`` names it.  Exact mode demands symbolic
-    zeros and reports the float magnitude of any residue it finds.  All
-    four engines pick witnesses and boundary witnesses through one
-    accumulator, and every passing report carries a lambda summary (the
-    syndrome engine's in closed form, the others' up to
-    ``LAMBDA_SUMMARY_MAX`` patterns).
+    Float mode passes when the maximal deviation stays at or below `tol`.
+    It runs the ``syndrome`` engine when every pattern is a Weyl operator
+    (or the identity) and a stabilizer reads off the code's kets, and the
+    ``sparse-float`` engine otherwise; ``report.engine`` names it.  Exact
+    mode demands symbolic zeros and reports the float magnitude of any
+    residue it finds.  All three engines pick witnesses and boundary
+    witnesses through one accumulator, and every passing report carries a
+    lambda summary (the syndrome engine's in closed form, the others' up
+    to ``LAMBDA_SUMMARY_MAX`` patterns).
 
     `fail_fast` stops early once a deviation above `tol` is found: the
     sparse Gram and the syndrome engine after the first (i, j) logical
-    block holding one, the characteristic engine after the first delta
-    group holding one (D = 0 first, then ascending grid index), the exact
-    engine at the first nonzero entry.  `tol` must be finite and nonnegative.  `jobs` is
-    accepted for compatibility and ignored: every engine runs in one
-    thread.
+    block holding one, the exact engine at the first nonzero entry.  `tol`
+    must be finite and nonnegative.  `jobs` is accepted for compatibility
+    and ignored: every engine runs in one thread.
     """
     _check_tol(tol)
     if family.width != code.width:
@@ -994,14 +891,13 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
         engine = "exact"
         scan, failed, lam = _exact_engine(code, patterns, tol, fail_fast)
     else:
-        engine, plan = _choose_engine(code, patterns)
-        if engine == "syndrome":
+        plan = _syndrome_plan(code, patterns)
+        if plan is not None:
+            engine = "syndrome"
             scan, lam, summary = _syndrome_engine(code, patterns, plan, tol,
                                                   fail_fast)
-        elif engine == "characteristic":
-            scan, lam = _characteristic_engine(code, patterns, plan, tol,
-                                               fail_fast)
         else:
+            engine = "sparse-float"
             scan, lam = _sparse_engine(code, patterns, tol, fail_fast)
         failed = scan.max_dev > tol
     ok = not failed

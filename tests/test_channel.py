@@ -380,15 +380,8 @@ def test_jobs_do_not_change_summary():
     assert solo.to_json() == multi.to_json()
 
 
-def test_ket_path_for_composite_n_and_non_weyl_family():
-    # N=4 has no stabilizer the frame path can read; a spin-flip family is
-    # not Weyl even where the injected menu is
-    code = builtin("majority3", 4, 1)
-    cfg = ChannelConfig(p=0.3, seed=12, trials=60)
-    summary = assert_matches_reference(
-        code, cfg, enumerate_family(3, 3, 1, n_levels=4),
-        RegisterState.basis(4, (3,)))
-    assert summary.decoder == "ket"
+def test_ket_path_for_non_weyl_family():
+    # a spin-flip family is not Weyl even where the injected menu is
     code = builtin("majority3", 2, 2)
     family = enumerate_family(code.width, 3, 1, basis=(spin_flip([1, 0]),))
     cfg = ChannelConfig(p=0.2, seed=13, trials=80)
@@ -457,6 +450,27 @@ def test_frame_path_matches_ket_path_on_a_phase_dual(monkeypatch):
     cfg = ChannelConfig(p=0.1, seed=31, trials=250, error_menu=family.basis)
     summary = assert_frame_matches_ket(monkeypatch, dual, cfg, family,
                                        RegisterState.basis(3, (1,)))
+    assert summary.in_family_count < cfg.trials
+
+
+def test_syndrome_path_for_composite_n(monkeypatch):
+    # the stabilizer reads over Z_4 and Z_6 as over a prime
+    for n in (4, 6):
+        code = builtin("majority3", n, 1)
+        family = enumerate_family(3, 3, 1, n_levels=n)
+        cfg = ChannelConfig(p=0.3, seed=12, trials=60)
+        logical = RegisterState.basis(n, (3,))
+        summary = assert_frame_matches_ket(monkeypatch, code, cfg, family,
+                                           logical)
+        assert any(r.injected.weight > 0 for r in summary.records)
+        if n == 4:
+            assert_matches_reference(code, cfg, family, logical)
+    dual = dualize(builtin("majority3", 4, 1))
+    family = enumerate_family(dual.width, 3, 1, n_levels=4,
+                              basis=(weyl(0, 1), weyl(0, 2), weyl(0, 3)))
+    cfg = ChannelConfig(p=0.2, seed=31, trials=200, error_menu=family.basis)
+    summary = assert_frame_matches_ket(monkeypatch, dual, cfg, family,
+                                       superposed(4, 1, 7))
     assert summary.in_family_count < cfg.trials
 
 

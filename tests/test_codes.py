@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 from fractions import Fraction
@@ -14,6 +15,7 @@ from quditqec.cyclotomic import PhaseScalar
 from quditqec.errors import enumerate_family
 from quditqec.states import (RegisterState, inner_product, plus_state,
                              states_equal_up_to_phase)
+from quditqec.transforms import dualize
 
 
 def assert_exact_gram_identity(code):
@@ -237,14 +239,25 @@ def test_codespec_pickles_without_cached_stabilizer():
     data = pickle.dumps(code)
     assert len(data) == len(plain) and b"_Kets" not in data
     clone = pickle.loads(data)
-    # RegisterState has no value equality, so a clone compares field by
-    # field; a copy that shares the kets compares equal despite the cache
+    assert clone == code
     assert clone.to_manifest() == code.to_manifest()
     assert clone.kets_json() == code.kets_json()
+    # the cache is not compared
     assert copy.copy(code) == code
     assert clone._stabilizer is UNREAD
     assert run_trials(clone, cfg, family, logical).to_json() == summary
     assert clone._stabilizer.frames
+
+
+def test_codespec_compares_kets_by_value():
+    assert builtin("shor9", 2, 1) == builtin("shor9", 2, 1)
+    code = builtin("majority3", 3, 1)
+    dual = dualize(code)
+    assert dual != code
+    # the same kets under the code's own label still differ from the code
+    assert dataclasses.replace(dual, label=code.label) != code
+    # F^4 is the identity, in exact amplitudes
+    assert dualize(dualize(dualize(dual))) == code
 
 
 def test_codespec_rejects_mixed_widths():

@@ -189,3 +189,15 @@ def test_states_equal_up_to_phase():
     assert states_equal_up_to_phase(a, b)
     c = RegisterState.basis(2, (0,))
     assert not states_equal_up_to_phase(a, c)
+
+
+def test_states_compare_by_value():
+    a = RegisterState.basis(3, (1, 2)) + RegisterState.basis(3, (0, 0))
+    b = RegisterState.basis(3, (0, 0)) + RegisterState.basis(3, (1, 2))
+    assert a == b and a is not b
+    assert a != RegisterState.basis(3, (1, 2))
+    assert a != a.scaled(root_of_unity(3, 1))
+    assert RegisterState.basis(2, (1,)) != RegisterState.basis(3, (1,))
+    assert RegisterState.basis(2, (1,)) != (1,)
+    with pytest.raises(TypeError):
+        hash(a)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse import issparse
@@ -131,14 +133,10 @@ def test_monotonicity_under_register_restriction():
 
 
 def force_engine(monkeypatch, engine):
-    """Route float checks to one engine, whatever the cost rule says."""
-    def choose(code, patterns):
-        if engine == "sparse-float":
-            return engine, None
-        if engine == "syndrome":
-            return engine, verifier._syndrome_plan(code, patterns)
-        return engine, verifier._weyl_plan(code, patterns)
-    monkeypatch.setattr(verifier, "_choose_engine", choose)
+    """Route float checks to the sparse Gram; the syndrome engine is left
+    to the rule, and the caller checks that it ran."""
+    if engine == "sparse-float":
+        monkeypatch.setattr(verifier, "_syndrome_plan", lambda *args: None)
 
 
 def phase_family(width, window, n):
@@ -149,36 +147,32 @@ def phase_family(width, window, n):
 # (code, Weyl family, verdict) small enough for the dense oracle: Fourier
 # duals against phase and full Weyl families, sparse kets against full
 # Weyl families (X, Z and mixed X^a Z^b operators)
-CHARACTERISTIC_CASES = [
-    (dualize(builtin("majority3", 2, 1)), phase_family(3, 3, 2), "pass"),
-    (dualize(builtin("majority3", 3, 1)), phase_family(3, 3, 3), "pass"),
-    (dualize(builtin("majority3", 2, 2)), phase_family(6, 3, 2), "pass"),
-    (dualize(builtin("spin_conv", 2, 1)), phase_family(6, 4, 2), "pass"),
-    (dualize(builtin("spin_conv", 3, 1)), phase_family(6, 4, 3), "pass"),
-    (dualize(builtin("spin_conv", 2, 1)), phase_family(6, 1, 2), "fail"),
-    (dualize(builtin("majority3", 2, 1)), weyl_family(3, 3, 1, 2), "fail"),
-    (dualize(builtin("majority3", 3, 1)), weyl_family(3, 3, 1, 3), "fail"),
-    (dualize(builtin("spin_conv", 2, 1)), weyl_family(6, 4, 1, 2), "fail"),
-    (perfect5_block(2), weyl_family(5, 5, 1, 2), "pass"),
-    (build_identity_code(2, 3), weyl_family(3, 3, 1, 2), "fail"),
-    (build_identity_code(3, 2), weyl_family(2, 2, 1, 3), "fail"),
+DENSE_CASES = [
+    pytest.param(dualize(builtin("majority3", 2, 1)), phase_family(3, 3, 2),
+                 "pass", id="dual-majority3-N2-phases"),
+    pytest.param(dualize(builtin("majority3", 3, 1)), phase_family(3, 3, 3),
+                 "pass", id="dual-majority3-N3-phases"),
+    pytest.param(dualize(builtin("majority3", 2, 2)), phase_family(6, 3, 2),
+                 "pass", id="dual-majority3-N2-L2-phases"),
+    pytest.param(dualize(builtin("spin_conv", 2, 1)), phase_family(6, 4, 2),
+                 "pass", id="dual-spin_conv-N2-L1-phases"),
+    pytest.param(dualize(builtin("spin_conv", 3, 1)), phase_family(6, 4, 3),
+                 "pass", id="dual-spin_conv-N3-L1-phases"),
+    pytest.param(dualize(builtin("spin_conv", 2, 1)), phase_family(6, 1, 2),
+                 "fail", id="dual-spin_conv-N2-L1-w1-phases"),
+    pytest.param(dualize(builtin("majority3", 2, 1)), weyl_family(3, 3, 1, 2),
+                 "fail", id="dual-majority3-N2-L1"),
+    pytest.param(dualize(builtin("majority3", 3, 1)), weyl_family(3, 3, 1, 3),
+                 "fail", id="dual-majority3-N3-L1"),
+    pytest.param(dualize(builtin("spin_conv", 2, 1)), weyl_family(6, 4, 1, 2),
+                 "fail", id="dual-spin_conv-N2-L1"),
+    pytest.param(perfect5_block(2), weyl_family(5, 5, 1, 2), "pass",
+                 id="perfect5_block-N2"),
+    pytest.param(build_identity_code(2, 3), weyl_family(3, 3, 1, 2), "fail",
+                 id="identity-N2"),
+    pytest.param(build_identity_code(3, 2), weyl_family(2, 2, 1, 3), "fail",
+                 id="identity-N3"),
 ]
-
-
-def test_characteristic_engine_agrees_with_dense_oracle(monkeypatch):
-    force_engine(monkeypatch, "characteristic")
-    for code, family, verdict in CHARACTERISTIC_CASES:
-        report = kl_check(code, family)
-        assert report.engine == "characteristic"
-        assert report.verdict == verdict, code.label
-        deviation, oracle_lam = dense_kl_deviation(code, family)
-        assert abs(report.max_deviation - deviation.max()) < 1e-9, code.label
-        if report.passed:
-            lam = lambda_matrix(code, family, precomputed=report).matrix
-            assert np.abs(lam - oracle_lam).max() < 1e-9, code.label
-        # the projector route costs N^(3 width) per pair
-        if code.n_levels ** code.width <= 64:
-            assert dense_kl_check(code, family)[0] == verdict, code.label
 
 
 def witness_key(w):
@@ -187,8 +181,8 @@ def witness_key(w):
 
 # (code, family, float engine) small enough for the exact engine: identity
 # codes have no boundary, spin_conv at L=3 has an interior and a boundary,
-# the duals run on the characteristic engine, and the phase shifts are no
-# Weyl operators
+# the duals run on the syndrome engine, and the phase shifts are no Weyl
+# operators
 EXACT_CASES = [
     pytest.param(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2),
                  "sparse-float", id="shor9"),
@@ -202,9 +196,9 @@ EXACT_CASES = [
     pytest.param(build_identity_code(3, 2), weyl_family(2, 2, 1, 3),
                  "sparse-float", id="identity-N3"),
     pytest.param(dualize(builtin("majority3", 2, 1)), phase_family(3, 3, 2),
-                 "characteristic", id="dual-majority3-phases"),
+                 "syndrome", id="dual-majority3-phases"),
     pytest.param(dualize(builtin("majority3", 2, 1)), weyl_family(3, 3, 1, 2),
-                 "characteristic", id="dual-majority3-weyl"),
+                 "syndrome", id="dual-majority3-weyl"),
     pytest.param(builtin("majority3", 3, 1),
                  enumerate_family(3, 3, 1, n_levels=3, basis=(
                      phase_shift([1, W3, W3 * W3]),)),
@@ -247,43 +241,13 @@ def test_exact_engine_takes_the_reference_block_once(monkeypatch):
     assert len(calls) == 3 * 28 ** 2 == 2352
 
 
-def test_characteristic_engine_matches_cached(monkeypatch):
-    cases = [(code, family) for code, family, _ in CHARACTERISTIC_CASES]
-    cases.append((builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2)))
-    cases.append((dualize(builtin("majority3", 2, 3)),
-                  phase_family(9, 3, 2)))
-    for code, family in cases:
-        force_engine(monkeypatch, "sparse-float")
-        cached = kl_check(code, family)
-        force_engine(monkeypatch, "characteristic")
-        fast = kl_check(code, family)
-        assert cached.engine == "sparse-float"
-        assert fast.verdict == cached.verdict, code.label
-        assert abs(fast.max_deviation - cached.max_deviation) < 1e-12
-        assert abs(fast.interior_max_deviation
-                   - cached.interior_max_deviation) < 1e-12
-        assert fast.interior_verdict == cached.interior_verdict
-        assert [witness_key(w) for w in fast.boundary_witnesses] == \
-            [witness_key(w) for w in cached.boundary_witnesses], code.label
-        assert fast.lambda_samples.keys() == cached.lambda_samples.keys()
-        for key, value in cached.lambda_samples.items():
-            assert abs(fast.lambda_samples[key] - value) < 1e-12
-        if fast.passed:
-            for key in ("kind", "rank", "dim"):
-                assert fast.lambda_summary[key] == cached.lambda_summary[key]
-            assert abs(fast.lambda_summary["min_eigenvalue"]
-                       - cached.lambda_summary["min_eigenvalue"]) < 1e-12
-            assert np.abs(lambda_matrix(code, family, precomputed=fast).matrix
-                          - cached.lam.toarray()).max() < 1e-12
-
-
-def test_characteristic_witnesses_reevaluate(monkeypatch):
-    force_engine(monkeypatch, "characteristic")
-    for code, family, verdict in CHARACTERISTIC_CASES:
+def test_characteristic_witnesses_reevaluate():
+    for code, family, verdict in (case.values for case in DENSE_CASES):
         if verdict == "pass":
             continue
         for fail_fast in (False, True):
             report = kl_check(code, family, fail_fast=fail_fast)
+            assert report.engine == "syndrome"
             assert not report.passed
             witness = report.witness
             assert witness.deviation == report.max_deviation
@@ -294,45 +258,31 @@ def test_characteristic_witnesses_reevaluate(monkeypatch):
                            - extra.deviation) < 1e-9
 
 
-def test_fail_fast_stops_after_first_violating_delta_group(monkeypatch):
-    force_engine(monkeypatch, "characteristic")
-    code = dualize(builtin("majority3", 2, 2))
-    family = weyl_family(6, 3, 1, 2)
-    patterns = list(family)
-    deviation, lam = dense_kl_deviation(code, family)
-    n, width = code.n_levels, code.width
-
-    def delta(a, b):
-        """Grid index of the X-shift difference, register 1 first."""
-        shifts = [dict((pos, op.a) for pos, op in patterns[p].ops)
-                  for p in (a, b)]
-        digits = [(shifts[0].get(pos, 0) - shifts[1].get(pos, 0)) % n
-                  for pos in range(1, width + 1)]
-        return sum(d * n ** (width - 1 - k) for k, d in enumerate(digits))
-
-    worst: dict[int, float] = {}
-    for (a, b), dev in np.ndenumerate(deviation):
-        key = delta(a, b)
-        worst[key] = max(worst.get(key, 0.0), dev)
-    first = min(key for key, dev in worst.items() if dev > 1e-9)
-    assert first > 0  # the scan gets past D = 0
-    report = kl_check(code, family, fail_fast=True)
-    w = report.witness
-    assert delta(w.pattern_a, w.pattern_b) == first
-    assert abs(report.max_deviation - worst[first]) < 1e-9
-    assert report.max_deviation < kl_check(code, family).max_deviation + 1e-9
-    for (a, b), value in report.lambda_samples.items():
-        assert abs(value - lam[a, b]) < 1e-9
-
-
-def test_engine_choice_follows_operation_counts():
-    sparse = kl_check(builtin("spin_conv", 2, 2),
-                      flip_family(8, 4, 2))
-    assert sparse.engine == "sparse-float"
-    dense = kl_check(dualize(builtin("spin_conv", 2, 2)),
-                     phase_family(8, 4, 2))
-    assert dense.engine == "characteristic"
-    assert sparse.verdict == dense.verdict == "pass"
+def test_engine_choice_follows_one_rule():
+    # a family with an operator that is no Weyl operator: the sparse Gram
+    code = builtin("spin_conv", 2, 2)
+    family = enumerate_family(8, 4, 1, basis=(spin_flip([1, 0]),))
+    assert kl_check(code, family).engine == "sparse-float"
+    code = builtin("majority3", 4, 1)
+    family = enumerate_family(3, 3, 1, basis=(phase_shift([1, 1, 1j, 1]),))
+    assert kl_check(code, family).engine == "sparse-float"
+    # Weyl families on stabilizer codes: the syndrome engine, at prime and
+    # composite N, on sparse kets and on Fourier duals
+    for code, window in ((builtin("spin_conv", 2, 2), 4),
+                         (builtin("shor9", 3, 1), 9),
+                         (builtin("majority3", 4, 1), 3),
+                         (builtin("majority3", 6, 1), 3),
+                         (dualize(builtin("spin_conv", 2, 2)), 4),
+                         (dualize(builtin("majority3", 4, 1)), 3)):
+        n = code.n_levels
+        for family in (weyl_family(code.width, window, 1, n),
+                       flip_family(code.width, window, n),
+                       phase_family(code.width, window, n)):
+            assert kl_check(code, family).engine == "syndrome", code.label
+    # kets that are no stabilizer code: the sparse Gram
+    for code in handmade_codes():
+        assert kl_check(code, weyl_family(3, 3, 1, 2)).engine == \
+            "sparse-float"
 
 
 def test_family_matrix_rows_match_exact_application():
@@ -367,7 +317,10 @@ def test_family_matrix_rejects_overflowing_indices():
 def test_lambda_matrix_reuses_the_check(monkeypatch):
     code = builtin("shor9", 2, 1)
     family = weyl_family(9, 9, 1, 2)
-    report = kl_check(code, family)
+    with monkeypatch.context() as patch:
+        force_engine(patch, "sparse-float")
+        report = kl_check(code, family)
+    assert report.engine == "sparse-float"
 
     def refuse(*args, **kwargs):
         raise AssertionError("lambda_matrix repeated work of the check")
@@ -482,6 +435,71 @@ def test_report_json_shape():
     assert bad_data["witness"]["deviation"] > 0
 
 
+# -- modular algebra over Z_N -------------------------------------------------
+
+def random_rows(rng, n, size=3):
+    """One to four rows over Z_n, each scaled by a random divisor of n so
+    that columns without a unit turn up."""
+    divisors = [d for d in range(1, n) if n % d == 0]
+    count = int(rng.integers(1, 5))
+    rows = rng.integers(0, n, size=(count, size))
+    return rows * rng.choice(divisors, size=(count, 1)) % n
+
+
+def span_of(rows, n):
+    """Every combination of the rows over Z_n, as a set of tuples."""
+    coeffs = np.array(list(itertools.product(range(n), repeat=len(rows))),
+                      dtype=np.int64).reshape(n ** len(rows), len(rows))
+    return {tuple(v) for v in coeffs @ rows % n}
+
+
+MODULI = [4, 6, 8, 9, 5]
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_span_matches_enumeration(n):
+    rng = np.random.default_rng(n)
+    grid = np.array(list(itertools.product(range(n), repeat=3)))
+    for _ in range(25):
+        rows = random_rows(rng, n)
+        span = span_of(rows, n)
+        basis, pivots = verifier._span(rows, n)
+        # echelon rows, pivots dividing n, entries above a pivot below it
+        assert pivots == sorted(set(pivots))
+        for k, col in enumerate(pivots):
+            assert n % basis[k, col] == 0 and not basis[k, :col].any()
+            assert (basis[:k, col] < basis[k, col]).all()
+        assert span_of(basis, n) == span
+        assert verifier._order(basis, pivots, n) == len(span)
+        reduced = verifier._reduce(grid, basis, pivots, n)
+        assert {tuple(v) for v in grid[~reduced.any(axis=1)]} == span
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_nullspace_matches_enumeration(n):
+    rng = np.random.default_rng(10 + n)
+    grid = np.array(list(itertools.product(range(n), repeat=3)))
+    for _ in range(25):
+        rows = random_rows(rng, n)
+        kernel = {tuple(v) for v in grid if not (rows @ v % n).any()}
+        assert span_of(verifier._nullspace(rows, n), n) == kernel
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_back_substitution_matches_enumeration(n):
+    rng = np.random.default_rng(20 + n)
+    grid = np.array(list(itertools.product(range(n), repeat=3)))
+    for _ in range(25):
+        basis, pivots = verifier._howell(random_rows(rng, n), n)
+        image = {tuple(v) for v in grid @ basis.T % n}
+        for rhs in itertools.product(range(n), repeat=len(pivots)):
+            z = verifier._solve(basis, pivots, np.array(rhs)[:, None], n)
+            if rhs in image:
+                assert tuple(basis @ z[:, 0] % n) == rhs
+            else:
+                assert z is None
+
+
 # -- the syndrome engine ------------------------------------------------------
 
 def cross_check(code, family, *references):
@@ -535,11 +553,11 @@ def qcc_perfect5(n, logical_len):
                               logical_len)
 
 
-# (code, family, verdict) on stabilizer codes over N = 2, 3, 5: builtins,
+# (code, family, verdict) on stabilizer codes over N = 2 to 6: builtins,
 # Fourier duals, the Theorem-2 paste and a code pasted from the perfect
 # block, each passing and failing; every one is small enough for the
-# sparse Gram, the characteristic engine and the dense oracle
-SYNDROME_CASES = [
+# sparse Gram, and the smaller ones for the dense oracle
+SYNDROME_CASES = DENSE_CASES + [
     pytest.param(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2), "pass",
                  id="shor9-N2"),
     pytest.param(builtin("shor9", 2, 1), weyl_family(9, 3, 1, 2), "fail",
@@ -567,14 +585,12 @@ SYNDROME_CASES = [
     pytest.param(perfect5_block(5), enumerate_family(
         5, 5, 2, basis=(weyl(1, 0), weyl(0, 1)), n_levels=5), "fail",
         id="perfect5_block-N5-two-errors"),
-    pytest.param(build_identity_code(3, 2), weyl_family(2, 2, 1, 3), "fail",
-                 id="identity-N3"),
-    pytest.param(dualize(builtin("majority3", 3, 1)), phase_family(3, 3, 3),
-                 "pass", id="dual-majority3-N3-phases"),
     pytest.param(dualize(builtin("majority3", 2, 2)), weyl_family(6, 3, 1, 2),
                  "fail", id="dual-majority3-N2"),
     pytest.param(dualize(builtin("spin_conv", 2, 2)), phase_family(8, 4, 2),
                  "pass", id="dual-spin_conv-N2-phases"),
+    pytest.param(dualize(builtin("majority3", 2, 3)), phase_family(9, 3, 2),
+                 "pass", id="dual-majority3-N2-L3-phases"),
     pytest.param(dualize(builtin("spin_conv", 3, 1)), weyl_family(6, 4, 1, 3),
                  "fail", id="dual-spin_conv-N3"),
     pytest.param(theorem2_pipeline(builtin("spin_conv", 2, 1, flush=False)),
@@ -585,21 +601,78 @@ SYNDROME_CASES = [
                  id="qcc-perfect5-N3"),
     pytest.param(qcc_perfect5(2, 2), weyl_family(10, 4, 1, 2), "fail",
                  id="qcc-perfect5-N2"),
+    pytest.param(builtin("majority3", 4, 1), weyl_family(3, 3, 1, 4), "fail",
+                 id="majority3-N4"),
+    pytest.param(builtin("majority3", 6, 1), weyl_family(3, 3, 1, 6), "fail",
+                 id="majority3-N6"),
+    pytest.param(builtin("spin_conv", 6, 1), flip_family(6, 4, 6), "pass",
+                 id="spin_conv-N6-flips"),
+    pytest.param(builtin("shor9", 4, 1), weyl_family(9, 9, 1, 4), "pass",
+                 id="shor9-N4"),
+    pytest.param(perfect5_block(4), weyl_family(5, 5, 1, 4), "pass",
+                 id="perfect5_block-N4"),
+    pytest.param(perfect5_block(6), weyl_family(5, 5, 1, 6), "pass",
+                 id="perfect5_block-N6"),
+    pytest.param(dualize(builtin("majority3", 4, 1)), phase_family(3, 3, 4),
+                 "pass", id="dual-majority3-N4-phases"),
+    pytest.param(dualize(builtin("majority3", 6, 1)), weyl_family(3, 3, 1, 6),
+                 "fail", id="dual-majority3-N6"),
+    pytest.param(dualize(builtin("spin_conv", 4, 1)), phase_family(6, 4, 4),
+                 "pass", id="dual-spin_conv-N4-phases"),
 ]
 
 
 @pytest.mark.parametrize("code, family, verdict", SYNDROME_CASES)
 def test_syndrome_engine_agrees_with_every_engine(code, family, verdict):
-    # the characteristic engine and the oracle cost N^width per pattern pair
-    space = code.n_levels ** code.width
-    report = cross_check(code, family, "sparse-float", *(
-        ("characteristic",) if space <= 3 ** 7 else ()))
+    report = cross_check(code, family, "sparse-float")
     assert report.verdict == verdict
+    # the oracle costs N^width per pattern pair, its projector route
+    # N^(3 width)
+    space = code.n_levels ** code.width
     if space <= 3 ** 6 and len(family) <= 150:
         oracle_check(code, family, report)
+    if space <= 64:
+        assert dense_kl_check(code, family)[0] == verdict, code.label
     for w in report.boundary_witnesses + ((report.witness,)
                                           if report.witness else ()):
         assert abs(reevaluate_witness(code, family, w) - w.deviation) < 1e-9
+
+
+# majority3 at N=4, L=2: its dual has 4096 amplitudes per ket, on which the
+# sparse Gram takes 13 s for the phase family and far longer for the Weyl
+# family.  F^dag W F is a Weyl operator on the same register, so the Weyl
+# family on the dual is, as a set, the Weyl family on the code, and phases
+# on the dual are flips on the code: the sparse Gram checks the code's
+# sparse kets instead, and every pair's deviation carries over, as does
+# every lambda entry up to a phase
+@pytest.mark.parametrize("dual_family, code_family, verdict", [
+    pytest.param(weyl_family(6, 3, 1, 4), weyl_family(6, 3, 1, 4), "fail",
+                 id="weyl"),
+    pytest.param(phase_family(6, 3, 4), flip_family(6, 3, 4), "pass",
+                 id="phases"),
+])
+def test_syndrome_engine_on_a_dense_composite_dual(monkeypatch, dual_family,
+                                                   code_family, verdict):
+    code = builtin("majority3", 4, 2)
+    dual = dualize(code)
+    ours = kl_check(dual, dual_family)
+    assert ours.engine == "syndrome" and ours.verdict == verdict
+    force_engine(monkeypatch, "sparse-float")
+    ref = kl_check(code, code_family)
+    assert ref.engine == "sparse-float" and ref.verdict == verdict
+    assert abs(ours.max_deviation - ref.max_deviation) < 1e-9
+    assert abs(ours.interior_max_deviation
+               - ref.interior_max_deviation) < 1e-9
+    assert ours.interior_verdict == ref.interior_verdict
+    assert np.abs(np.sort(np.abs(verifier._as_dense(ours.lam)), axis=None)
+                  - np.sort(np.abs(ref.lam.toarray()), axis=None)).max() < 1e-9
+    if ours.passed:
+        for key in ("kind", "rank", "dim"):
+            assert ours.lambda_summary[key] == ref.lambda_summary[key]
+    for w in ours.boundary_witnesses + ((ours.witness,)
+                                        if ours.witness else ()):
+        assert abs(reevaluate_witness(dual, dual_family, w)
+                   - w.deviation) < 1e-9
 
 
 # small enough for exact arithmetic: passes and fails, N = 2 and 3, a dual
@@ -625,12 +698,12 @@ def test_syndrome_engine_is_chosen_for_the_stream_checks():
         code = builtin(label, n, L)
         report = kl_check(code, weyl_family(code.width, window, 1, n))
         assert report.engine == "syndrome", label
-    # phase families on Fourier duals keep the cheaper characteristic
-    # engine, small families on sparse kets the sparse Gram
+    # so do phase families on Fourier duals and small families on sparse
+    # kets
     dual = dualize(builtin("majority3", 3, 2))
-    assert kl_check(dual, phase_family(6, 3, 3)).engine == "characteristic"
+    assert kl_check(dual, phase_family(6, 3, 3)).engine == "syndrome"
     assert kl_check(builtin("shor9", 3, 1),
-                    weyl_family(9, 9, 1, 3)).engine == "sparse-float"
+                    weyl_family(9, 9, 1, 3)).engine == "syndrome"
 
 
 def test_syndrome_engine_passes_with_exact_zeros():
@@ -648,16 +721,9 @@ def test_syndrome_engine_passes_with_exact_zeros():
     assert np.abs(lam.matrix - np.eye(len(family))).max() < 1e-12
 
 
-def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
-    # composite N
-    code = builtin("majority3", 4, 1)
-    family = weyl_family(3, 3, 1, 4)
-    assert verifier._read_tableau(code) is None
-    report = kl_check(code, family)
-    assert report.engine != "syndrome"
-    assert report.verdict == dense_kl_check(code, family)[0] == "fail"
-    # kets that the engine must not serve: a support of three terms, a
-    # phase ratio that is no root of unity, and two norms
+def handmade_codes():
+    """Kets that are no stabilizer code: a support of three terms, a phase
+    ratio that is no root of unity, and two norms."""
     one = PhaseScalar.exact_one(2)
     third = PhaseScalar.from_complex(3 ** -0.5)
     eighth = PhaseScalar.from_complex(np.exp(0.25j * np.pi) / 2 ** 0.5)
@@ -669,12 +735,16 @@ def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
                   (1,): {(0, 0, 0): half, (1, 1, 1): -eighth}},
                  {(0,): {(0, 0, 0): one},
                   (1,): {(1, 1, 1): PhaseScalar.from_complex(2)}}):
-        code = CodeSpec("handmade", 2, 1, 3, 0, 0, 1, {
+        yield CodeSpec("handmade", 2, 1, 3, 0, 0, 1, {
             w: RegisterState(2, 3, terms) for w, terms in kets.items()})
+
+
+def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
+    for code in handmade_codes():
         family = weyl_family(3, 3, 1, 2)
         assert verifier._read_tableau(code) is None
         report = kl_check(code, family)
-        assert report.engine != "syndrome"
+        assert report.engine == "sparse-float"
         deviation, _ = dense_kl_deviation(code, family)
         assert abs(report.max_deviation - deviation.max()) < 1e-9
     # a family with an operator that is no Weyl operator
