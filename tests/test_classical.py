@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
-from quditqec.classical import certify_radius
+from quditqec.classical import _first_repeat, certify_radius
 from quditqec.codes import builtin, classical_conv_encode
 from quditqec.errors import additive_flip, enumerate_family
 from quditqec.verifier import kl_check
+from radius_oracle import oracle_certify_radius
 
 
 def corrupt(word, positions, values, n):
@@ -63,6 +65,19 @@ def test_domain_errors():
         certify_radius(2, 2, window=0)
     with pytest.raises(ValueError, match="max_errors must be nonnegative"):
         certify_radius(2, 2, max_errors=-1)
+    for args, kwargs, name in [((True, 2), {}, "n_levels"),
+                               ((2.0, 2), {}, "n_levels"),
+                               ((2, True), {}, "message_len_max"),
+                               ((2, 2.5), {}, "message_len_max"),
+                               ((2, 2), {"window": 4.0}, "window"),
+                               ((2, 2), {"window": False}, "window"),
+                               ((2, 2), {"max_errors": True}, "max_errors"),
+                               ((2, 2), {"max_errors": 1.0}, "max_errors")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            certify_radius(*args, **kwargs)
+    # 1499^6 offset tuples on the full support of a length-1 word
+    with pytest.raises(MemoryError, match="do not fit in memory"):
+        certify_radius(1500, 1, window=1)
 
 
 def test_determinism():
@@ -80,3 +95,47 @@ def test_matches_quantum_flip_verdict():
     code = builtin("spin_conv", 2, 2)
     family = enumerate_family(code.width, 4, 1, basis=(additive_flip(1),))
     assert kl_check(code, family).passed == report.passed
+
+
+def _without_time(report):
+    out = report.to_json()
+    del out["elapsed_seconds"]
+    return out
+
+
+ORACLE_GRID = [(n, length, window, t) for n in (2, 3) for length in range(1, 6)
+               for window in range(1, 6) for t in range(3)] + \
+    [(4, 4, 4, 1), (5, 3, 4, 1), (5, 3, 4, 2), (2, 8, 4, 1)]
+
+
+@pytest.mark.parametrize("n, length, window, max_errors", ORACLE_GRID)
+def test_matches_dict_oracle(n, length, window, max_errors):
+    args = (n, length, window, max_errors)
+    assert _without_time(certify_radius(*args)) == \
+        _without_time(oracle_certify_radius(*args))
+
+
+def test_oracle_grid_holds_collisions_past_the_first_length():
+    # the counts of a failure carry the totals of every passing length
+    # before it; the grid must exercise that offset
+    assert (2, 5, 3, 1) in ORACLE_GRID
+    report = oracle_certify_radius(2, 5, window=3, max_errors=1)
+    assert not report.passed and len(report.counterexample.message) == 4
+    assert report.messages_checked > 2 + 4 + 8
+
+
+def test_keys_past_int64_stay_exact():
+    # 1500^6 > 2^63: one int64 cannot hold a length-1 word's key
+    report = certify_radius(1500, 1, max_errors=0)
+    assert report.passed
+    assert report.messages_checked == report.corruptions_checked == 1500
+    assert _without_time(report) == \
+        _without_time(oracle_certify_radius(1500, 1, max_errors=0))
+
+
+def test_first_repeat_compares_every_key_row():
+    keys = np.array([[5, 5, 7, 5, 7],
+                     [1, 2, 3, 2, 3]])
+    # column 3 repeats column 1; column 4 repeats column 2 but comes later
+    assert _first_repeat(keys) == (3, 1)
+    assert _first_repeat(keys[:, :3]) is None

@@ -177,6 +177,15 @@ def test_certify_classical_without_errors(capsys):
     assert report["max_errors"] == 0
 
 
+def test_certify_classical_refuses_unindexable_request(capsys):
+    code, report, err = run_cli(capsys, [
+        "certify-classical", "--n-levels", "1500", "--max-len", "1",
+        "--window", "1"])
+    assert code == 2
+    assert report is None
+    assert err.startswith("quditqec: out of memory:") and err.count("\n") == 1
+
+
 def test_bad_global_values(capsys):
     code, _, err = run_cli(capsys, [
         "construct", "--code", "majority3", "--jobs", "0"])
