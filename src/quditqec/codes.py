@@ -20,15 +20,25 @@ Builtin labels:
                    registers (see :func:`build_rate14_conv`)
 * ``perfect5``     rate 1/5 convolutional code built from the five-register
                    perfect block code with a running two-symbol logical sum
+
+The superposed kets (``shor9``, ``rate14_conv``, ``perfect5``) are built
+from their closed forms in one array pass: a sum over digits x in product
+order of an affine digit map of x, with a phase exponent linear in the
+logical window (``perfect5`` adds a term quadratic in x).  Each ket keeps
+the order of x, stated per builder, and its terms share N scalars.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .cyclotomic import PhaseScalar
 from .states import Digits, RegisterState
@@ -218,6 +228,33 @@ def _windows(n_levels: int, count: int) -> Iterator[Digits]:
     return itertools.product(range(n_levels), repeat=count)
 
 
+def _sizes(n_levels, logical_len) -> tuple[int, int]:
+    """N and L of a builder: integers (not bools), N >= 2 and L >= 1."""
+    for name, value, least in (("n_levels", n_levels, 2),
+                               ("logical_len", logical_len, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}")
+    return int(n_levels), int(logical_len)
+
+
+def _grid(n_levels: int, count: int) -> np.ndarray:
+    """Every assignment of ``count`` digits, one row each, in product order."""
+    return np.indices((n_levels,) * count).reshape(count, -1).T
+
+
+def _superposition(n_levels: int, digits: np.ndarray, exponent: np.ndarray,
+                   scalars: Sequence[PhaseScalar]) -> RegisterState:
+    """sum_x scalars[exponent[x] mod N] |digits[x] mod N>, one row per
+    assignment x of the summed digits, terms in row order; the N scalars are
+    shared.  Two rows giving one digit string are refused, not summed."""
+    keys = map(tuple, (digits % n_levels).tolist())
+    terms = dict(zip(keys, map(scalars.__getitem__, (exponent % n_levels).tolist())))
+    if len(terms) != len(digits):
+        raise ValueError("two assignments give one digit string")
+    return RegisterState._raw(n_levels, digits.shape[1], terms)
+
+
 def truncation_boundary(total_blocks: int, block_width: int,
                         head_blocks: int, tail_blocks: int) -> frozenset[int]:
     """Registers of the edge blocks affected by window truncation.
@@ -240,79 +277,71 @@ def truncation_boundary(total_blocks: int, block_width: int,
 def build_spin_conv(n_levels: int, logical_len: int,
                     flush: bool = True) -> CodeSpec:
     """Rate 1/2 code mapping each basis ket through the classical stream encoder."""
-    if logical_len < 1:
-        raise ValueError("logical_len must be positive")
-    kets = {}
-    for window in _windows(n_levels, logical_len):
-        digits = classical_conv_encode(window, n_levels, flush=flush)
-        kets[window] = RegisterState.basis(n_levels, digits)
-    blocks = logical_len + (2 if flush else 0)
-    boundary = truncation_boundary(blocks, 2, 2, 2)
-    return CodeSpec("spin_conv", n_levels, 1, 2, 2, 2 if flush else 0,
-                    logical_len, kets, boundary,
+    n, L = _sizes(n_levels, logical_len)
+    kets = {w: RegisterState.basis(n, classical_conv_encode(w, n, flush=flush))
+            for w in _windows(n, L)}
+    boundary = truncation_boundary(L + (2 if flush else 0), 2, 2, 2)
+    return CodeSpec("spin_conv", n, 1, 2, 2, 2 if flush else 0, L, kets, boundary,
                     rebuild=lambda N, L, f=True: build_spin_conv(N, L, f))
 
 
 def build_majority3(n_levels: int, logical_len: int,
                     flush: bool = True) -> CodeSpec:
     """Threefold repetition per logical symbol."""
-    kets = {}
-    for window in _windows(n_levels, logical_len):
-        digits = tuple(d for k in window for d in (k, k, k))
-        kets[window] = RegisterState.basis(n_levels, digits)
-    return CodeSpec("majority3", n_levels, 1, 3, 0, 0, logical_len, kets,
+    n, L = _sizes(n_levels, logical_len)
+    kets = {w: RegisterState.basis(n, (d for k in w for d in (k, k, k)))
+            for w in _windows(n, L)}
+    return CodeSpec("majority3", n, 1, 3, 0, 0, L, kets,
                     rebuild=lambda N, L, f=True: build_majority3(N, L))
 
 
 def build_shor9(n_levels: int, logical_len: int, flush: bool = True) -> CodeSpec:
     """Nine registers per symbol: repeated triples with a phase-protected sign.
 
-    Each symbol k encodes as sum_{p,q,r} w_N^(k(p+q+r)) |ppp qqq rrr>,
-    normalized.  At N = 2 the phase is the usual (-1)^(k(p+q+r)).
+    Each symbol k encodes as N^(-3/2) sum_{p,q,r} w_N^(k(p+q+r)) |ppp qqq rrr>;
+    at N = 2 the phase is the usual (-1)^(k(p+q+r)).  A window's ket sums
+    over (p_1, q_1, r_1, ..., p_L, q_L, r_L), the first symbol's slowest.
     """
-    n = n_levels
-    block_kets: dict[int, RegisterState] = {}
-    for k in range(n):
-        terms: dict[Digits, PhaseScalar] = {}
-        for p, q, r in itertools.product(range(n), repeat=3):
-            amp = PhaseScalar.monomial(n, 1, 2 * (k * (p + q + r)), 0)
-            terms[(p, p, p, q, q, q, r, r, r)] = amp
-        block_kets[k] = RegisterState(n, 9, terms).normalized()
-    kets = {}
-    for window in _windows(n, logical_len):
-        state = block_kets[window[0]]
-        for k in window[1:]:
-            state = state.tensor(block_kets[k])
-        kets[window] = state
-    return CodeSpec("shor9", n, 1, 9, 0, 0, logical_len, kets,
+    n, L = _sizes(n_levels, logical_len)
+    x = _grid(n, 3 * L)
+    digits = np.repeat(x, 3, axis=1)
+    scalars = [PhaseScalar.monomial(n, 1, 2 * s, 3 * L) for s in range(n)]
+    kets = {w: _superposition(n, digits, x @ np.repeat(w, 3), scalars)
+            for w in _windows(n, L)}
+    return CodeSpec("shor9", n, 1, 9, 0, 0, L, kets,
                     rebuild=lambda N, L, f=True: build_shor9(N, L))
+
+
+def _perfect5_kets(n: int, logical_len: int,
+                   blocks: int) -> dict[Digits, RegisterState]:
+    """Kets of B perfect blocks, block i encoding v_i = k_i + k_(i-1)."""
+    x = _grid(n, 3 * blocks).reshape(-1, blocks, 3)[:, ::-1]
+    p, q, r = x[..., 0], x[..., 1], x[..., 2]
+    quadratic = (p * r).sum(axis=1)
+    k = np.pad(_grid(n, logical_len), ((0, 0), (1, blocks - logical_len)))  # k_0..k_B
+    scalars = [PhaseScalar.monomial(n, 1, 2 * s, 3 * blocks) for s in range(n)]
+    kets = {}
+    for window, v in zip(_windows(n, logical_len), k[:, 1:] + k[:, :-1]):
+        digits = np.stack([p, q, p + r, q + r, p + q + v], -1).reshape(len(x), -1)
+        kets[window] = _superposition(n, digits, (p + q + r) @ v + quadratic, scalars)
+    return kets
 
 
 def perfect5_block(n_levels: int) -> CodeSpec:
     """Five-register perfect block code for one logical symbol.
 
-    |k> -> N^(-3/2) sum_{p,q,r} w_N^(k(p+q+r) + p*r) |p, q, p+r, q+r, p+q+k>.
+    |k> -> N^(-3/2) sum_{p,q,r} w_N^(k(p+q+r) + p*r) |p, q, p+r, q+r, p+q+k>,
+    with terms in (p, q, r) product order.
     """
-    n = n_levels
-    kets = {}
-    for k in range(n):
-        terms: dict[Digits, PhaseScalar] = {}
-        for p, q, r in itertools.product(range(n), repeat=3):
-            digits = (p, q, (p + r) % n, (q + r) % n, (p + q + k) % n)
-            terms[digits] = PhaseScalar.monomial(n, 1, 2 * (k * (p + q + r) + p * r), 3)
-        kets[(k,)] = RegisterState(n, 5, terms)
-    return CodeSpec("perfect5_block", n, 1, 5, 0, 0, 1, kets,
+    n, _ = _sizes(n_levels, 1)
+    return CodeSpec("perfect5_block", n, 1, 5, 0, 0, 1, _perfect5_kets(n, 1, 1),
                     rebuild=lambda N, L, f=True: _tensor_power_of(perfect5_block, N, L))
 
 
 def _tensor_power_of(block_builder, n_levels: int, logical_len: int) -> CodeSpec:
     base = block_builder(n_levels)
-    kets = {}
-    for window in _windows(n_levels, logical_len):
-        state = base.encoded_kets[(window[0],)]
-        for k in window[1:]:
-            state = state.tensor(base.encoded_kets[(k,)])
-        kets[window] = state
+    kets = {w: reduce(RegisterState.tensor, [base.encoded_kets[(k,)] for k in w])
+            for w in _windows(n_levels, logical_len)}
     return CodeSpec(base.label, n_levels, base.n, base.m, 0, 0,
                     logical_len, kets)
 
@@ -320,31 +349,16 @@ def _tensor_power_of(block_builder, n_levels: int, logical_len: int) -> CodeSpec
 def build_perfect5(n_levels: int, logical_len: int, flush: bool = True) -> CodeSpec:
     """Convolutional extension of the five-register perfect code.
 
-    Block i carries the running sum k_i + k_(i-1); one flush block terminates
-    the window, so width is 5*(logical_len + 1).  Built directly from the
-    closed form, independent of :func:`build_qcc_from_qbc`.
+    Block i carries the running sum v_i = k_i + k_(i-1) through the block
+    form of :func:`perfect5_block`, summed over every block's (p, q, r) with
+    the last block's slowest; one flush block terminates the window, so the
+    width is 5*(logical_len + 1).  Independent of :func:`build_qcc_from_qbc`.
     """
-    n = n_levels
-    if logical_len < 1:
-        raise ValueError("logical_len must be positive")
-    blocks = logical_len + 1 if flush else logical_len
-    kets = {}
-    for window in _windows(n, logical_len):
-        padded = window + (0,) * (blocks - logical_len)
-        terms: dict[Digits, PhaseScalar] = {(): PhaseScalar.exact_one(n)}
-        for i in range(blocks):
-            v = (padded[i] + (padded[i - 1] if i >= 1 else 0)) % n
-            new_terms: dict[Digits, PhaseScalar] = {}
-            for p, q, r in itertools.product(range(n), repeat=3):
-                digits = (p, q, (p + r) % n, (q + r) % n, (p + q + v) % n)
-                amp = PhaseScalar.monomial(n, 1, 2 * (v * (p + q + r) + p * r), 3)
-                for prefix, old in terms.items():
-                    new_terms[prefix + digits] = old * amp
-            terms = new_terms
-        kets[window] = RegisterState(n, 5 * blocks, terms)
-    boundary = truncation_boundary(blocks, 5, 1, 1)
+    n, L = _sizes(n_levels, logical_len)
+    blocks = L + 1 if flush else L
     return CodeSpec("perfect5", n, 1, 5, 1, 1 if flush else 0,
-                    logical_len, kets, boundary,
+                    L, _perfect5_kets(n, L, blocks),
+                    truncation_boundary(blocks, 5, 1, 1),
                     rebuild=lambda N, L, f=True: build_perfect5(N, L, f))
 
 
@@ -352,14 +366,15 @@ def build_rate14_conv(n_levels: int, logical_len: int,
                       flush: bool = True) -> CodeSpec:
     """Rate 1/4 convolutional code built directly from its closed form.
 
-    Summing over stream digits (p_i, q_i), i = 1..L, each block contributes
+    Summing N^(-L) over stream digits (p_1, q_1, ..., p_L, q_L) in product
+    order, each block contributes
 
         phase  w_N^((k_i + k_(i-2)) p_i + (k_i + k_(i-1) + k_(i-2)) q_i)
         digits |p_j + p_(j-1), p_j + p_(j-1) + q_(j-1),
                 q_j + q_(j-1),  q_j + q_(j-1) + p_j>
 
     with one extra digit block j = L + 1 flushing the stream memory, so the
-    width is 4*(L + 1).
+    width is 4*(L + 1).  Digits and symbols outside 1..L are zero.
 
     The code does not correct one arbitrary error in every eight
     consecutive registers.  At N = 2, Z_(r+8) and Z_r Z_(r+9) for r = 4s + 2
@@ -370,49 +385,35 @@ def build_rate14_conv(n_levels: int, logical_len: int,
     witness persists up to window 15 (Z_5 Z_20 against Z_8 flips k_1 and
     k_3); the window the infinite stream does correct is still open.
     """
-    n = n_levels
-    if logical_len < 1:
-        raise ValueError("logical_len must be positive")
-    L = logical_len
+    n, L = _sizes(n_levels, logical_len)
     blocks = L + 1 if flush else L
-    kets = {}
-    for window in _windows(n, L):
-        k = lambda i: window[i - 1] if 1 <= i <= L else 0
-        terms: dict[Digits, PhaseScalar] = {}
-        for pq in _windows(n, 2 * L):
-            p = lambda i: pq[2 * (i - 1)] if 1 <= i <= L else 0
-            q = lambda i: pq[2 * (i - 1) + 1] if 1 <= i <= L else 0
-            exponent = sum((k(i) + k(i - 2)) * p(i) +
-                           (k(i) + k(i - 1) + k(i - 2)) * q(i)
-                           for i in range(1, L + 1))
-            digits = []
-            for j in range(1, blocks + 1):
-                digits.extend(((p(j) + p(j - 1)) % n,
-                               (p(j) + p(j - 1) + q(j - 1)) % n,
-                               (q(j) + q(j - 1)) % n,
-                               (q(j) + q(j - 1) + p(j)) % n))
-            amp = PhaseScalar.monomial(n, Fraction(1, n ** L), 2 * exponent, 0)
-            key = tuple(digits)
-            if key in terms:
-                terms[key] = terms[key] + amp
-            else:
-                terms[key] = amp
-        kets[window] = RegisterState(n, 4 * blocks, terms)
+    x = _grid(n, 2 * L)
+    # p_0, ..., p_(L+1) and q_0, ..., q_(L+1) of every assignment
+    p, q = np.pad(x[:, 0::2], ((0, 0), (1, 1))), np.pad(x[:, 1::2], ((0, 0), (1, 1)))
+    pp, qq = p[:, 1:] + p[:, :-1], q[:, 1:] + q[:, :-1]
+    digits = np.stack([pp, pp + q[:, :-1], qq, qq + p[:, 1:]], -1)
+    digits = digits[:, :blocks].reshape(len(x), -1)
+    k = np.pad(_grid(n, L), ((0, 0), (2, 0)))  # k_(-1), k_0, ..., k_L
+    exponents = x[:, 0::2] @ (k[:, 2:] + k[:, :-2]).T + \
+        x[:, 1::2] @ (k[:, 2:] + k[:, 1:-1] + k[:, :-2]).T
+    scalars = [PhaseScalar.monomial(n, Fraction(1, n ** L), 2 * s, 0) for s in range(n)]
+    kets = {w: _superposition(n, digits, e, scalars)
+            for w, e in zip(_windows(n, L), exponents.T)}
     # tail depth 3: k_i reaches digit blocks i..i+3 (phase memory 2 plus
     # stream memory 1) but flushing appends only one block, so the last
     # two logical symbols plus the flush block are truncation-affected
     boundary = truncation_boundary(blocks, 4, 1, 3)
     return CodeSpec("rate14_conv", n, 1, 4, 1, 1 if flush else 0,
-                    logical_len, kets, boundary,
+                    L, kets, boundary,
                     rebuild=lambda N, L_, f=True: build_rate14_conv(N, L_, f))
 
 
 def build_identity_code(n_levels: int, logical_len: int,
                         flush: bool = True) -> CodeSpec:
     """No encoding at all; useful as a negative control."""
-    kets = {w: RegisterState.basis(n_levels, w)
-            for w in _windows(n_levels, logical_len)}
-    return CodeSpec("identity", n_levels, 1, 1, 0, 0, logical_len, kets,
+    n, L = _sizes(n_levels, logical_len)
+    kets = {w: RegisterState.basis(n, w) for w in _windows(n, L)}
+    return CodeSpec("identity", n, 1, 1, 0, 0, L, kets,
                     rebuild=lambda N, L, f=True: build_identity_code(N, L))
 
 
@@ -440,12 +441,9 @@ def build_qcc_from_qbc(base: CodeSpec, mu: MuMatrix,
     kets = {}
     for window in _windows(n, logical_len):
         padded = window + (0,) * (size - logical_len)
-        state: RegisterState | None = None
-        for i in range(size):
-            v = sum(mu.rows[i][p] * padded[p] for p in range(size)) % n
-            block = base.encoded_kets[(v,)]
-            state = block if state is None else state.tensor(block)
-        kets[window] = state
+        blocks = [sum(x * k for x, k in zip(row, padded)) % n for row in mu.rows]
+        kets[window] = reduce(RegisterState.tensor,
+                              [base.encoded_kets[(v,)] for v in blocks])
     label = f"qcc({base.label})"
     memory = max((i - min(p for p in range(size) if mu.rows[i][p] % n)
                   for i in range(size)

@@ -130,7 +130,7 @@ class PhaseScalar:
         return self._n
 
     def to_complex(self) -> complex:
-        if self._coeffs is None:
+        if self._val is not None:
             return self._val
         order = 2 * self._n
         total = 0j
@@ -138,7 +138,13 @@ class PhaseScalar:
             total += float(c) * cmath.exp(2j * math.pi * e / order)
         if self._half:
             total /= math.sqrt(self._n)
+        self._val = total  # kept for the next call; exact arithmetic ignores it
         return total
+
+    def __getstate__(self):
+        # the float kept for an exact value is not pickled
+        return None, {"_n": self._n, "_coeffs": self._coeffs, "_half": self._half,
+                      "_val": None if self.is_exact else self._val}
 
     # -- canonical form --------------------------------------------------
 

@@ -26,9 +26,9 @@ register with the builtin rate 1/4 code.
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
-from .codes import CodeSpec, truncation_boundary
+from .codes import CodeSpec, _grid, _superposition, truncation_boundary
 from .cyclotomic import PhaseScalar
 from .states import RegisterState, dft_register
 
@@ -36,10 +36,10 @@ from .states import RegisterState, dft_register
 def _dual_state(state: RegisterState) -> RegisterState:
     """Fourier-transform every register of one state.
 
-    A single-basis-term ket (the classical-code case) dualizes in closed
-    form, one monomial per target ket; anything else goes through the
-    register-by-register kernel, whose intermediate fanout is fine at the
-    widths where superposed kets actually get dualized.
+    A basis ket amp |d> (the classical-code case) dualizes in closed form,
+    sum_t amp w_N^(d.t) N^(-width/2) |t> over t in product order, in one
+    array pass; anything else goes through the register-by-register kernel,
+    whose fanout is fine at the widths where superposed kets get dualized.
     """
     n, width = state.n_levels, state.width
     if len(state) != 1 or width == 0:
@@ -47,14 +47,9 @@ def _dual_state(state: RegisterState) -> RegisterState:
             state = dft_register(state, pos)
         return state
     (digits, amp), = state.terms.items()
-    # every amplitude is amp * w_2N^e / sqrt(N^width) and e only matters
-    # mod 2N, so the 2N possible scalars are built once and shared
-    scalars = [amp * PhaseScalar.monomial(n, 1, e, width) for e in range(2 * n)]
-    terms = {}
-    for target in itertools.product(range(n), repeat=width):
-        exponent = 2 * sum(v * w for v, w in zip(digits, target))
-        terms[target] = scalars[exponent % (2 * n)]
-    return RegisterState._raw(n, width, terms)
+    scalars = [amp * PhaseScalar.monomial(n, 1, 2 * s, width) for s in range(n)]
+    targets = _grid(n, width)
+    return _superposition(n, targets, targets @ np.array(digits), scalars)
 
 
 def dualize(code: CodeSpec) -> CodeSpec:

@@ -59,6 +59,15 @@ def test_dualize_emits_kets(capsys):
     assert len(report["kets"][0]["terms"]) == 8
 
 
+@pytest.mark.parametrize("label", ["shor9", "majority3"])
+def test_construct_refuses_empty_window(capsys, label):
+    code, report, err = run_cli(capsys, [
+        "construct", "--code", label, "--logical-len", "0"])
+    assert code == 2
+    assert report is None
+    assert "logical_len" in err and "unexpected" not in err
+
+
 def test_paste_pipeline(capsys):
     code, report, _ = run_cli(capsys, ["paste", "--code", "majority3"])
     assert code == 0

@@ -4,11 +4,14 @@ import itertools
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import builder_oracle
 from quditqec.channel import ChannelConfig, run_trials
-from quditqec.codes import (BUILTIN_LABELS, UNREAD, CodeSpec, MuMatrix,
-                            builtin, build_identity_code, build_qcc_from_qbc,
+from quditqec.codes import (_BUILDERS, BUILTIN_LABELS, UNREAD, CodeSpec,
+                            MuMatrix, _superposition, builtin,
+                            build_identity_code, build_qcc_from_qbc,
                             classical_conv_encode, lower_bidiagonal_mu,
                             perfect5_block)
 from quditqec.cyclotomic import PhaseScalar
@@ -265,3 +268,69 @@ def test_codespec_rejects_mixed_widths():
     bad = RegisterState.basis(2, (0,))
     with pytest.raises(ValueError):
         CodeSpec("broken", 2, 1, 2, 0, 0, 1, {(0,): good, (1,): bad})
+
+
+ORACLE_BUILDERS = {"rate14_conv": builder_oracle.build_rate14_conv,
+                   "shor9": builder_oracle.build_shor9,
+                   "perfect5": builder_oracle.build_perfect5}
+# perfect5 N=4 L=2 with flush is left out: its term loop takes minutes
+ORACLE_CASES = (
+    [("rate14_conv", n, L, flush) for n in range(2, 7) for L in (1, 2)
+     for flush in (True, False)]
+    + [("rate14_conv", 2, 5, True)]
+    + [("shor9", n, 1, True) for n in range(2, 7)]
+    + [("shor9", n, 2, True) for n in (2, 3)]
+    + [("perfect5", n, L, flush) for n in (2, 3) for L in (1, 2)
+       for flush in (True, False)]
+    + [("perfect5", n, 1, flush) for n in (4, 5) for flush in (True, False)])
+SPEC_FIELDS = ("label", "n_levels", "n", "m", "memory", "flush_depth",
+               "logical_len", "boundary_registers")
+
+
+def assert_same_code(code, reference):
+    assert [getattr(code, f) for f in SPEC_FIELDS] == \
+        [getattr(reference, f) for f in SPEC_FIELDS]
+    assert list(code.encoded_kets) == list(reference.encoded_kets)
+    for window, ket in code.encoded_kets.items():
+        assert builder_oracle.same_terms(ket, reference.encoded_kets[window])
+
+
+@pytest.mark.parametrize("label,n,L,flush", ORACLE_CASES)
+def test_superposed_builtins_match_term_loop_oracle(label, n, L, flush):
+    assert_same_code(builtin(label, n, L, flush),
+                     ORACLE_BUILDERS[label](n, L, flush))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_perfect5_block_matches_term_loop_oracle(n):
+    assert_same_code(perfect5_block(n), builder_oracle.perfect5_block(n))
+
+
+def test_one_pass_refuses_colliding_digit_strings():
+    digits = np.array([[0, 1], [1, 0], [0, 1]])
+    scalars = [PhaseScalar.exact_one(2)] * 2
+    with pytest.raises(ValueError, match="one digit string"):
+        _superposition(2, digits, np.zeros(3, dtype=int), scalars)
+
+
+@pytest.mark.parametrize("label", sorted(_BUILDERS))
+@pytest.mark.parametrize("n_levels,logical_len", [
+    (2, 0), (2, -1), (1, 1), (0, 1), (2, True), (True, 1), (2, 1.0),
+    (2.0, 1), (2, "1"), (2, None)])
+def test_builders_refuse_bad_sizes(label, n_levels, logical_len):
+    with pytest.raises(ValueError, match="n_levels|logical_len"):
+        builtin(label, n_levels, logical_len)
+
+
+@pytest.mark.parametrize("label", sorted(_BUILDERS))
+def test_builders_accept_numpy_integers(label):
+    code = builtin(label, np.int64(2), np.int64(1))
+    assert code == builtin(label, 2, 1)
+    assert code.to_manifest()["N"] == 2
+    assert type(code.logical_len) is int and type(code.n_levels) is int
+
+
+def test_perfect5_block_refuses_bad_levels():
+    for bad in (1, True, 2.0):
+        with pytest.raises(ValueError, match="n_levels"):
+            perfect5_block(bad)

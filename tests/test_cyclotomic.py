@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -143,3 +144,29 @@ def test_scalar_multiplication_by_numbers():
     assert (2 * value).equals(value + value)
     assert not (value * 0.5).is_exact
     assert (value * Fraction(1, 2)).is_exact
+
+
+def test_cached_float_leaves_exact_behaviour_unchanged():
+    def fresh():
+        return [PhaseScalar.monomial(3, Fraction(-1, 2), 1, 1),
+                PhaseScalar.monomial(3, 1, 2, 1) + PhaseScalar.monomial(3, 1, 4, 1),
+                PhaseScalar.monomial(3, 3, 5, 0), PhaseScalar.exact_zero(3)]
+    before, after = fresh(), fresh()
+    values = [a.to_complex() for a in after]
+    for a, b, z in zip(after, before, values):
+        assert a.to_complex() == b.to_complex() == z
+        assert a.is_exact and a._coeffs == b._coeffs and a._half == b._half
+        assert a.is_zero() == b.is_zero()
+        assert a.equals(b) and b.equals(a)
+    for a, b in zip(after, before):
+        for c, d in zip(after, before):
+            for op in ("__add__", "__sub__", "__mul__"):
+                x, y = getattr(a, op)(c), getattr(b, op)(d)
+                assert x.is_exact == y.is_exact
+                assert x._coeffs == y._coeffs and x._half == y._half
+        for x, y in ((-a, -b), (a.conjugate(), b.conjugate()), (a * 3, b * 3),
+                     (a.div_sqrt(Fraction(3)), b.div_sqrt(Fraction(3)))):
+            assert x._coeffs == y._coeffs and x._half == y._half
+        assert a.abs_sq_fraction() == b.abs_sq_fraction()
+    # the cached float is not pickled
+    assert [pickle.dumps(a) for a in after] == [pickle.dumps(b) for b in before]

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import builder_oracle
 from quditqec.codes import builtin, build_identity_code
 from quditqec.cyclotomic import PhaseScalar
 from quditqec.states import (RegisterState, dft_register, inner_product,
                              states_equal_up_to_phase)
-from quditqec.transforms import dualize, paste, theorem2_pipeline
+from quditqec.transforms import _dual_state, dualize, paste, theorem2_pipeline
 
 
 def assert_exact_equal(a: RegisterState, b: RegisterState):
@@ -47,6 +48,23 @@ def test_dualize_matches_register_by_register_kernel():
             slow = dft_register(slow, pos)
         dual = dualize(build_identity_code(n, width))
         assert_exact_equal(dual.encoded_kets[digits], slow)
+
+
+@pytest.mark.parametrize("label", ["majority3", "spin_conv"])
+@pytest.mark.parametrize("n,L", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_dual_of_basis_kets_matches_term_loop_oracle(label, n, L):
+    code = builtin(label, n, L)
+    dual = dualize(code)
+    for window, ket in code.encoded_kets.items():
+        assert builder_oracle.same_terms(dual.encoded_kets[window],
+                                         builder_oracle.dual_basis_state(ket))
+
+
+def test_dual_of_scaled_basis_ket_keeps_its_amplitude():
+    amp = PhaseScalar.monomial(3, Fraction(-1, 2), 1, 1)
+    ket = RegisterState(3, 2, {(2, 1): amp})
+    assert builder_oracle.same_terms(_dual_state(ket),
+                                     builder_oracle.dual_basis_state(ket))
 
 
 def test_dualize_twice_negates_digits():
