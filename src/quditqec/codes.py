@@ -130,12 +130,17 @@ class CodeSpec:
         if logical.width != self.logical_width:
             raise ValueError(
                 f"logical state must have width {self.logical_width}")
-        total: RegisterState | None = None
-        for window, amp in logical.terms.items():
-            piece = self.encoded_kets[window].scaled(amp)
-            total = piece if total is None else total + piece
-        if total is None:
+        if not logical.terms:
             raise ValueError("cannot encode the zero state")
+        # summed into one dict and pruned once
+        terms: dict = {}
+        for window, amp in logical.terms.items():
+            for digits, a in self.encoded_kets[window].terms.items():
+                piece = a * amp
+                terms[digits] = terms[digits] + piece if digits in terms \
+                    else piece
+        total = RegisterState._raw(self.n_levels, self.width, terms)
+        total._prune()
         return total
 
     def to_manifest(self) -> dict:

@@ -24,6 +24,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 # Magnitudes below this are treated as numerical zero in the float carrier.
 FLOAT_ZERO_TOL = 1e-14
 
@@ -53,6 +55,28 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
         if order % d == 0:
             poly = _polydiv(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
     return tuple(int(c) for c in poly)
+
+
+@lru_cache(maxsize=None)
+def residue_matrix(order: int) -> np.ndarray:
+    """Integer matrix R of shape (order, phi(order)) whose row d holds the
+    coefficients of x^d modulo the order-th cyclotomic polynomial.
+
+    For w a primitive order-th root of unity, sum_d c_d w^d equals
+    sum_k (c @ R)_k w^k, and with integer c the value is zero iff the
+    integer vector c @ R is.  The array is read-only.
+    """
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    rows = np.zeros((order, deg), dtype=np.int64)
+    rows[:deg] = np.eye(deg, dtype=np.int64)
+    for d in range(deg, order):
+        # x^d = x * x^(d-1); the monic polynomial rewrites x^deg
+        top = rows[d - 1, -1]
+        rows[d, 1:] = rows[d - 1, :-1]
+        rows[d] -= top * np.array(phi[:deg], dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
 
 
 def _reduced(coeffs: dict[int, Fraction], order: int) -> tuple[Fraction, ...]:
@@ -128,6 +152,14 @@ class PhaseScalar:
     @property
     def n_levels(self) -> int | None:
         return self._n
+
+    @property
+    def parts(self) -> tuple[dict[int, Fraction], int] | None:
+        """(coefficients by exponent, half) of an exact value, which is
+        sum_e c_e w**e / N**(half/2); None for a float."""
+        if self._coeffs is None:
+            return None
+        return dict(self._coeffs), self._half
 
     def to_complex(self) -> complex:
         if self._val is not None:

@@ -29,8 +29,15 @@ that ran):
   eigenvalues are the class count and the class sizes.  It is built as
   CSR and handed over dense on a pass with at most
   ``LAMBDA_SUMMARY_MAX`` patterns.
-* ``exact`` walks operator pairs with cyclotomic amplitudes and certifies
-  zeros symbolically; it is meant for small widths.
+* ``exact`` certifies zeros symbolically.  It writes each ket as integer
+  numerators on the lattice of order-2N roots of unity, applies the
+  patterns there (Weyl and spin flips only move digits and add to
+  exponents), forms the same Gram blocks as integer sparse products and
+  decides each entry by its canonical residue modulo the cyclotomic
+  polynomial.  Inputs that ``PhaseScalar`` carries in floats (phase shifts,
+  general matrices, inexact amplitudes, a ket that mixes the parity of
+  sqrt(N)) take the sparse Gram, where an entry counts when its magnitude
+  is at least ``FLOAT_ZERO_TOL``.
 
 A float check runs the syndrome engine when every pattern is Weyl (or
 the identity) and a stabilizer reads off the kets, and the sparse Gram
@@ -64,6 +71,7 @@ from scipy.sparse import csr_matrix, issparse
 from scipy.sparse import identity as sparse_identity
 
 from .codes import UNREAD, CodeSpec
+from .cyclotomic import FLOAT_ZERO_TOL, residue_matrix
 from .errors import PatternFamily, apply_pattern
 from .states import RegisterState, inner_product
 
@@ -111,8 +119,9 @@ class KLReport:
     """Outcome of one check.
 
     ``lam`` holds the lambda matrix in the form the engine produced it: a
-    scipy CSR matrix from ``sparse-float``, a dense array from ``exact``.
-    ``syndrome`` builds CSR holding only the entries that can be nonzero
+    scipy CSR matrix from ``sparse-float``; from ``exact`` a dense array
+    up to ``LAMBDA_SUMMARY_MAX`` patterns and CSR above.  ``syndrome``
+    builds CSR holding only the entries that can be nonzero
     (pairs of one full label, and failing pairs whose reference overlap
     is nonzero) and hands over a dense array on a pass with at most
     ``LAMBDA_SUMMARY_MAX`` patterns.  Entry (a, b) is <v_0| A^dag B |v_0>,
@@ -355,22 +364,35 @@ def _blocks_after_reference(dim: int):
         itertools.combinations_with_replacement(range(dim), 2), 1, None)
 
 
-def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
-    """Cached sparse Gram: one family matrix per logical word, built and
-    column-compacted once, then the blocks (i, j >= i) in order."""
+def _float_family(code: CodeSpec, patterns):
+    """One float family matrix per logical word, built and column-compacted
+    once, and lambda, the reference block (0, 0), as sorted CSR."""
     mats = _compact_columns([
         _family_matrix(code.encoded_kets[w], patterns, code.n_levels,
                        code.width) for w in code.logical_windows()])
     lam = (mats[0].conj() @ mats[0].T).tocsr()
     lam.sort_indices()
-    scan = _Scan(code, patterns, tol, lam)
+    return mats, lam
+
+
+def _sparse_blocks(mats: list[csr_matrix], lam: csr_matrix):
+    """The Gram blocks (i, j >= i) after the reference, in order, as
+    (i, j, COO entries in (a, b) order); a diagonal block less lambda."""
     for i, j in _blocks_after_reference(len(mats)):
         gram = (mats[i].conj() @ mats[j].T).tocsr()
         if i == j:
             gram = (gram - lam).tocsr()
         # sorted CSR reads out row-major, the (a, b) order the scan needs
         gram.sort_indices()
-        coo = gram.tocoo()
+        yield i, j, gram.tocoo()
+
+
+def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
+    """Cached sparse Gram: one family matrix per logical word, built and
+    column-compacted once, then the blocks (i, j >= i) in order."""
+    mats, lam = _float_family(code, patterns)
+    scan = _Scan(code, patterns, tol, lam)
+    for i, j, coo in _sparse_blocks(mats, lam):
         scan.add(i, (j,), coo.row, coo.col, coo.data[None, :])
         if fail_fast and scan.max_dev > tol:
             break
@@ -396,33 +418,250 @@ def _weyl_exponents(code: CodeSpec, patterns):
     return shifts, phases
 
 
-def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
-    """Cyclotomic overlaps, block by block as in the sparse Gram; an entry
-    counts when its deviation is not a symbolic zero.  Returns (scan,
-    failed, lam), ``lam`` the reference block on either verdict."""
-    logicals = code.logical_windows()
-    applied = [[apply_pattern(code.encoded_kets[w], p) for p in patterns]
-               for w in logicals]
-    reference = [[inner_product(x, y) for y in applied[0]] for x in applied[0]]
-    lam = np.array([[r.to_complex() for r in row] for row in reference])
-    scan = _Scan(code, patterns, tol, lam)
+# -- the exact engine ---------------------------------------------------------
+#
+# An exact amplitude is sum_e c_e w^e / sqrt(N)^h with w = exp(2 pi i / 2N)
+# and rational c_e.  Over the lcm D of the denominators, a ket whose terms
+# share one h is an integer vector on the lattice Z[w], one entry per
+# (basis string, exponent).  Exact operators keep the lattice: X^a Z^b moves
+# a digit and adds 2 b digit to the exponent, a spin flip moves the digit
+# (entries that land on one string and exponent are summed), and the
+# identity does nothing.  With one integer row per (pattern a, exponent e),
+# the Gram product X_i X_j^T holds at ((a, e), (b, u)) the coefficient of
+# w^(u - e) in <A v_i | B v_j> D^2 sqrt(N)^(h_i + h_j).  Folded by
+# (a, b, (u - e) mod 2N) and multiplied by ``residue_matrix(2N)``, it gives
+# each overlap's canonical residue, which is zero iff the overlap is.
+
+
+@dataclass
+class _Lattice:
+    """The logical words' kets as integer entries on the lattice Z[w]."""
+
+    digits: list[np.ndarray]      # (entries, width) basis strings
+    exponents: list[np.ndarray]   # exponent of w, mod 2N
+    numerators: list[np.ndarray]  # coefficient times ``denominator``
+    halves: list[int]             # each ket's power of sqrt(N) below
+    denominator: int
+
+
+def _read_lattice(code: CodeSpec, patterns) -> _Lattice | None:
+    """The kets on the lattice, or None for an input that ``PhaseScalar``
+    carries in floats: an operator other than Weyl, spin flip and the
+    identity, an inexact amplitude, or a ket whose terms mix the parity of
+    sqrt(N).
+
+    Every Gram entry is at most fan-in x max|numerator|^2 x terms, with
+    the numerator of a term summed over its exponents and the fan-in the
+    most strings a pattern's spin flips map onto one.  A ValueError
+    refuses kets for which that bound, times 2N for the diagonal's common
+    scale and the residue, could overflow int64.
+    """
+    n, order = code.n_levels, 2 * code.n_levels
+    if any(op.kind not in ("weyl", "spin_flip", "identity")
+           for pattern in patterns for _, op in pattern.ops):
+        return None
+    kets = []
+    for w in code.logical_windows():
+        terms = code.encoded_kets[w].terms
+        parts = [amp.parts for amp in terms.values()]
+        if any(p is None for p in parts) or len({h for _, h in parts}) > 1:
+            return None
+        kets.append((terms, parts))
+    coefficients = [list(coeffs.values()) for _, parts in kets
+                    for coeffs, _ in parts]
+    denominator = math.lcm(*(c.denominator for cs in coefficients
+                             for c in cs))
+    peak = max((sum(map(abs, cs)) for cs in coefficients), default=0)
+    fan_in = max((math.prod(
+        np.bincount(np.array(op.table) % n).max()
+        for _, op in pattern.ops if op.kind == "spin_flip")
+        for pattern in patterns), default=1)
+    bound = int(fan_in * (peak * denominator) ** 2
+                * max(len(terms) for terms, _ in kets))
+    limit = (2 ** 63 - 1) // (order * int(np.abs(residue_matrix(order)).max()))
+    if bound > limit:
+        raise ValueError(
+            f"exact overlaps of {code.label!r} may reach {bound} (fan-in x "
+            f"max|numerator|^2 x terms), past the int64 bound {limit}")
+    lattice = _Lattice([], [], [], [], denominator)
+    for terms, parts in kets:
+        counts = [len(coeffs) for coeffs, _ in parts]
+        lattice.digits.append(np.repeat(
+            np.array(list(terms), dtype=np.int64).reshape(-1, code.width),
+            counts, axis=0))
+        lattice.exponents.append(np.fromiter(
+            (e % order for coeffs, _ in parts for e in coeffs), np.int64))
+        lattice.numerators.append(np.fromiter(
+            (int(c * denominator) for coeffs, _ in parts
+             for c in coeffs.values()), np.int64))
+        lattice.halves.append(parts[0][1] if parts else 0)
+    return lattice
+
+
+def _lattice_matrices(lattice: _Lattice, patterns, n: int,
+                      width: int) -> list[csr_matrix]:
+    """Each ket's family matrix on the lattice: row a 2N + e holds the
+    integer entries of pattern a applied to the ket at exponent e, and the
+    columns are the basis strings that occur in any of them, keyed by grid
+    index or, where N^width reaches 2^62, by digit row."""
+    order, size = 2 * n, len(patterns)
+    narrow = n ** width < 2 ** 62
+    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    groups: dict = {}
+    for p_idx, pattern in enumerate(patterns):
+        for pos, op in pattern.ops:
+            if op.kind != "identity":
+                groups.setdefault((pos, op), []).append(p_idx)
+    keys, rows, data = [], [], []
+    for digits, exponents, numerators in zip(
+            lattice.digits, lattice.exponents, lattice.numerators):
+        # one grid index per pattern and entry, or one digit row
+        moved = np.tile(digits @ place, (size, 1)) if narrow \
+            else np.tile(digits, (size, 1, 1))
+        shifted = np.tile(exponents, (size, 1))
+        for (pos, op), members in groups.items():
+            # no other operator of a pattern touches this register, so its
+            # digits are still the ket's own
+            digit = digits[:, pos - 1]
+            if op.kind == "weyl":
+                new = (digit + op.a) % n
+                shifted[members] += 2 * (op.b % n) * digit
+            else:
+                if len(op.table) != n:
+                    raise ValueError(
+                        "spin flip table length does not match n_levels")
+                new = np.array(op.table)[digit] % n
+            if narrow:
+                moved[members] += (new - digit) * place[pos - 1]
+            else:
+                moved[members, :, pos - 1] = new
+        keys.append(moved.reshape(-1, *moved.shape[2:]))
+        rows.append((np.arange(size)[:, None] * order
+                     + shifted % order).ravel())
+        data.append(np.tile(numerators, size))
+    occupied, columns = np.unique(np.concatenate(keys), axis=0,
+                                  return_inverse=True)
+    columns = np.split(columns.ravel(),
+                       np.cumsum([len(k) for k in keys])[:-1])
+    mats = []
+    for row, col, values in zip(rows, columns, data):
+        # duplicates, from spin flips that are no permutation, are summed
+        mat = csr_matrix((values, (row, col)),
+                         shape=(size * order, len(occupied)))
+        mat.eliminate_zeros()
+        mats.append(mat)
+    return mats
+
+
+def _fold(keys: np.ndarray, values: np.ndarray):
+    """Sorted distinct keys, which are nonnegative, and the integer sum of
+    the values of each."""
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[start], np.add.reduceat(values, start)
+
+
+def _gram_block(mats: list[csr_matrix], i: int, j: int, order: int):
+    """Block (i, j) folded: keys (a |F| + b) 2N + d in order, and the
+    integer coefficient of w^d in <A v_i | B v_j> D^2 sqrt(N)^(h_i + h_j)
+    at each."""
+    gram = (mats[i] @ mats[j].T).tocoo()
+    size = mats[i].shape[0] // order
+    a, e = np.divmod(gram.row.astype(np.int64), order)
+    b, u = np.divmod(gram.col.astype(np.int64), order)
+    return _fold((a * size + b) * order + (u - e) % order, gram.data)
+
+
+def _residues(keys: np.ndarray, values: np.ndarray, order: int):
+    """The pairs a |F| + b of folded keys, in order, and the canonical
+    residue of each pair's overlap, one integer row each."""
+    pair, power = np.divmod(keys, order)
+    new = np.diff(pair, prepend=-1) != 0
+    coefficients = np.zeros((int(new.sum()), order), dtype=np.int64)
+    coefficients[np.cumsum(new) - 1, power] = values
+    return pair[new], coefficients @ residue_matrix(order)
+
+
+def _lattice_value(residue: np.ndarray, order: int,
+                   scale: float) -> np.ndarray:
+    """Complex values of residue rows over ``scale``, summed in one fixed
+    order, so that equal residues give bit-equal floats."""
+    total = np.zeros(len(residue), dtype=complex)
+    for k in range(residue.shape[1]):
+        total += residue[:, k] * np.exp(2j * np.pi * k / order)
+    return total / scale
+
+
+def _lambda_out(lam: csr_matrix):
+    """Lambda as the report holds it: dense up to ``LAMBDA_SUMMARY_MAX``
+    patterns, where the summary densifies it anyway, and CSR above."""
+    return lam.toarray() if lam.shape[0] <= LAMBDA_SUMMARY_MAX else lam
+
+
+def _scan_counted(scan: _Scan, blocks, fail_fast: bool) -> bool:
+    """Feed each block's counted entries, (i, j, a, b, deviation) in
+    (a, b) order, to the scan, and under ``fail_fast`` only the first one
+    of all.  True when an entry counted."""
     failed = False
-    for i, j in _blocks_after_reference(len(logicals)):
-        counted = []
-        for a, b in itertools.product(range(len(patterns)), repeat=2):
-            value = inner_product(applied[i][a], applied[j][b])
-            diff = value - reference[a][b] if i == j else value
-            if not diff.is_zero():
-                counted.append((a, b, diff.to_complex(), value.to_complex()))
-                if fail_fast:
-                    break
-        if counted:
-            failed = True
-            a, b, deviation, observed = (np.array(c) for c in zip(*counted))
-            scan.add(i, (j,), a, b, deviation[None, :], observed[None, :])
-            if fail_fast:
-                break
-    return scan, failed, lam
+    for i, j, a, b, deviation in blocks:
+        if not a.size:
+            continue
+        failed = True
+        if fail_fast:
+            a, b, deviation = a[:1], b[:1], deviation[:1]
+        scan.add(i, (j,), a, b, deviation[None, :])
+        if fail_fast:
+            break
+    return failed
+
+
+def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
+    """Integer Gram blocks on the cyclotomic lattice, in the block order of
+    the sparse Gram; an entry counts when its residue is not zero.  Inputs
+    that ``PhaseScalar`` carries in floats take the sparse Gram, where an
+    entry counts when its magnitude is not below ``FLOAT_ZERO_TOL``.
+    Returns (scan, failed, lam), ``lam`` the reference block on either
+    verdict."""
+    lattice = _read_lattice(code, patterns)
+    if lattice is None:
+        mats, lam = _float_family(code, patterns)
+        scan = _Scan(code, patterns, tol, lam)
+        blocks = ((i, j, coo.row[live], coo.col[live], coo.data[live])
+                  for i, j, coo in _sparse_blocks(mats, lam)
+                  for live in [np.abs(coo.data) >= FLOAT_ZERO_TOL])
+        return scan, _scan_counted(scan, blocks, fail_fast), _lambda_out(lam)
+    n, size, order = code.n_levels, len(patterns), 2 * code.n_levels
+    mats = _lattice_matrices(lattice, patterns, n, code.width)
+    h = lattice.halves
+    square = lattice.denominator ** 2
+    ref_keys, ref_values = _gram_block(mats, 0, 0, order)
+    pairs, residue = _residues(ref_keys, ref_values, order)
+    live = residue.any(axis=1)
+    lam = _lambda_out(csr_matrix(
+        (_lattice_value(residue[live], order, square * n ** h[0]),
+         np.divmod(pairs[live], size)), shape=(size, size)))
+    scan = _Scan(code, patterns, tol, lam)
+
+    def blocks():
+        for i, j in _blocks_after_reference(len(mats)):
+            keys, values = _gram_block(mats, i, j, order)
+            if i == j:
+                # v_i's overlaps less lambda, over D^2 N^(h_i + h_0)
+                keys, values = _fold(
+                    np.concatenate([keys, ref_keys]),
+                    np.concatenate([values * n ** h[0],
+                                    -ref_values * n ** h[i]]))
+                scale = square * n ** (h[i] + h[0])
+            else:
+                scale = square * n ** ((h[i] + h[j]) // 2) \
+                    * math.sqrt(n) ** ((h[i] + h[j]) % 2)
+            pairs, residue = _residues(keys, values, order)
+            live = residue.any(axis=1)
+            a, b = np.divmod(pairs[live], size)
+            yield i, j, a, b, _lattice_value(residue[live], order, scale)
+
+    return scan, _scan_counted(scan, blocks(), fail_fast), lam
 
 
 # -- the syndrome engine ------------------------------------------------------
@@ -865,10 +1104,11 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     (or the identity) and a stabilizer reads off the code's kets, and the
     ``sparse-float`` engine otherwise; ``report.engine`` names it.  Exact
     mode demands symbolic zeros and reports the float magnitude of any
-    residue it finds.  All three engines pick witnesses and boundary
-    witnesses through one accumulator, and every passing report carries a
-    lambda summary (the syndrome engine's in closed form, the others' up
-    to ``LAMBDA_SUMMARY_MAX`` patterns).
+    residue it finds; it refuses, with a ValueError, kets whose integer
+    overlaps could overflow int64.  All three engines pick witnesses and
+    boundary witnesses through one accumulator, and every passing report
+    carries a lambda summary (the syndrome engine's in closed form, the
+    others' up to ``LAMBDA_SUMMARY_MAX`` patterns).
 
     `fail_fast` stops early once a deviation above `tol` is found: the
     sparse Gram and the syndrome engine after the first (i, j) logical

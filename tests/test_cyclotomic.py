@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quditqec.cyclotomic import PhaseScalar, cyclotomic_polynomial, root_of_unity
+from quditqec.cyclotomic import (PhaseScalar, cyclotomic_polynomial,
+                                 residue_matrix, root_of_unity)
 
 
 def test_root_of_unity_values():
@@ -35,6 +36,29 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
+
+
+def test_residue_matrix_reduces_every_power():
+    for order in range(4, 15, 2):
+        rows = residue_matrix(order)
+        degree = len(cyclotomic_polynomial(order)) - 1
+        assert rows.shape == (order, degree) and rows.dtype == np.int64
+        roots = np.exp(2j * np.pi * np.arange(degree) / order)
+        for d in range(order):
+            assert abs(rows[d] @ roots - cmath.exp(2j * cmath.pi * d / order)) \
+                < 1e-12
+        # 1 + w^2 + ... + w^(order - 2) is zero whenever order / 2 > 1
+        assert not rows[::2].sum(axis=0).any()
+    assert not residue_matrix(6).flags.writeable
+
+
+def test_parts_expose_coefficients_and_half():
+    value = PhaseScalar.monomial(3, Fraction(1, 2), 4, 1)
+    coeffs, half = value.parts
+    assert coeffs == {4: Fraction(1, 2)} and half == 1
+    coeffs[0] = Fraction(7)
+    assert value.parts[0] == {4: Fraction(1, 2)}
+    assert PhaseScalar.from_complex(0.5j).parts is None
 
 
 def test_exact_cancellation():

@@ -164,6 +164,23 @@ def test_pipeline_twice_gives_rate_one_eightyfirst_isometry():
         assert ket.norm_sq_fraction() == 1
 
 
+def test_pipeline_at_l4_is_rate14_conv_up_to_one_global_unit():
+    # the encoder sums the outer kets into one dict and prunes once, so
+    # L=4 (16 kets of 256 terms, 16 outer kets each) takes about 0.1 s
+    pipe = theorem2_pipeline(builtin("spin_conv", 2, 4))
+    direct = builtin("rate14_conv", 2, 4)
+    windows = direct.logical_windows()
+    assert pipe.logical_windows() == windows
+    first = min(direct.encoded_kets[windows[0]].terms)
+    a = pipe.encoded_kets[windows[0]].amplitude(first)
+    b = direct.encoded_kets[windows[0]].amplitude(first)
+    unit = b * a.conjugate() * (1 / a.abs_sq_fraction())
+    assert unit.abs_sq_fraction() == 1
+    for window in windows:
+        assert pipe.encoded_kets[window].scaled(unit) == \
+            direct.encoded_kets[window]
+
+
 def test_paste_metadata_for_convolutional_inputs():
     pipe = theorem2_pipeline(builtin("spin_conv", 2, 2))
     direct = builtin("rate14_conv", 2, 2)

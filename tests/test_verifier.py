@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import issparse
 
+import exact_oracle
 import quditqec.verifier as verifier
 from dense_oracle import dense_kl_check, dense_kl_deviation
 from quditqec.codes import (CodeSpec, build_identity_code, build_qcc_from_qbc,
@@ -12,7 +13,7 @@ from quditqec.cyclotomic import PhaseScalar
 from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
                              enumerate_family, general, identity, phase_shift,
                              spin_flip, weyl)
-from quditqec.states import RegisterState, inner_product
+from quditqec.states import RegisterState
 from quditqec.transforms import dualize, theorem2_pipeline
 from quditqec.verifier import (VerificationError, kl_check, lambda_matrix,
                                reevaluate_witness)
@@ -179,6 +180,13 @@ def witness_key(w):
     return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
 
 
+def wide_repetition_code():
+    """|0...0> and |1...1> on 64 registers: N^width is 2^64."""
+    one = PhaseScalar.exact_one(2)
+    return CodeSpec("repetition", 2, 1, 64, 0, 0, 1, {
+        (d,): RegisterState(2, 64, {(d,) * 64: one}) for d in (0, 1)})
+
+
 # (code, family, float engine) small enough for the exact engine: identity
 # codes have no boundary, spin_conv at L=3 has an interior and a boundary,
 # the duals run on the syndrome engine, and the phase shifts are no Weyl
@@ -227,18 +235,106 @@ def test_exact_engine_agrees_with_float(monkeypatch, code, family, engine):
         kl_check(code, family, fail_fast=True).verdict == exact.verdict
 
 
-def test_exact_engine_takes_the_reference_block_once(monkeypatch):
-    calls = []
+# every exact case, and inputs with a square-root scale, composite N and a
+# spin flip that is no permutation, checked against the dict walk
+ORACLE_CASES = [pytest.param(*case.values[:2], id=case.id)
+                for case in EXACT_CASES] + [
+    pytest.param(dualize(builtin("majority3", 3, 1)), phase_family(3, 3, 3),
+                 id="dual-majority3-N3-phases"),
+    pytest.param(builtin("majority3", 4, 1), weyl_family(3, 3, 1, 4),
+                 id="majority3-N4"),
+    pytest.param(builtin("majority3", 3, 1),
+                 enumerate_family(3, 3, 1, n_levels=3,
+                                  basis=(spin_flip([0, 0, 2]),)),
+                 id="majority3-N3-non-injective-flip"),
+    pytest.param(builtin("shor9", 3, 1),
+                 weyl_family(9, 9, 1, 3).restricted((1, 2, 3)),
+                 id="shor9-N3"),
+    pytest.param(wide_repetition_code(), weyl_family(64, 64, 1, 2).restricted(
+        (1, 2, 64)), id="repetition-width-64"),
+]
 
-    def counted(a, b):
-        calls.append(None)
-        return inner_product(a, b)
-    monkeypatch.setattr(verifier, "inner_product", counted)
+
+@pytest.mark.parametrize("code, family", ORACLE_CASES)
+def test_exact_engine_agrees_with_the_dict_walk(monkeypatch, code, family):
+    reports = [kl_check(code, family, exact=True, fail_fast=fail_fast)
+               for fail_fast in (False, True)]
+    monkeypatch.setattr(verifier, "_exact_engine", exact_oracle.exact_engine)
+    oracles = [kl_check(code, family, exact=True, fail_fast=fail_fast)
+               for fail_fast in (False, True)]
+    for report, oracle in zip(reports, oracles):
+        assert report.verdict == oracle.verdict
+        assert (report.witness is None) == (oracle.witness is None)
+        if report.witness is not None and \
+                witness_key(report.witness) != witness_key(oracle.witness):
+            # the dict walk's floats can split a tie of magnitudes, such as
+            # |w^2 - 1| and |w^4 - 1| at N=3; the engine keeps the earliest
+            # entry of the tie
+            assert abs(report.witness.deviation
+                       - oracle.witness.deviation) < 1e-12
+            assert witness_key(report.witness) < witness_key(oracle.witness)
+        assert [witness_key(w) for w in report.boundary_witnesses] == \
+            [witness_key(w) for w in oracle.boundary_witnesses]
+        assert report.interior_verdict == oracle.interior_verdict
+        assert abs(report.max_deviation - oracle.max_deviation) < 1e-12
+        assert report.lambda_samples.keys() == oracle.lambda_samples.keys()
+        for key, value in oracle.lambda_samples.items():
+            assert abs(report.lambda_samples[key] - value) < 1e-12
+
+
+def test_exact_engine_takes_the_reference_block_once(monkeypatch):
+    calls, gram_block = [], verifier._gram_block
+
+    def counted(mats, i, j, order):
+        calls.append(((i, j), gram_block(mats, i, j, order)))
+        return calls[-1][1]
+    monkeypatch.setattr(verifier, "_gram_block", counted)
     report = kl_check(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2),
                       exact=True)
+    monkeypatch.undo()
     assert report.passed
-    # 28 patterns, 2 logical words: blocks (0, 0), (0, 1) and (1, 1)
-    assert len(calls) == 3 * 28 ** 2 == 2352
+    # 28 patterns, 2 logical words: blocks (0, 0), (0, 1) and (1, 1) once
+    assert [block for block, _ in calls] == [(0, 0), (0, 1), (1, 1)]
+    # lambda is block (0, 0): its nonzero entries are the pairs whose
+    # residue there is not zero
+    pairs, residue = verifier._residues(*calls[0][1], 4)
+    assert np.array_equal(np.flatnonzero(report.lam),
+                          pairs[residue.any(axis=1)])
+
+
+def test_exact_lambda_is_csr_above_the_summary_cap(monkeypatch):
+    code, family = builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2)
+    dense = kl_check(code, family, exact=True).lam
+    monkeypatch.setattr(verifier, "LAMBDA_SUMMARY_MAX", 27)
+    report = kl_check(code, family, exact=True)
+    assert issparse(report.lam)
+    assert np.array_equal(report.lam.toarray(), dense)
+    assert np.array_equal(
+        lambda_matrix(code, family, precomputed=report).matrix, dense)
+
+
+def test_exact_engine_refuses_overlaps_past_int64():
+    big = PhaseScalar.monomial(2, 2 ** 31)
+    code = CodeSpec("huge", 2, 1, 3, 0, 0, 1, {
+        (0,): RegisterState(2, 3, {(0, 0, 0): big}),
+        (1,): RegisterState(2, 3, {(1, 1, 1): big})})
+    with pytest.raises(ValueError, match="int64 bound"):
+        kl_check(code, weyl_family(3, 3, 1, 2), exact=True)
+    # the float engines do not need the bound
+    assert kl_check(code, weyl_family(3, 3, 1, 2)).verdict == "fail"
+
+
+def test_exact_engine_runs_the_window_4_rate14_conv_case():
+    # the dict walk took 148 s on these 901 patterns
+    code = builtin("rate14_conv", 2, 2)
+    family = enumerate_family(code.width, 4, 1, n_levels=2)
+    assert len(family) == 901
+    exact, floats = (kl_check(code, family, exact=flag)
+                     for flag in (True, False))
+    assert exact.verdict == floats.verdict == "fail"
+    assert abs(exact.max_deviation - floats.max_deviation) < 1e-12
+    deviation = reevaluate_witness(code, family, exact.witness)
+    assert abs(deviation - exact.witness.deviation) < 1e-12
 
 
 def test_characteristic_witnesses_reevaluate():
