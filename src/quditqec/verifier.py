@@ -506,7 +506,8 @@ def _lattice_matrices(lattice: _Lattice, patterns, n: int,
     index or, where N^width reaches 2^62, by digit row."""
     order, size = 2 * n, len(patterns)
     narrow = n ** width < 2 ** 62
-    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64) if narrow \
+        else None
     groups: dict = {}
     for p_idx, pattern in enumerate(patterns):
         for pos, op in pattern.ops:

@@ -291,7 +291,6 @@ def test_exact_engine_takes_the_reference_block_once(monkeypatch):
     monkeypatch.setattr(verifier, "_gram_block", counted)
     report = kl_check(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2),
                       exact=True)
-    monkeypatch.undo()
     assert report.passed
     # 28 patterns, 2 logical words: blocks (0, 0), (0, 1) and (1, 1) once
     assert [block for block, _ in calls] == [(0, 0), (0, 1), (1, 1)]
