@@ -211,31 +211,66 @@ def _ket_digits(ket: RegisterState,
     return digits.reshape(-1, width), amps
 
 
-def _family_matrix(ket: RegisterState, patterns, n_levels: int,
-                   width: int) -> csr_matrix:
-    """Sparse matrix whose row p is pattern p applied to the ket.
+def _register_places(n: int, width: int):
+    """Cut the registers, left to right, into runs whose grid index stays
+    below 2^62: (run, place) of each register and the number of runs.
+    Where N^width < 2^62 the one run's grid index is the string's own."""
+    per = 1
+    while per < width and n ** (per + 1) < 2 ** 62:
+        per += 1
+    index = np.arange(width)
+    run = index // per
+    end = np.minimum((run + 1) * per, width)
+    place = np.array([n ** int(k) for k in end - 1 - index], dtype=np.int64)
+    return run, place, -(-width // per)
+
+
+def _string_keys(digits: np.ndarray, n: int) -> np.ndarray:
+    """The run grid indices of digit rows, one row per run."""
+    run, place, runs = _register_places(n, digits.shape[1])
+    return np.stack([digits[:, run == r] @ place[run == r]
+                     for r in range(runs)])
+
+
+def _rank_strings(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each column's rank among the distinct columns of ``keys``, in
+    lexicographic order, which is grid order, and their number."""
+    # np.lexsort's order, least significant run first and each later
+    # sort stable, but a lone run takes the faster unstable sort
+    order = np.argsort(keys[-1])
+    for key in keys[-2::-1]:
+        order = order[np.argsort(key[order], kind="stable")]
+    ranked = keys[:, order]
+    new = np.ones(keys.shape[1], dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+    rank = np.empty(keys.shape[1], dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, int(new.sum())
+
+
+def _family_entries(ket: RegisterState, patterns, n_levels: int,
+                    width: int):
+    """Pattern p applied to the ket, for every p, as CSR rows p:
+    (indptr, keys, amplitudes), ``keys`` the ``_string_keys`` of each
+    entry's basis string.  Duplicate strings in a row are not yet summed.
 
     One-branch operators (Weyl, spin flip, phase shift, identity) act
     first, register by register in ascending position: each moves the
     terms of all patterns that hold it at that position in one numpy pass.
     ``general`` operators then fan each term they touch out to at most N
     branches.  Operators on different registers commute, so the order does
-    not change the result.  Duplicate entries (non-injective spin flips,
-    fan-out) are summed, so the result is a canonical CSR matrix.
+    not change the result.
     """
     n = n_levels
-    if n ** width >= 2 ** 62:
-        raise ValueError(f"{n}^{width} basis indices overflow int64")
-    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    run, place, _ = _register_places(n, width)
     digits, base_amps = _ket_digits(ket, width)
-    base_cols = digits @ place
     groups: dict = {}
     for p_idx, pattern in enumerate(patterns):
         for pos, op in pattern.ops:
             groups.setdefault((pos, op), []).append(p_idx)
     size = len(patterns)
     # one row of terms per pattern while every operator keeps one branch
-    cols = np.tile(base_cols, (size, 1))
+    keys = np.tile(_string_keys(digits, n)[:, None, :], (1, size, 1))
     amps = np.tile(base_amps, (size, 1))
     fanning = []
     for (pos, op), members in sorted(groups.items(),
@@ -248,49 +283,49 @@ def _family_matrix(ket: RegisterState, patterns, n_levels: int,
         # digits are still the ket's own
         perm, phase = table
         rows = np.array(members)
-        digit = (base_cols // place[pos - 1]) % n
-        cols[rows] += (perm[digit] - digit) * place[pos - 1]
+        digit = digits[:, pos - 1]
+        keys[run[pos - 1], rows] += (perm[digit] - digit) * place[pos - 1]
         amps[rows] *= phase[digit]
-    cols, amps = cols.ravel(), amps.ravel()
-    counts = np.full(size, base_cols.size)
+    keys, amps = keys.reshape(len(keys), -1), amps.ravel()
+    counts = np.full(size, len(digits))
     if fanning:
-        rows = np.repeat(np.arange(size), base_cols.size)
+        rows = np.repeat(np.arange(size), len(digits))
         for pos, op, members in fanning:
             matrix = np.array(op.matrix, dtype=np.complex128)
             member = np.zeros(size, dtype=bool)
             member[members] = True
             hit = member[rows]
-            digit = (cols[hit] // place[pos - 1]) % n
+            r, step = run[pos - 1], place[pos - 1]
+            digit = (keys[r, hit] // step) % n
             factor = matrix[:, digit]
             live = factor != 0
-            shift = (np.arange(n)[:, None] - digit) * place[pos - 1]
+            moved = np.repeat(keys[:, None, hit], n, axis=1)
+            moved[r] += (np.arange(n)[:, None] - digit) * step
             rows = np.concatenate([rows[~hit], np.broadcast_to(
                 rows[hit], factor.shape)[live]])
-            cols = np.concatenate([cols[~hit], (cols[hit] + shift)[live]])
+            keys = np.concatenate([keys[:, ~hit], moved[:, live]], axis=1)
             amps = np.concatenate([amps[~hit], (amps[hit] * factor)[live]])
         order = np.argsort(rows, kind="stable")
-        cols, amps = cols[order], amps[order]
+        keys, amps = keys[:, order], amps[order]
         counts = np.bincount(rows, minlength=size)
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    mat = csr_matrix((amps, cols, indptr), shape=(size, n ** width))
+    return indptr, keys, amps
+
+
+def _family_matrix(ket: RegisterState, patterns, n_levels: int,
+                   width: int) -> csr_matrix:
+    """Sparse matrix whose row p is pattern p applied to the ket, one
+    column per grid index.  Duplicate entries (non-injective spin flips,
+    fan-out) are summed, so the result is a canonical CSR matrix."""
+    n = n_levels
+    if n ** width >= 2 ** 62:
+        raise ValueError(f"{n}^{width} basis indices overflow int64")
+    indptr, keys, amps = _family_entries(ket, patterns, n, width)
+    mat = csr_matrix((amps, keys[0], indptr),
+                     shape=(len(patterns), n ** width))
     mat.sum_duplicates()
     return mat
-
-
-def _compact_columns(mats: list[csr_matrix]) -> list[csr_matrix]:
-    """Drop columns that are zero in every matrix, keeping a shared mapping.
-
-    Gram blocks between the matrices are unchanged, but transposes and
-    products no longer scale with N^width, which matters from width ~20 up.
-    """
-    occupied = np.unique(np.concatenate([m.indices for m in mats]))
-    out = []
-    for m in mats:
-        indices = np.searchsorted(occupied, m.indices).astype(m.indices.dtype)
-        out.append(csr_matrix((m.data, indices, m.indptr),
-                              shape=(m.shape[0], occupied.size)))
-    return out
 
 
 def _key(w: KLWitness):
@@ -365,11 +400,21 @@ def _blocks_after_reference(dim: int):
 
 
 def _float_family(code: CodeSpec, patterns):
-    """One float family matrix per logical word, built and column-compacted
-    once, and lambda, the reference block (0, 0), as sorted CSR."""
-    mats = _compact_columns([
-        _family_matrix(code.encoded_kets[w], patterns, code.n_levels,
-                       code.width) for w in code.logical_windows()])
+    """One float family matrix per logical word, built once, and lambda,
+    the reference block (0, 0), as sorted CSR.  The columns are the basis
+    strings that occur in any of the matrices, in grid order, so products
+    do not scale with N^width and any width fits."""
+    size = len(patterns)
+    entries = [_family_entries(code.encoded_kets[w], patterns, code.n_levels,
+                               code.width) for w in code.logical_windows()]
+    columns, count = _rank_strings(
+        np.concatenate([keys for _, keys, _ in entries], axis=1))
+    mats = []
+    for (indptr, _, amps), cols in zip(entries, np.split(
+            columns, np.cumsum([len(amps) for _, _, amps in entries])[:-1])):
+        mat = csr_matrix((amps, cols, indptr), shape=(size, count))
+        mat.sum_duplicates()
+        mats.append(mat)
     lam = (mats[0].conj() @ mats[0].T).tocsr()
     lam.sort_indices()
     return mats, lam
@@ -377,14 +422,15 @@ def _float_family(code: CodeSpec, patterns):
 
 def _sparse_blocks(mats: list[csr_matrix], lam: csr_matrix):
     """The Gram blocks (i, j >= i) after the reference, in order, as
-    (i, j, COO entries in (a, b) order); a diagonal block less lambda."""
+    (i, j, COO deviations in (a, b) order, the block as CSR); a diagonal
+    block's deviations are the block less lambda."""
     for i, j in _blocks_after_reference(len(mats)):
-        gram = (mats[i].conj() @ mats[j].T).tocsr()
+        block = gram = (mats[i].conj() @ mats[j].T).tocsr()
         if i == j:
             gram = (gram - lam).tocsr()
         # sorted CSR reads out row-major, the (a, b) order the scan needs
         gram.sort_indices()
-        yield i, j, gram.tocoo()
+        yield i, j, gram.tocoo(), block
 
 
 def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
@@ -392,7 +438,7 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     column-compacted once, then the blocks (i, j >= i) in order."""
     mats, lam = _float_family(code, patterns)
     scan = _Scan(code, patterns, tol, lam)
-    for i, j, coo in _sparse_blocks(mats, lam):
+    for i, j, coo, _ in _sparse_blocks(mats, lam):
         scan.add(i, (j,), coo.row, coo.col, coo.data[None, :])
         if fail_fast and scan.max_dev > tol:
             break
@@ -502,12 +548,10 @@ def _lattice_matrices(lattice: _Lattice, patterns, n: int,
                       width: int) -> list[csr_matrix]:
     """Each ket's family matrix on the lattice: row a 2N + e holds the
     integer entries of pattern a applied to the ket at exponent e, and the
-    columns are the basis strings that occur in any of them, keyed by grid
-    index or, where N^width reaches 2^62, by digit row."""
+    columns are the basis strings that occur in any of them, in grid
+    order, ranked by ``_rank_strings``."""
     order, size = 2 * n, len(patterns)
-    narrow = n ** width < 2 ** 62
-    place = n ** np.arange(width - 1, -1, -1, dtype=np.int64) if narrow \
-        else None
+    run, place, _ = _register_places(n, width)
     groups: dict = {}
     for p_idx, pattern in enumerate(patterns):
         for pos, op in pattern.ops:
@@ -516,9 +560,8 @@ def _lattice_matrices(lattice: _Lattice, patterns, n: int,
     keys, rows, data = [], [], []
     for digits, exponents, numerators in zip(
             lattice.digits, lattice.exponents, lattice.numerators):
-        # one grid index per pattern and entry, or one digit row
-        moved = np.tile(digits @ place, (size, 1)) if narrow \
-            else np.tile(digits, (size, 1, 1))
+        # the run grid indices of each pattern's entries
+        moved = np.tile(_string_keys(digits, n)[:, None, :], (1, size, 1))
         shifted = np.tile(exponents, (size, 1))
         for (pos, op), members in groups.items():
             # no other operator of a pattern touches this register, so its
@@ -532,23 +575,17 @@ def _lattice_matrices(lattice: _Lattice, patterns, n: int,
                     raise ValueError(
                         "spin flip table length does not match n_levels")
                 new = np.array(op.table)[digit] % n
-            if narrow:
-                moved[members] += (new - digit) * place[pos - 1]
-            else:
-                moved[members, :, pos - 1] = new
-        keys.append(moved.reshape(-1, *moved.shape[2:]))
+            moved[run[pos - 1], members] += (new - digit) * place[pos - 1]
+        keys.append(moved.reshape(len(moved), -1))
         rows.append((np.arange(size)[:, None] * order
                      + shifted % order).ravel())
         data.append(np.tile(numerators, size))
-    occupied, columns = np.unique(np.concatenate(keys), axis=0,
-                                  return_inverse=True)
-    columns = np.split(columns.ravel(),
-                       np.cumsum([len(k) for k in keys])[:-1])
+    columns, count = _rank_strings(np.concatenate(keys, axis=1))
+    columns = np.split(columns, np.cumsum([k.shape[1] for k in keys])[:-1])
     mats = []
     for row, col, values in zip(rows, columns, data):
         # duplicates, from spin flips that are no permutation, are summed
-        mat = csr_matrix((values, (row, col)),
-                         shape=(size * order, len(occupied)))
+        mat = csr_matrix((values, (row, col)), shape=(size * order, count))
         mat.eliminate_zeros()
         mats.append(mat)
     return mats
@@ -601,17 +638,21 @@ def _lambda_out(lam: csr_matrix):
 
 
 def _scan_counted(scan: _Scan, blocks, fail_fast: bool) -> bool:
-    """Feed each block's counted entries, (i, j, a, b, deviation) in
-    (a, b) order, to the scan, and under ``fail_fast`` only the first one
-    of all.  True when an entry counted."""
+    """Feed each block's counted entries, (i, j, a, b, deviation,
+    observed) in (a, b) order, to the scan, and under ``fail_fast`` only
+    the first one of all.  ``observed``, the overlaps themselves, is None
+    off the diagonal, where they equal the deviations.  True when an entry
+    counted."""
     failed = False
-    for i, j, a, b, deviation in blocks:
+    for i, j, a, b, deviation, observed in blocks:
         if not a.size:
             continue
         failed = True
         if fail_fast:
             a, b, deviation = a[:1], b[:1], deviation[:1]
-        scan.add(i, (j,), a, b, deviation[None, :])
+        if observed is not None:
+            observed = observed[None, :a.size]
+        scan.add(i, (j,), a, b, deviation[None, :], observed)
         if fail_fast:
             break
     return failed
@@ -628,9 +669,11 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     if lattice is None:
         mats, lam = _float_family(code, patterns)
         scan = _Scan(code, patterns, tol, lam)
-        blocks = ((i, j, coo.row[live], coo.col[live], coo.data[live])
-                  for i, j, coo in _sparse_blocks(mats, lam)
-                  for live in [np.abs(coo.data) >= FLOAT_ZERO_TOL])
+        blocks = ((i, j, a, b, coo.data[live],
+                   np.asarray(block[a, b]).ravel() if i == j else None)
+                  for i, j, coo, block in _sparse_blocks(mats, lam)
+                  for live in [np.abs(coo.data) >= FLOAT_ZERO_TOL]
+                  for a, b in [(coo.row[live], coo.col[live])])
         return scan, _scan_counted(scan, blocks, fail_fast), _lambda_out(lam)
     n, size, order = code.n_levels, len(patterns), 2 * code.n_levels
     mats = _lattice_matrices(lattice, patterns, n, code.width)
@@ -648,6 +691,7 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
         for i, j in _blocks_after_reference(len(mats)):
             keys, values = _gram_block(mats, i, j, order)
             if i == j:
+                own_pairs, own = _residues(keys, values, order)
                 # v_i's overlaps less lambda, over D^2 N^(h_i + h_0)
                 keys, values = _fold(
                     np.concatenate([keys, ref_keys]),
@@ -659,8 +703,19 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
                     * math.sqrt(n) ** ((h[i] + h[j]) % 2)
             pairs, residue = _residues(keys, values, order)
             live = residue.any(axis=1)
-            a, b = np.divmod(pairs[live], size)
-            yield i, j, a, b, _lattice_value(residue[live], order, scale)
+            pairs = pairs[live]
+            observed = None
+            if i == j:
+                # the overlaps themselves, zero where block (i, i) has none
+                at = np.searchsorted(own_pairs, pairs)
+                held = at < len(own_pairs)
+                held[held] = own_pairs[at[held]] == pairs[held]
+                observed = np.zeros(len(pairs), dtype=complex)
+                observed[held] = _lattice_value(own[at[held]], order,
+                                                square * n ** h[i])
+            a, b = np.divmod(pairs, size)
+            yield i, j, a, b, _lattice_value(residue[live], order, scale), \
+                observed
 
     return scan, _scan_counted(scan, blocks(), fail_fast), lam
 

@@ -235,8 +235,17 @@ def test_exact_engine_agrees_with_float(monkeypatch, code, family, engine):
         kl_check(code, family, fail_fast=True).verdict == exact.verdict
 
 
-# every exact case, and inputs with a square-root scale, composite N and a
-# spin flip that is no permutation, checked against the dict walk
+def wide_float_family():
+    """Operators that ``PhaseScalar`` carries in floats, on three of the
+    wide repetition code's 64 registers."""
+    return enumerate_family(64, 64, 1, n_levels=2, basis=(
+        phase_shift([1, -1]), general([[0, 1], [1, 0]]))).restricted(
+            (1, 2, 64))
+
+
+# every exact case, and inputs with a square-root scale, composite N, a
+# spin flip that is no permutation and N^width past int64 (on the lattice
+# and in floats), checked against the dict walk
 ORACLE_CASES = [pytest.param(*case.values[:2], id=case.id)
                 for case in EXACT_CASES] + [
     pytest.param(dualize(builtin("majority3", 3, 1)), phase_family(3, 3, 3),
@@ -252,6 +261,8 @@ ORACLE_CASES = [pytest.param(*case.values[:2], id=case.id)
                  id="shor9-N3"),
     pytest.param(wide_repetition_code(), weyl_family(64, 64, 1, 2).restricted(
         (1, 2, 64)), id="repetition-width-64"),
+    pytest.param(wide_repetition_code(), wide_float_family(),
+                 id="repetition-width-64-floats"),
 ]
 
 
@@ -273,8 +284,15 @@ def test_exact_engine_agrees_with_the_dict_walk(monkeypatch, code, family):
             assert abs(report.witness.deviation
                        - oracle.witness.deviation) < 1e-12
             assert witness_key(report.witness) < witness_key(oracle.witness)
+        elif report.witness is not None:
+            assert abs(report.witness.observed
+                       - oracle.witness.observed) < 1e-12
         assert [witness_key(w) for w in report.boundary_witnesses] == \
             [witness_key(w) for w in oracle.boundary_witnesses]
+        for mine, theirs in zip(report.boundary_witnesses,
+                                oracle.boundary_witnesses):
+            assert abs(mine.observed - theirs.observed) < 1e-12
+            assert abs(mine.expected - theirs.expected) < 1e-12
         assert report.interior_verdict == oracle.interior_verdict
         assert abs(report.max_deviation - oracle.max_deviation) < 1e-12
         assert report.lambda_samples.keys() == oracle.lambda_samples.keys()
@@ -407,6 +425,28 @@ def test_family_matrix_rejects_overflowing_indices():
     ket = RegisterState.basis(2, (0,) * 62)
     with pytest.raises(ValueError, match="overflow"):
         verifier._family_matrix(ket, [ErrorPattern(62, ())], 2, 62)
+
+
+def test_string_ranks_follow_grid_order_at_any_width():
+    rng = np.random.default_rng(7)
+    # one run, and three runs of grid indices
+    for n, width in ((2, 9), (2, 130), (3, 50)):
+        digits = rng.integers(0, n, size=(500, width))
+        digits[250:] = digits[:250]
+        rank, count = verifier._rank_strings(
+            verifier._string_keys(digits, n))
+        distinct, inverse = np.unique(digits, axis=0, return_inverse=True)
+        assert count == len(distinct)
+        assert np.array_equal(rank, inverse.ravel())
+
+
+def test_sparse_gram_runs_past_int64_basis_indices():
+    code, family = wide_repetition_code(), wide_float_family()
+    floats, exact = (kl_check(code, family, exact=flag)
+                     for flag in (False, True))
+    assert floats.engine == "sparse-float"
+    assert floats.verdict == exact.verdict == "fail"
+    assert abs(floats.max_deviation - exact.max_deviation) < 1e-12
 
 
 def test_lambda_matrix_reuses_the_check(monkeypatch):
