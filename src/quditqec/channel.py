@@ -24,9 +24,11 @@ distinct pattern once, on one of two paths:
   (kept on the code), and the family's Weyl rows and syndrome lookup once
   per (code, family) (kept on the stabilizer).  A call labels only its
   distinct injected rows, so its cost is mostly the per-trial seed stream.
-* ``"ket"``: otherwise.  Corruption runs in floats, through the same
-  family-matrix kernel the verifier uses, and a block of distinct patterns
-  is decoded in one stacked sparse product.
+* ``"ket"``: otherwise.  Corruption runs in floats, through the
+  verifier's one pattern kernel.  The candidate rows (the kets under the
+  family) and the corrupted rows share one column space of ranked
+  strings, so no width is refused, and a block of distinct patterns is
+  decoded in one stacked sparse product.
 
 Both paths give the same records, fidelities equal up to rounding.
 :func:`run_trials` runs in one process; its ``jobs``
@@ -48,14 +50,13 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
 
 from .codes import CodeSpec
 from .cyclotomic import PhaseScalar
 from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
                      apply_pattern, weyl_basis)
 from .states import RegisterState
-from .verifier import (_SyndromePlan, _Tableau, _family_matrix, _mod_matmul,
+from .verifier import (_SyndromePlan, _Tableau, _float_matrices, _mod_matmul,
                        _pairing, _syndrome_plan, _transfer, _weyl_exponents)
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
@@ -192,36 +193,34 @@ def _check_family_width(code: CodeSpec, family: PatternFamily) -> None:
             f"{code.width}")
 
 
-class _Decoder:
-    """Stacked candidate-corrected overlaps for one (code, family) pairing.
+def _decode(code: CodeSpec, candidates: list[ErrorPattern],
+            state: RegisterState, patterns):
+    """Maximum-likelihood choice among ``candidates`` for ``state`` under
+    each of ``patterns``.
 
-    Row (i, s) of the stacked matrix is pattern s applied to encoded ket i,
-    so one sparse product against a block of corrupted states yields every
-    amplitude <i_enc| s^dagger |corrupted> at once.
+    Row (i, s) of the stacked candidate matrix is candidate s applied to
+    encoded ket i.  The candidate rows and the corrupted rows share one
+    column space, so one sparse product against a block of
+    ``DECODE_BLOCK`` corrupted rows yields every amplitude
+    <i_enc| s^dagger |corrupted> at once.
+
+    Returns, per corrupted row, the index of the candidate whose
+    correction projects furthest onto the code space (ties to the earlier
+    one, -1 when even it stays below ``PROJECTION_FLOOR``), that squared
+    projection, and the chosen candidate's renormalized logical amplitudes
+    as the columns of a (windows, rows) array.
     """
-
-    def __init__(self, code: CodeSpec, family: PatternFamily):
-        _check_family_width(code, family)
-        self.patterns = list(family)
-        self.windows = code.logical_windows()
-        self.stacked = vstack(
-            [_family_matrix(code.encoded_kets[w], self.patterns,
-                            code.n_levels, code.width)
-             for w in self.windows], format="csr")
-        np.conjugate(self.stacked.data, out=self.stacked.data)
-
-    def score(self, corrupted: csr_matrix):
-        """Maximum-likelihood choice for every row of ``corrupted``.
-
-        Returns, per row, the index of the candidate whose correction
-        projects furthest onto the code space (ties to the earlier one,
-        -1 when even it stays below ``PROJECTION_FLOOR``), that squared
-        projection, and the chosen candidate's renormalized logical
-        amplitudes as the columns of a (windows, rows) array.
-        """
-        rows = corrupted.shape[0]
-        amps = (self.stacked @ corrupted.T).toarray().reshape(
-            len(self.windows), len(self.patterns), rows)
+    windows = code.logical_windows()
+    stacked, corrupted = _float_matrices(
+        [([code.encoded_kets[w] for w in windows], candidates),
+         ([state], patterns)], code.n_levels, code.width)
+    stacked = stacked.conj()
+    chosen, projections, logicals = [], [], []
+    for start in range(0, len(patterns), DECODE_BLOCK):
+        block = corrupted[start:start + DECODE_BLOCK]
+        rows = block.shape[0]
+        amps = (stacked @ block.T).toarray().reshape(
+            len(windows), len(candidates), rows)
         per_pattern = (np.abs(amps) ** 2).sum(axis=0)
         top = per_pattern.max(axis=0)
         # the first candidate within rounding of the maximum
@@ -231,8 +230,11 @@ class _Decoder:
         reached = np.sqrt(projection) >= PROJECTION_FLOOR
         logical = amps[:, best, cols]
         norm = np.linalg.norm(logical, axis=0)
-        logical = logical / np.where(reached, norm, 1.0)
-        return np.where(reached, best, -1), projection, logical
+        chosen.append(np.where(reached, best, -1))
+        projections.append(projection)
+        logicals.append(logical / np.where(reached, norm, 1.0))
+    return (np.concatenate(chosen), np.concatenate(projections),
+            np.concatenate(logicals, axis=1))
 
 
 def decode_mld(code: CodeSpec, corrupted: RegisterState,
@@ -245,13 +247,20 @@ def decode_mld(code: CodeSpec, corrupted: RegisterState,
     within a relative ``TIE_RTOL`` of the largest count as tied, so that
     rounding cannot reorder candidates that project equally).  Returns the
     renormalized logical amplitudes and the chosen pattern.  Raises
-    :class:`UncorrectableError` when every candidate projects below 1e-9.
-    The caller is expected to have verified the (code, family) pairing.
+    :class:`UncorrectableError` when every candidate projects below 1e-9,
+    and a ValueError when the state's width or ``n_levels`` is not the
+    code's.  The caller is expected to have verified the (code, family)
+    pairing.
     """
-    decoder = _Decoder(code, family)
-    row = _family_matrix(corrupted, [ErrorPattern(code.width, ())],
-                         code.n_levels, code.width)
-    (best,), (projection,), logical = decoder.score(row)
+    _check_family_width(code, family)
+    if (corrupted.width, corrupted.n_levels) != (code.width, code.n_levels):
+        raise ValueError(
+            f"corrupted state has width {corrupted.width} and n_levels "
+            f"{corrupted.n_levels}; the code has width {code.width} and "
+            f"n_levels {code.n_levels}")
+    candidates = list(family)
+    (best,), (projection,), logical = _decode(
+        code, candidates, corrupted, [ErrorPattern(code.width, ())])
     if best < 0:
         raise UncorrectableError(
             "no candidate pattern reaches the code space "
@@ -259,8 +268,8 @@ def decode_mld(code: CodeSpec, corrupted: RegisterState,
     state = RegisterState(
         code.n_levels, code.logical_width,
         {w: PhaseScalar.from_complex(complex(a))
-         for w, a in zip(decoder.windows, logical[:, 0])})
-    return state, decoder.patterns[best]
+         for w, a in zip(code.logical_windows(), logical[:, 0])})
+    return state, candidates[best]
 
 
 @dataclass
@@ -352,21 +361,6 @@ def _frame_decode(plan: _SyndromePlan, frame: _Frame, n_levels: int,
     return chosen, fidelity
 
 
-def _ket_decode(code: CodeSpec, family: PatternFamily, distinct,
-                logical_input: RegisterState, target: np.ndarray):
-    """``_frame_decode``'s result through the stacked float decoder."""
-    decoder = _Decoder(code, family)
-    encoded = code.encode(logical_input)
-    chosen, fidelity = [], []
-    for start in range(0, len(distinct), DECODE_BLOCK):
-        block = distinct[start:start + DECODE_BLOCK]
-        pick, _, logical = decoder.score(
-            _family_matrix(encoded, block, code.n_levels, code.width))
-        chosen.append(pick)
-        fidelity.append(np.abs(target.conj() @ logical) ** 2)
-    return np.concatenate(chosen), np.concatenate(fidelity)
-
-
 def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
                logical_input: RegisterState, jobs: int = 1,
                keep_records: bool = False) -> ChannelSummary:
@@ -390,9 +384,10 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     labels only its distinct injected rows; what is left per call is
     mostly the per-trial seed stream (one ``default_rng([seed, trial])``
     per trial), the floor while that stream stays bit for bit.  The
-    ket path corrupts the encoded state in floats, one family-matrix row
-    per pattern, decodes ``DECODE_BLOCK`` rows at a time by one stacked
-    sparse product, and scores against the input in floats.  The
+    ket path corrupts the encoded state in floats, one row per pattern
+    in the candidates' column space, decodes ``DECODE_BLOCK`` rows at a
+    time by one stacked sparse product, and scores against the input in
+    floats.  The
     summary's ``decoder`` names the path.  The summary is a pure function
     of (code, cfg, family, input); `jobs` is accepted for compatibility and
     ignored.
@@ -420,8 +415,9 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     if frame is None:
         decoder = "ket"
         patterns = list(family)
-        chosen, fidelity = _ket_decode(code, family, distinct, logical_input,
-                                       target)
+        chosen, _, logical = _decode(code, patterns,
+                                     code.encode(logical_input), distinct)
+        fidelity = np.abs(target.conj() @ logical) ** 2
     else:
         decoder = "syndrome"
         patterns = frame.patterns

@@ -82,6 +82,11 @@ class CodeSpec:
         widths = {state.width for state in self.encoded_kets.values()}
         if len(widths) != 1:
             raise ValueError("encoded kets must share a single width")
+        levels = {state.n_levels for state in self.encoded_kets.values()}
+        if levels != {self.n_levels}:
+            raise ValueError(
+                f"encoded kets have n_levels {sorted(levels)}, not the "
+                f"code's {self.n_levels}")
         expected = self.n * self.logical_len
         for k in self.encoded_kets:
             if len(k) != expected:

@@ -9,10 +9,10 @@ the Knill-Laflamme criterion specialized to a finite pattern family.
 Three engines share one report format (``KLReport.engine`` names the one
 that ran):
 
-* ``sparse-float`` expands each error-applied ket into a sparse row over
-  the full computational basis, keeps one such matrix per logical word
-  (columns that are zero in all of them dropped) and forms the Gram
-  blocks (i, j >= i) with scipy, in order.
+* ``sparse-float`` applies the family to each logical word's ket in
+  floats, one sparse matrix per word with one column per basis string
+  that occurs in any of them, and forms the Gram blocks (i, j >= i) with
+  scipy, in order.
 * ``syndrome`` handles families whose operators are all Weyl operators
   (or the identity) on stabilizer codes over Z_N, which every builtin,
   dual and paste is.  It reads the stabilizer S off the kets (the affine
@@ -38,6 +38,17 @@ that ran):
   general matrices, inexact amplitudes, a ket that mixes the parity of
   sqrt(N)) take the sparse Gram, where an entry counts when its magnitude
   is at least ``FLOAT_ZERO_TOL``.
+
+One kernel, ``_apply_patterns``, moves ket digits for a pattern.  For
+every pattern and every ket entry (a digit row) it gives the pattern, the
+source entry, the key of the moved string, the integer exponent of
+w = exp(2 pi i / 2N) the entry gains (X^a Z^b adds 2 b digit) and, only
+when a phase shift or a general matrix is present, a complex factor.  The
+sparse Gram and the channel's ket decoder read amplitudes off it as
+amp[source] w^exponent factor, the exact engine lattice rows
+(pattern, exponent of the source plus the gain) with the source's
+numerator.  Strings are keyed by the grid indices of runs of registers
+and ranked together, so no width is refused.
 
 A float check runs the syndrome engine when every pattern is Weyl (or
 the identity) and a stabilizer reads off the kets, and the sparse Gram
@@ -175,32 +186,6 @@ class KLReport:
         return out
 
 
-def _monomial_table(op, n_levels: int):
-    """(digit map, phase per input digit) for one-branch ops, None for
-    ``general``."""
-    n = n_levels
-    if op.kind == "weyl":
-        digits = np.arange(n)
-        perm = (digits + op.a) % n
-        phase = np.exp(2j * np.pi * (op.b % n) * digits / n)
-        return perm, phase
-    if op.kind == "spin_flip":
-        if len(op.table) != n:
-            raise ValueError("spin flip table length does not match n_levels")
-        return np.array([t % n for t in op.table]), np.ones(n, dtype=complex)
-    if op.kind == "phase_shift":
-        if len(op.phases) != n:
-            raise ValueError("phase table length does not match n_levels")
-        return np.arange(n), np.asarray(op.phases, dtype=complex)
-    if op.kind == "identity":
-        return np.arange(n), np.ones(n, dtype=complex)
-    if op.kind == "general":
-        if len(op.matrix) != n:
-            raise ValueError("matrix shape does not match n_levels")
-        return None
-    raise ValueError(f"unknown error kind {op.kind!r}")
-
-
 def _ket_digits(ket: RegisterState,
                 width: int) -> tuple[np.ndarray, np.ndarray]:
     """A ket's digit rows and complex amplitudes, in term order."""
@@ -248,84 +233,111 @@ def _rank_strings(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(new.sum())
 
 
-def _family_entries(ket: RegisterState, patterns, n_levels: int,
-                    width: int):
-    """Pattern p applied to the ket, for every p, as CSR rows p:
-    (indptr, keys, amplitudes), ``keys`` the ``_string_keys`` of each
-    entry's basis string.  Duplicate strings in a row are not yet summed.
+def _apply_patterns(digits: np.ndarray, patterns, n: int):
+    """Every pattern applied to the ket entries held as the digit rows
+    ``digits``: (rows, source, keys, gained, factor), one item per entry
+    of the result.  ``rows`` is its pattern, ``source`` the entry it came
+    from, ``keys`` the ``_string_keys`` of its moved string, ``gained`` the
+    exponent of w = exp(2 pi i / 2N) it gained (X^a Z^b adds 2 b digit)
+    and ``factor`` its complex factor, None when no operator is a phase
+    shift or a general matrix.
 
-    One-branch operators (Weyl, spin flip, phase shift, identity) act
-    first, register by register in ascending position: each moves the
-    terms of all patterns that hold it at that position in one numpy pass.
-    ``general`` operators then fan each term they touch out to at most N
-    branches.  Operators on different registers commute, so the order does
-    not change the result.
+    One-branch operators (Weyl, spin flip, phase shift) act first: each
+    moves the entries of all patterns that hold it at its position in one
+    numpy pass.  ``general`` operators then fan each entry they touch out
+    to at most N branches.  No other operator of a pattern touches the
+    register an operator acts on, so each reads the ket's own digit there,
+    and operators on different registers commute.
     """
-    n = n_levels
-    run, place, _ = _register_places(n, width)
-    digits, base_amps = _ket_digits(ket, width)
+    size, count = len(patterns), len(digits)
+    run, place, _ = _register_places(n, digits.shape[1])
     groups: dict = {}
     for p_idx, pattern in enumerate(patterns):
         for pos, op in pattern.ops:
-            groups.setdefault((pos, op), []).append(p_idx)
-    size = len(patterns)
-    # one row of terms per pattern while every operator keeps one branch
+            if op.kind != "identity":
+                groups.setdefault((pos, op), []).append(p_idx)
     keys = np.tile(_string_keys(digits, n)[:, None, :], (1, size, 1))
-    amps = np.tile(base_amps, (size, 1))
+    gained = np.zeros((size, count), dtype=np.int64)
+    factor = np.ones((size, count), dtype=np.complex128) if any(
+        op.kind in ("phase_shift", "general") for _, op in groups) else None
     fanning = []
-    for (pos, op), members in sorted(groups.items(),
-                                     key=lambda item: item[0][0]):
-        table = _monomial_table(op, n)
-        if table is None:
-            fanning.append((pos, op, members))
-            continue
-        # no other operator of a pattern touches this register, so its
-        # digits are still the ket's own
-        perm, phase = table
-        rows = np.array(members)
+    for (pos, op), members in groups.items():
         digit = digits[:, pos - 1]
-        keys[run[pos - 1], rows] += (perm[digit] - digit) * place[pos - 1]
-        amps[rows] *= phase[digit]
-    keys, amps = keys.reshape(len(keys), -1), amps.ravel()
-    counts = np.full(size, len(digits))
-    if fanning:
-        rows = np.repeat(np.arange(size), len(digits))
-        for pos, op, members in fanning:
-            matrix = np.array(op.matrix, dtype=np.complex128)
-            member = np.zeros(size, dtype=bool)
-            member[members] = True
-            hit = member[rows]
-            r, step = run[pos - 1], place[pos - 1]
-            digit = (keys[r, hit] // step) % n
-            factor = matrix[:, digit]
-            live = factor != 0
-            moved = np.repeat(keys[:, None, hit], n, axis=1)
-            moved[r] += (np.arange(n)[:, None] - digit) * step
-            rows = np.concatenate([rows[~hit], np.broadcast_to(
-                rows[hit], factor.shape)[live]])
-            keys = np.concatenate([keys[:, ~hit], moved[:, live]], axis=1)
-            amps = np.concatenate([amps[~hit], (amps[hit] * factor)[live]])
-        order = np.argsort(rows, kind="stable")
-        keys, amps = keys[:, order], amps[order]
-        counts = np.bincount(rows, minlength=size)
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, keys, amps
+        if op.kind == "weyl":
+            new = (digit + op.a) % n
+            gained[members] += 2 * (op.b % n) * digit
+        elif op.kind == "spin_flip":
+            if len(op.table) != n:
+                raise ValueError(
+                    "spin flip table length does not match n_levels")
+            new = np.array(op.table)[digit] % n
+        elif op.kind == "phase_shift":
+            if len(op.phases) != n:
+                raise ValueError("phase table length does not match n_levels")
+            factor[members] *= np.array(op.phases)[digit]
+            continue
+        elif op.kind == "general":
+            if len(op.matrix) != n:
+                raise ValueError("matrix shape does not match n_levels")
+            fanning.append((pos, np.array(op.matrix, dtype=np.complex128),
+                            members))
+            continue
+        else:
+            raise ValueError(f"unknown error kind {op.kind!r}")
+        keys[run[pos - 1], members] += (new - digit) * place[pos - 1]
+    rows = np.repeat(np.arange(size), count)
+    source = np.tile(np.arange(count), size)
+    keys, gained = keys.reshape(len(keys), -1), gained.ravel()
+    if factor is not None:
+        factor = factor.ravel()
+    for pos, matrix, members in fanning:
+        member = np.zeros(size, dtype=bool)
+        member[members] = True
+        hit = np.flatnonzero(member[rows])
+        digit = digits[source[hit], pos - 1]
+        branch = matrix[:, digit]
+        # each touched entry once per nonzero branch, branch by branch
+        to, at = np.nonzero(branch)
+        take = np.concatenate([np.flatnonzero(~member[rows]), hit[at]])
+        rows, source, gained = rows[take], source[take], gained[take]
+        keys, factor = keys[:, take], factor[take]
+        fanned = slice(len(take) - len(at), None)
+        keys[run[pos - 1], fanned] += (to - digit[at]) * place[pos - 1]
+        factor[fanned] *= branch[to, at]
+    return rows, source, keys, gained, factor
 
 
-def _family_matrix(ket: RegisterState, patterns, n_levels: int,
-                   width: int) -> csr_matrix:
-    """Sparse matrix whose row p is pattern p applied to the ket, one
-    column per grid index.  Duplicate entries (non-injective spin flips,
-    fan-out) are summed, so the result is a canonical CSR matrix."""
-    n = n_levels
-    if n ** width >= 2 ** 62:
-        raise ValueError(f"{n}^{width} basis indices overflow int64")
-    indptr, keys, amps = _family_entries(ket, patterns, n, width)
-    mat = csr_matrix((amps, keys[0], indptr),
-                     shape=(len(patterns), n ** width))
-    mat.sum_duplicates()
-    return mat
+def _ranked_matrices(entries) -> list[csr_matrix]:
+    """One CSR matrix per entry set (rows, keys, values, height), values
+    that meet at one row and string summed.  The columns are the strings
+    of all the sets, ranked together in grid order by ``_rank_strings``,
+    so products do not scale with N^width and any width fits."""
+    columns, count = _rank_strings(
+        np.concatenate([keys for _, keys, _, _ in entries], axis=1))
+    ends = np.cumsum([len(values) for _, _, values, _ in entries])
+    return [csr_matrix((values, (rows, cols)), shape=(height, count))
+            for (rows, _, values, height), cols in zip(
+                entries, np.split(columns, ends[:-1]))]
+
+
+def _float_matrices(sets, n: int, width: int) -> list[csr_matrix]:
+    """For each (kets, patterns) pair, the patterns applied to the kets in
+    floats as one matrix, row k |patterns| + p holding pattern p applied
+    to ket k, all over one column space."""
+    order = 2 * n
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    entries = []
+    for kets, patterns in sets:
+        digits, amps = zip(*(_ket_digits(ket, width) for ket in kets))
+        rows, source, keys, gained, factor = _apply_patterns(
+            np.concatenate(digits), patterns, n)
+        ket = np.repeat(np.arange(len(kets)), [len(a) for a in amps])
+        values = np.concatenate(amps)[source] * roots[gained % order]
+        if factor is not None:
+            values *= factor
+        entries.append((ket[source] * len(patterns) + rows, keys, values,
+                        len(kets) * len(patterns)))
+    return _ranked_matrices(entries)
 
 
 def _key(w: KLWitness):
@@ -401,20 +413,12 @@ def _blocks_after_reference(dim: int):
 
 def _float_family(code: CodeSpec, patterns):
     """One float family matrix per logical word, built once, and lambda,
-    the reference block (0, 0), as sorted CSR.  The columns are the basis
-    strings that occur in any of the matrices, in grid order, so products
-    do not scale with N^width and any width fits."""
+    the reference block (0, 0), as sorted CSR."""
     size = len(patterns)
-    entries = [_family_entries(code.encoded_kets[w], patterns, code.n_levels,
-                               code.width) for w in code.logical_windows()]
-    columns, count = _rank_strings(
-        np.concatenate([keys for _, keys, _ in entries], axis=1))
-    mats = []
-    for (indptr, _, amps), cols in zip(entries, np.split(
-            columns, np.cumsum([len(amps) for _, _, amps in entries])[:-1])):
-        mat = csr_matrix((amps, cols, indptr), shape=(size, count))
-        mat.sum_duplicates()
-        mats.append(mat)
+    kets = [code.encoded_kets[w] for w in code.logical_windows()]
+    (stacked,) = _float_matrices([(kets, patterns)], code.n_levels,
+                                 code.width)
+    mats = [stacked[k * size:(k + 1) * size] for k in range(len(kets))]
     lam = (mats[0].conj() @ mats[0].T).tocsr()
     lam.sort_indices()
     return mats, lam
@@ -448,10 +452,8 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
 def _weyl_exponents(code: CodeSpec, patterns):
     """(shifts, phases): the family's X and Z exponents mod N, one row per
     pattern and one column per register, or None when an operator is not a
-    Weyl operator or the identity, or grid indices would overflow."""
+    Weyl operator or the identity."""
     n, width = code.n_levels, code.width
-    if n ** width >= 2 ** 62:
-        return None
     shifts = np.zeros((len(patterns), width), dtype=np.int64)
     phases = np.zeros_like(shifts)
     for p_idx, pattern in enumerate(patterns):
@@ -544,51 +546,22 @@ def _read_lattice(code: CodeSpec, patterns) -> _Lattice | None:
     return lattice
 
 
-def _lattice_matrices(lattice: _Lattice, patterns, n: int,
-                      width: int) -> list[csr_matrix]:
+def _lattice_matrices(lattice: _Lattice, patterns, n: int) -> list[csr_matrix]:
     """Each ket's family matrix on the lattice: row a 2N + e holds the
-    integer entries of pattern a applied to the ket at exponent e, and the
-    columns are the basis strings that occur in any of them, in grid
-    order, ranked by ``_rank_strings``."""
+    integer entries of pattern a applied to the ket at exponent e, over
+    the column space of ``_ranked_matrices``."""
     order, size = 2 * n, len(patterns)
-    run, place, _ = _register_places(n, width)
-    groups: dict = {}
-    for p_idx, pattern in enumerate(patterns):
-        for pos, op in pattern.ops:
-            if op.kind != "identity":
-                groups.setdefault((pos, op), []).append(p_idx)
-    keys, rows, data = [], [], []
-    for digits, exponents, numerators in zip(
-            lattice.digits, lattice.exponents, lattice.numerators):
-        # the run grid indices of each pattern's entries
-        moved = np.tile(_string_keys(digits, n)[:, None, :], (1, size, 1))
-        shifted = np.tile(exponents, (size, 1))
-        for (pos, op), members in groups.items():
-            # no other operator of a pattern touches this register, so its
-            # digits are still the ket's own
-            digit = digits[:, pos - 1]
-            if op.kind == "weyl":
-                new = (digit + op.a) % n
-                shifted[members] += 2 * (op.b % n) * digit
-            else:
-                if len(op.table) != n:
-                    raise ValueError(
-                        "spin flip table length does not match n_levels")
-                new = np.array(op.table)[digit] % n
-            moved[run[pos - 1], members] += (new - digit) * place[pos - 1]
-        keys.append(moved.reshape(len(moved), -1))
-        rows.append((np.arange(size)[:, None] * order
-                     + shifted % order).ravel())
-        data.append(np.tile(numerators, size))
-    columns, count = _rank_strings(np.concatenate(keys, axis=1))
-    columns = np.split(columns, np.cumsum([k.shape[1] for k in keys])[:-1])
-    mats = []
-    for row, col, values in zip(rows, columns, data):
-        # duplicates, from spin flips that are no permutation, are summed
-        mat = csr_matrix((values, (row, col)), shape=(size * order, count))
-        mat.eliminate_zeros()
-        mats.append(mat)
-    return mats
+    counts = [len(digits) for digits in lattice.digits]
+    rows, source, keys, gained, _ = _apply_patterns(
+        np.concatenate(lattice.digits), patterns, n)
+    ket = np.repeat(np.arange(len(counts)), counts)[source]
+    exponents = np.concatenate(lattice.exponents)[source] + gained
+    (stacked,) = _ranked_matrices([(
+        (ket * size + rows) * order + exponents % order, keys,
+        np.concatenate(lattice.numerators)[source],
+        len(counts) * size * order)])
+    height = size * order
+    return [stacked[k * height:(k + 1) * height] for k in range(len(counts))]
 
 
 def _fold(keys: np.ndarray, values: np.ndarray):
@@ -676,7 +649,7 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
                   for a, b in [(coo.row[live], coo.col[live])])
         return scan, _scan_counted(scan, blocks, fail_fast), _lambda_out(lam)
     n, size, order = code.n_levels, len(patterns), 2 * code.n_levels
-    mats = _lattice_matrices(lattice, patterns, n, code.width)
+    mats = _lattice_matrices(lattice, patterns, n)
     h = lattice.halves
     square = lattice.denominator ** 2
     ref_keys, ref_values = _gram_block(mats, 0, 0, order)

@@ -15,6 +15,7 @@ from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
 from quditqec.states import RegisterState, inner_product
 from quditqec.transforms import dualize
 from quditqec.verifier import kl_check
+from test_verifier import wide_repetition_code
 
 
 def shor_setup():
@@ -210,6 +211,20 @@ def test_decode_weight_two_uncorrectable():
     with pytest.raises(UncorrectableError):
         decode_mld(code, corrupted, family)
 
+
+
+def test_decode_refuses_a_state_off_the_code():
+    code, family = shor_setup()
+    with pytest.raises(ValueError,
+                       match="width 10 and n_levels 2; the code has width 9"):
+        decode_mld(code, RegisterState.basis(2, (0,) * 10), family)
+    # a digit past the code's N, which would key a string off the code's
+    # basis
+    for state in (RegisterState.basis(3, (0,) * 9),
+                  RegisterState.basis(3, (2,) + (0,) * 8)):
+        with pytest.raises(ValueError, match="n_levels 3; the code has "
+                           "width 9 and n_levels 2"):
+            decode_mld(code, state, family)
 
 FAILING_SINGLES = {
     (3, (0, 1)), (5, (0, 1)), (7, (0, 1)), (8, (0, 1)), (9, (0, 1)),
@@ -496,6 +511,20 @@ def test_frame_path_matches_ket_path_on_criterion_10(monkeypatch):
     assert (summary.in_family_success_count, summary.in_family_count) == \
         (8644, 9701)
 
+
+
+def test_ket_path_runs_past_int64_basis_indices():
+    # N^width is 2^64: no stabilizer reads, and the ket path keys strings
+    # by runs of registers
+    code = wide_repetition_code()
+    family = enumerate_family(64, 64, 1, n_levels=2).restricted((1, 2, 64))
+    cfg = ChannelConfig(p=0.01, seed=7, trials=400)
+    summary = assert_matches_reference(code, cfg, family,
+                                       RegisterState.basis(2, (1,)))
+    assert summary.decoder == "ket"
+    assert any(r.in_family and r.injected.weight > 0
+               for r in summary.records)
+    assert summary.in_family_success_count == summary.in_family_count
 
 def test_family_width_mismatch_on_both_paths(monkeypatch):
     code = builtin("shor9", 2, 1)

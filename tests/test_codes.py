@@ -187,6 +187,13 @@ def test_encode_is_linear():
         code.encode(RegisterState.basis(3, (0,)))
 
 
+
+def test_code_refuses_kets_of_another_n_levels():
+    one = PhaseScalar.exact_one(3)
+    with pytest.raises(ValueError, match=r"n_levels \[3\], not the code's 2"):
+        CodeSpec("mixed", 2, 1, 3, 0, 0, 1, {
+            (d,): RegisterState(3, 3, {(2 * d,) * 3: one}) for d in (0, 1)})
+
 def test_builtin_rejects_unknown_label():
     with pytest.raises(ValueError, match="unknown code label"):
         builtin("nonesuch", 2, 1)

@@ -9,7 +9,7 @@ import quditqec.verifier as verifier
 from dense_oracle import dense_kl_check, dense_kl_deviation
 from quditqec.codes import (CodeSpec, build_identity_code, build_qcc_from_qbc,
                             builtin, lower_bidiagonal_mu, perfect5_block)
-from quditqec.cyclotomic import PhaseScalar
+from quditqec.cyclotomic import PhaseScalar, residue_matrix
 from quditqec.errors import (ErrorPattern, additive_flip, apply_pattern,
                              enumerate_family, general, identity, phase_shift,
                              spin_flip, weyl)
@@ -409,11 +409,18 @@ def test_family_matrix_rows_match_exact_application():
         ErrorPattern(5, ((2, identity()),)),
         ErrorPattern(5, ((1, basis[3]), (3, identity()), (5, basis[1])))]
     place = 3 ** np.arange(4, -1, -1)
-    for ket in code.encoded_kets.values():
-        mat = verifier._family_matrix(ket, patterns, 3, 5)
-        assert mat.has_canonical_format
-        dense = mat.toarray()
-        for row, pattern in zip(dense, patterns):
+    # the identity on a ket that holds every string makes column k the
+    # string of grid index k
+    grid = RegisterState(3, 5, {digits: PhaseScalar.exact_one(3) for digits
+                                in itertools.product(range(3), repeat=5)})
+    kets = list(code.encoded_kets.values())
+    stacked, _ = verifier._float_matrices(
+        [(kets, patterns), ([grid], [ErrorPattern(5, ())])], 3, 5)
+    assert stacked.has_canonical_format
+    # row k |F| + p is pattern p applied to ket k
+    dense = stacked.toarray().reshape(len(kets), len(patterns), 3 ** 5)
+    for ket, rows in zip(kets, dense):
+        for row, pattern in zip(rows, patterns):
             expected = np.zeros(3 ** 5, dtype=complex)
             for digits, amp in apply_pattern(
                     ket, pattern).to_complex_terms().items():
@@ -421,10 +428,39 @@ def test_family_matrix_rows_match_exact_application():
             assert np.abs(row - expected).max() < 1e-12, pattern.to_json()
 
 
-def test_family_matrix_rejects_overflowing_indices():
-    ket = RegisterState.basis(2, (0,) * 62)
-    with pytest.raises(ValueError, match="overflow"):
-        verifier._family_matrix(ket, [ErrorPattern(62, ())], 2, 62)
+def test_lattice_rows_match_exact_application():
+    # Weyl operators, a spin flip that is not injective and the identity,
+    # on a superposed N=3 ket
+    code = perfect5_block(3)
+    basis = (weyl(1, 2), weyl(0, 1), spin_flip([0, 0, 2]))
+    patterns = list(enumerate_family(5, 2, 1, basis=basis)) + [
+        ErrorPattern(5, ((2, identity()),)),
+        ErrorPattern(5, ((1, basis[0]), (3, identity()), (5, basis[2])))]
+    lattice = verifier._read_lattice(code, patterns)
+    # a ket that holds every string: the identity, the first pattern, then
+    # makes column k the string of grid index k
+    grid = np.array(list(itertools.product(range(3), repeat=5)))
+    lattice.digits.append(grid)
+    lattice.exponents.append(np.zeros(len(grid), dtype=np.int64))
+    lattice.numerators.append(np.ones(len(grid), dtype=np.int64))
+    mats = verifier._lattice_matrices(lattice, patterns, 3)
+    residue = residue_matrix(6)
+    place = 3 ** np.arange(4, -1, -1)
+    for w, mat, half in zip(code.logical_windows(), mats, lattice.halves):
+        ket = code.encoded_kets[w]
+        dense = mat.toarray().reshape(len(patterns), 6, 3 ** 5)
+        for rows, pattern in zip(dense, patterns):
+            expected = np.zeros((6, 3 ** 5), dtype=np.int64)
+            for digits, amp in apply_pattern(ket, pattern).terms.items():
+                coeffs, h = amp.parts
+                assert h == half
+                for e, c in coeffs.items():
+                    value = c * lattice.denominator
+                    assert value.denominator == 1
+                    expected[e % 6, np.dot(digits, place)] += int(value)
+            # equal canonical residues: equal values on the lattice
+            assert np.array_equal(rows.T @ residue, expected.T @ residue), \
+                pattern.to_json()
 
 
 def test_string_ranks_follow_grid_order_at_any_width():
@@ -459,7 +495,7 @@ def test_lambda_matrix_reuses_the_check(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("lambda_matrix repeated work of the check")
-    monkeypatch.setattr(verifier, "_family_matrix", refuse)
+    monkeypatch.setattr(verifier, "_apply_patterns", refuse)
     monkeypatch.setattr(verifier, "_summarize_lambda", refuse)
     lam = lambda_matrix(code, family, precomputed=report)
     assert lam.kind == report.lambda_summary["kind"]
