@@ -21,9 +21,13 @@ distinct pattern once, on one of two paths:
   logical kets as a phased permutation, read off the tableau.  No encoded
   state, corrupted state or stacked decoder is built.  What depends on the
   code or the family alone is built once: the stabilizer once per code
-  (kept on the code), and the family's Weyl rows and syndrome lookup once
-  per (code, family) (kept on the stabilizer).  A call labels only its
-  distinct injected rows, so its cost is mostly the per-trial seed stream.
+  (kept on the code), and the family's syndrome table once per (code,
+  family), kept on the stabilizer and shared with the verifier's syndrome
+  engine.  It holds the members, their Weyl rows, the syndromes the
+  family reaches with the earliest member of each, and the member set
+  that decides whether an injected pattern is in the family.  A call
+  labels only its distinct injected rows, so its cost is mostly the
+  per-trial seed stream.
 * ``"ket"``: otherwise.  Corruption runs in floats, through the
   verifier's one pattern kernel.  The candidate rows (the kets under the
   family) and the corrupted rows share one column space of ranked
@@ -56,8 +60,8 @@ from .cyclotomic import PhaseScalar
 from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
                      apply_pattern, weyl_basis)
 from .states import RegisterState
-from .verifier import (_SyndromePlan, _Tableau, _float_matrices, _mod_matmul,
-                       _pairing, _syndrome_plan, _transfer, _weyl_exponents)
+from .verifier import (_float_matrices, _syndrome_plan, _syndromes, _transfer,
+                       _weyl_rows)
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
 PROJECTION_FLOOR = 1e-9
@@ -298,59 +302,21 @@ class ChannelSummary:
                 "decoder": self.decoder}
 
 
-def _syndromes(rows: np.ndarray, tableau: _Tableau, n: int) -> np.ndarray:
-    """Each Weyl row's syndrome, read as one base-N integer (exact: N^r
-    stays below 2^62 wherever a tableau reads, r the stabilizer's rows)."""
-    digits = _mod_matmul(rows, _pairing(tableau.stabilizer).T, n)
-    return digits @ n ** np.arange(digits.shape[1], dtype=np.int64)
-
-
-@dataclass
-class _Frame:
-    """A Weyl family's syndrome lookup on one code: ``keys`` holds every
-    syndrome the family reaches, sorted, and ``earliest`` the first member
-    with each."""
-
-    patterns: list[ErrorPattern]
-    rows: np.ndarray        # member i as the Weyl row (x | z)
-    keys: np.ndarray
-    earliest: np.ndarray
-
-
-def _frame_table(code: CodeSpec, tableau: _Tableau,
-                 family: PatternFamily) -> _Frame | None:
-    """The family's frame table, built once per (code, family) and kept on
-    the code's tableau; None when a member is not Weyl."""
-    if family not in tableau.frames:
-        patterns = list(family)
-        exponents = _weyl_exponents(code, patterns)
-        frame = None
-        if exponents is not None:
-            rows = np.hstack(exponents)
-            keys, earliest = np.unique(
-                _syndromes(rows, tableau, code.n_levels), return_index=True)
-            frame = _Frame(patterns, rows, keys, earliest)
-        tableau.frames[family] = frame
-    return tableau.frames[family]
-
-
-def _frame_decode(plan: _SyndromePlan, frame: _Frame, n_levels: int,
+def _frame_decode(tab, table, rows: np.ndarray, n_levels: int,
                   target: np.ndarray):
-    """Chosen family index (-1 for none) and fidelity of each injected row
-    of the plan.
+    """Chosen family index (-1 for none) and fidelity of each injected
+    Weyl row against the family's syndrome table.
 
     An injected pattern B gets the earliest member A of its syndrome class;
     A^dag B then maps logical ket v_j onto mu_j v_(i_j), so the corrected
     state's logical amplitudes are beta_(i_j) = target_j mu_j.
     """
-    keys = _syndromes(plan.rows, plan.tableau, n_levels)
-    where = np.minimum(frame.keys.searchsorted(keys), frame.keys.size - 1)
-    chosen = np.where(frame.keys[where] == keys, frame.earliest[where], -1)
+    keys = _syndromes(tab, rows, n_levels)
+    where = np.minimum(table.keys.searchsorted(keys), table.keys.size - 1)
+    chosen = np.where(table.keys[where] == keys, table.earliest[where], -1)
     hit = np.flatnonzero(chosen >= 0)
-    size = len(frame.patterns)
-    targets, mus = _transfer(
-        _SyndromePlan(plan.tableau, np.vstack([frame.rows, plan.rows])),
-        n_levels, chosen[hit], size + hit, range(len(target)))
+    targets, mus = _transfer(tab, n_levels, table.rows[chosen[hit]],
+                             rows[hit], range(len(target)))
     beta = np.zeros((len(target), hit.size), dtype=complex)
     cols = np.arange(hit.size)
     for amp, i, mu in zip(target, targets, mus):
@@ -380,8 +346,9 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     is exactly the ket path's choice: a Weyl candidate's squared projection
     onto the code space is 1 in the injected class and 0 outside it.  The
     stabilizer is read once per code and the family's syndrome table built
-    once per (code, family), both kept with the code, so a repeated call
-    labels only its distinct injected rows; what is left per call is
+    once per (code, family), both kept with the code and shared with
+    ``kl_check``, so a repeated call labels only its distinct injected
+    rows; what is left per call is
     mostly the per-trial seed stream (one ``default_rng([seed, trial])``
     per trial), the floor while that stream stays bit for bit.  The
     ket path corrupts the encoded state in floats, one row per pattern
@@ -390,12 +357,18 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     floats.  The
     summary's ``decoder`` names the path.  The summary is a pure function
     of (code, cfg, family, input); `jobs` is accepted for compatibility and
-    ignored.
+    ignored.  A logical input whose width is not the code's logical width,
+    or whose ``n_levels`` is not the code's, is refused with a ValueError
+    before any pattern is drawn.
     """
     _check_family_width(code, family)
     if logical_input.width != code.logical_width:
         raise ValueError(
             f"logical input must have width {code.logical_width}")
+    if logical_input.n_levels != code.n_levels:
+        raise ValueError(
+            f"logical input has n_levels {logical_input.n_levels}; the code "
+            f"has n_levels {code.n_levels}")
     logical_input = logical_input.normalized()
     menu, weights = cfg.menu_for(code.n_levels)
     cdf = _menu_cdf(weights)
@@ -410,22 +383,25 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
                        for w in code.logical_windows()])
     # the distinct injected rows, then the family's table; None when a
     # pattern is not Weyl or no stabilizer reads off the kets
-    plan = _syndrome_plan(code, distinct)
-    frame = None if plan is None else _frame_table(code, plan.tableau, family)
-    if frame is None:
+    rows = _weyl_rows(code, distinct)
+    found = None if rows is None else _syndrome_plan(code, family)
+    if found is None:
         decoder = "ket"
         patterns = list(family)
+        members = set(patterns)
         chosen, _, logical = _decode(code, patterns,
                                      code.encode(logical_input), distinct)
         fidelity = np.abs(target.conj() @ logical) ** 2
     else:
         decoder = "syndrome"
-        patterns = frame.patterns
-        chosen, fidelity = _frame_decode(plan, frame, code.n_levels, target)
+        tab, table = found
+        patterns, members = table.patterns, table.members
+        chosen, fidelity = _frame_decode(tab, table, rows, code.n_levels,
+                                         target)
     outcome = []
     for pattern, pick, fid in zip(distinct, chosen.tolist(),
                                   fidelity.tolist()):
-        in_family = family.contains(pattern)
+        in_family = pattern in members
         if pick < 0:
             outcome.append(TrialRecord(pattern, in_family, None, 0.0, False))
         else:

@@ -59,9 +59,9 @@ class CodeSpec:
 
     The encoded kets are treated as immutable once built: the verifier
     reads the code's stabilizer off them once and keeps the result, None
-    included, in ``_stabilizer`` (with the channel's per-family frame
-    tables on it).  That cache is neither compared nor pickled; a code
-    whose kets must change is built anew.
+    included, in ``_stabilizer`` (with the syndrome table of each Weyl
+    family checked or run on it).  That cache is neither compared nor
+    pickled; a code whose kets must change is built anew.
     """
 
     label: str

@@ -24,11 +24,15 @@ that ran):
   condition fails exactly when A^dag B commutes with S but is not in it
   (Gottesman 1997; Ketkar, Klappenecker, Kumar and Sarvepalli 2006), so
   the check passes iff no syndrome class holds two full labels.  Only
-  such failing pairs have their overlaps read off the kets; lambda is a
-  direct sum of rank-1 blocks, one per label class, so its rank and
-  eigenvalues are the class count and the class sizes.  It is built as
-  CSR and handed over dense on a pass with at most
-  ``LAMBDA_SUMMARY_MAX`` patterns.
+  such failing pairs have their overlaps read off the kets, and only in
+  the blocks where they can be nonzero; lambda is a direct sum of rank-1
+  blocks, one per label class, so its rank and eigenvalues are the class
+  count and the class sizes.  It is built as CSR and handed over dense on
+  a pass with at most ``LAMBDA_SUMMARY_MAX`` patterns.  The family's
+  members, their Weyl rows, the syndrome class of each and the earliest
+  member of each syndrome form one table, built once per (code, family)
+  and kept with the code's stabilizer; the channel's syndrome decoder
+  reads the same table.
 * ``exact`` certifies zeros symbolically.  It writes each ket as integer
   numerators on the lattice of order-2N roots of unity, applies the
   patterns there (Weyl and spin flips only move digits and add to
@@ -83,7 +87,7 @@ from scipy.sparse import identity as sparse_identity
 
 from .codes import UNREAD, CodeSpec
 from .cyclotomic import FLOAT_ZERO_TOL, residue_matrix
-from .errors import PatternFamily, apply_pattern
+from .errors import ErrorPattern, PatternFamily, apply_pattern
 from .states import RegisterState, inner_product
 
 BOUNDARY_WITNESS_CAP = 10
@@ -347,8 +351,8 @@ def _key(w: KLWitness):
 class _Scan:
     """The witness and boundary rule of every engine.
 
-    Engines feed it deviations (observed minus expected overlap) in
-    batches.  The witness is the largest deviation, ties going to the
+    Engines feed it deviations (observed minus expected overlap) block
+    by block.  The witness is the largest deviation, ties going to the
     earliest (i, j, a, b); the boundary witnesses are the earliest
     ``BOUNDARY_WITNESS_CAP`` entries above ``tol`` on the boundary.  A
     diagonal entry (i == j) expects ``lam[a, b]``, which is read only for
@@ -366,35 +370,33 @@ class _Scan:
         self.witness: KLWitness | None = None
         self.boundary: list[KLWitness] = []
 
-    def add(self, i: int, rows, a, b, deviation: np.ndarray,
+    def add(self, i: int, j: int, a, b, deviation: np.ndarray,
             observed: np.ndarray | None = None) -> None:
-        """Fold in deviations of logical row ``i``.
+        """Fold in deviations of block (i, j).
 
-        ``deviation[r, c]`` belongs to (i, rows[r], a[c], b[c]), and its
-        row-major order must be (j, a, b) order.  ``observed`` holds the
-        overlaps themselves when the engine has them; otherwise they are
-        taken as expected plus deviation.
+        ``deviation[k]`` belongs to (i, j, a[k], b[k]), in (a, b) order.
+        ``observed`` holds the overlaps themselves when the engine has
+        them; otherwise they are taken as expected plus deviation.
         """
         if deviation.size == 0:
             return
         mag = np.abs(deviation)
         on_boundary = self.touches[a] | self.touches[b]
-        inside = mag[:, ~on_boundary]
+        inside = mag[~on_boundary]
         if inside.size:
             self.interior_max = max(self.interior_max, float(inside.max()))
 
         def keep(k):
-            row, col = divmod(int(k), len(a))
-            j, pa, pb = rows[row], int(a[col]), int(b[col])
+            pa, pb = int(a[k]), int(b[k])
             expected = complex(self.lam[pa, pb]) if j == i else 0j
-            value = expected + complex(deviation[row, col]) \
-                if observed is None else complex(observed[row, col])
-            return KLWitness(pa, pb, i, j, value, expected,
-                             float(mag[row, col]), bool(on_boundary[col]))
+            value = expected + complex(deviation[k]) \
+                if observed is None else complex(observed[k])
+            return KLWitness(pa, pb, i, j, value, expected, float(mag[k]),
+                             bool(on_boundary[k]))
 
-        # argmax takes the first of equal values, the earliest in the batch
+        # argmax takes the first of equal values, the earliest in the block
         top = int(mag.argmax())
-        if mag.flat[top] > 0 and mag.flat[top] >= self.max_dev:
+        if mag[top] > 0 and mag[top] >= self.max_dev:
             rivals = [w for w in (keep(top), self.witness) if w is not None]
             self.witness = min(rivals, key=lambda w: (-w.deviation, _key(w)))
             self.max_dev = self.witness.deviation
@@ -443,27 +445,10 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     mats, lam = _float_family(code, patterns)
     scan = _Scan(code, patterns, tol, lam)
     for i, j, coo, _ in _sparse_blocks(mats, lam):
-        scan.add(i, (j,), coo.row, coo.col, coo.data[None, :])
+        scan.add(i, j, coo.row, coo.col, coo.data)
         if fail_fast and scan.max_dev > tol:
             break
     return scan, lam
-
-
-def _weyl_exponents(code: CodeSpec, patterns):
-    """(shifts, phases): the family's X and Z exponents mod N, one row per
-    pattern and one column per register, or None when an operator is not a
-    Weyl operator or the identity."""
-    n, width = code.n_levels, code.width
-    shifts = np.zeros((len(patterns), width), dtype=np.int64)
-    phases = np.zeros_like(shifts)
-    for p_idx, pattern in enumerate(patterns):
-        for pos, op in pattern.ops:
-            if op.kind == "weyl":
-                shifts[p_idx, pos - 1] = op.a % n
-                phases[p_idx, pos - 1] = op.b % n
-            elif op.kind != "identity":
-                return None
-    return shifts, phases
 
 
 # -- the exact engine ---------------------------------------------------------
@@ -624,8 +609,8 @@ def _scan_counted(scan: _Scan, blocks, fail_fast: bool) -> bool:
         if fail_fast:
             a, b, deviation = a[:1], b[:1], deviation[:1]
         if observed is not None:
-            observed = observed[None, :a.size]
-        scan.add(i, (j,), a, b, deviation[None, :], observed)
+            observed = observed[:a.size]
+        scan.add(i, j, a, b, deviation, observed)
         if fail_fast:
             break
     return failed
@@ -910,7 +895,8 @@ class _Tableau:
     the stabilizer of v_0: ket j is its eigenvector with exponents
     ``characters[j]``.  ``keys`` holds the kets' characters read as base-N
     numbers, sorted, and ``ket_of`` the ket of each key.  ``frames`` holds
-    the channel's frame table of each family run on the code.
+    the ``_SyndromeTable`` of each Weyl family checked or run on the code,
+    which the syndrome engine and the channel's syndrome path both read.
     """
 
     stabilizer: np.ndarray
@@ -998,40 +984,79 @@ def _tableau_off_kets(code: CodeSpec) -> _Tableau | None:
                     keys, ket_of, kets)
 
 
+def _weyl_rows(code: CodeSpec, patterns) -> np.ndarray | None:
+    """Each pattern as the Weyl row (x | z) of its X and Z exponents mod N,
+    one column per register in each half, or None when an operator is not
+    a Weyl operator or the identity."""
+    n, width = code.n_levels, code.width
+    rows = np.zeros((len(patterns), 2 * width), dtype=np.int64)
+    for p_idx, pattern in enumerate(patterns):
+        for pos, op in pattern.ops:
+            if op.kind == "weyl":
+                rows[p_idx, pos - 1] = op.a % n
+                rows[p_idx, width + pos - 1] = op.b % n
+            elif op.kind != "identity":
+                return None
+    return rows
+
+
+def _syndromes(tab: _Tableau, rows: np.ndarray, n: int) -> np.ndarray:
+    """Each Weyl row's syndrome, its symplectic products with S read as one
+    base-N integer (exact: N^r stays below 2^62 wherever a tableau reads,
+    r the rows of S)."""
+    digits = _mod_matmul(rows, _pairing(tab.stabilizer).T, n)
+    return digits @ n ** np.arange(digits.shape[1], dtype=np.int64)
+
+
 @dataclass
-class _SyndromePlan:
-    """What the syndrome engine reads: the code's tableau and the family."""
+class _SyndromeTable:
+    """A Weyl family's syndromes on one code, built once per (code, family)
+    and kept in the tableau's ``frames``."""
 
-    tableau: _Tableau
-    rows: np.ndarray        # pattern p as the Weyl row (x | z)
+    patterns: list[ErrorPattern]
+    rows: np.ndarray        # member p as the Weyl row (x | z)
+    keys: np.ndarray        # every syndrome the family reaches, sorted
+    earliest: np.ndarray    # the first member with each key
+    classes: np.ndarray     # each member's index into ``keys``
+    members: frozenset      # the members, for membership tests
 
 
-def _syndrome_plan(code: CodeSpec, patterns) -> _SyndromePlan | None:
-    """The tableau and the family's Weyl rows, or None when either is
-    missing."""
-    exponents = _weyl_exponents(code, patterns)
-    tableau = None if exponents is None else _read_tableau(code)
-    if tableau is None:
+def _syndrome_plan(code: CodeSpec, family: PatternFamily):
+    """(tableau, table) of the family on the code, or None when
+    ``family.basis`` holds an operator that is not a Weyl operator or no
+    stabilizer reads off the kets."""
+    if any(op.kind != "weyl" for op in family.basis):
         return None
-    return _SyndromePlan(tableau, np.hstack(exponents))
+    tab = _read_tableau(code)
+    if tab is None:
+        return None
+    if family not in tab.frames:
+        patterns = list(family)
+        rows = _weyl_rows(code, patterns)
+        keys, earliest, classes = np.unique(
+            _syndromes(tab, rows, code.n_levels), return_index=True,
+            return_inverse=True)
+        tab.frames[family] = _SyndromeTable(patterns, rows, keys, earliest,
+                                            classes, frozenset(patterns))
+    return tab, tab.frames[family]
 
 
-def _transfer(plan: _SyndromePlan, n: int, a, b, sources):
+def _transfer(tab: _Tableau, n: int, rows_a: np.ndarray, rows_b: np.ndarray,
+              sources):
     """Lists (i, mu), one entry per source ket j, with B v_j = mu A v_i
-    elementwise over the pattern arrays a, b, whose pairs commute with S.
+    elementwise over the Weyl rows of A and B, whose pairs commute with S.
 
     A^dag B maps v_j onto the ket whose character is v_j's shifted by
     <t, row_b - row_a> for each logical row t.  mu is read at one term: y
     = y_i + x_A, where A v_i has the value w^(z_A.y_i) v_i(y_i) and B v_j
     the value w^(z_B.(y - x_B)) v_j(y - x_B).
     """
-    tab, rows = plan.tableau, plan.rows
     kets = tab.kets
-    width = rows.shape[1] // 2
+    width = rows_a.shape[1] // 2
     place = n ** np.arange(tab.characters.shape[1], dtype=np.int64)
-    shift = _mod_matmul(rows[b] - rows[a], _pairing(tab.logical).T, n)
-    x_a, z_a = rows[a, :width], rows[a, width:]
-    x_b, z_b = rows[b, :width], rows[b, width:]
+    shift = _mod_matmul(rows_b - rows_a, _pairing(tab.logical).T, n)
+    x_a, z_a = rows_a[:, :width], rows_a[:, width:]
+    x_b, z_b = rows_b[:, :width], rows_b[:, width:]
     first_amps = np.array([amps[0] for amps in kets.amps])
     targets, mus = [], []
     for j in sources:
@@ -1047,16 +1072,6 @@ def _transfer(plan: _SyndromePlan, n: int, a, b, sources):
     return targets, mus
 
 
-def _label_classes(labels: np.ndarray):
-    """Class index of each row of ``labels`` by its value, and the first row
-    of each class."""
-    if not labels.shape[1]:
-        return np.zeros(len(labels), dtype=np.int64), np.zeros(1, np.int64)
-    _, first, inverse = np.unique(labels, axis=0, return_index=True,
-                                  return_inverse=True)
-    return inverse.ravel(), first
-
-
 def _pairs_within(classes: np.ndarray):
     """All (a, b) with classes[a] == classes[b], in (a, b) order."""
     members = np.argsort(classes, kind="stable")
@@ -1069,7 +1084,7 @@ def _pairs_within(classes: np.ndarray):
     return a, members[start[classes[a]] + offset]
 
 
-def _syndrome_engine(code: CodeSpec, patterns, plan: _SyndromePlan,
+def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
                      tol: float, fail_fast: bool):
     """Weyl families on stabilizer codes; see the module docstring.
 
@@ -1079,36 +1094,40 @@ def _syndrome_engine(code: CodeSpec, patterns, plan: _SyndromePlan,
     lambda_ab = conj(psi_a) psi_b |v_0|^2, psi relative to the first
     pattern of the label class.  Only pairs with one
     syndrome and two full labels reach the scan, block (i, j >= i) by
-    block; ``fail_fast`` stops after the first block holding a deviation
-    above ``tol``.  Returns (scan, lam, lambda summary or None on a
-    failure).
+    block, and of these only the entries that can be nonzero: a pair maps
+    v_j onto one ket, ``targets[j]``, and on the diagonal the reference
+    overlap counts too.  ``fail_fast`` stops after the first block holding
+    a deviation above ``tol``.  Returns (scan, lam, lambda summary or None
+    on a failure).
     """
-    n, size = code.n_levels, len(patterns)
-    tab, kets = plan.tableau, plan.tableau.kets
-    syndrome, _ = _label_classes(
-        _mod_matmul(plan.rows, _pairing(tab.stabilizer).T, n))
-    label, first = _label_classes(
-        _reduce(plan.rows, tab.stabilizer, tab.pivots, n))
-    _, (psi,) = _transfer(plan, n, first[label], np.arange(size), [0])
-    rows, cols = _pairs_within(label)
-    values = psi[rows].conj() * psi[cols] * kets.norms[0]
-    a, b = _pairs_within(syndrome)
+    n, kets, rows = code.n_levels, tab.kets, table.rows
+    size = len(rows)
+    label, _ = _rank_strings(_string_keys(
+        _reduce(rows, tab.stabilizer, tab.pivots, n), n))
+    _, first = np.unique(label, return_index=True)
+    _, (psi,) = _transfer(tab, n, rows[first[label]], rows, [0])
+    pairs_a, pairs_b = _pairs_within(label)
+    values = psi[pairs_a].conj() * psi[pairs_b] * kets.norms[0]
+    a, b = _pairs_within(table.classes)
     failing = label[a] != label[b]
     a, b = a[failing], b[failing]
     # (target ket, mu) of every failing pair, one column per source ket j
-    targets, mus = _transfer(plan, n, a, b, range(len(kets.amps)))
+    targets, mus = _transfer(tab, n, rows[a], rows[b], range(len(kets.amps)))
     reference = np.where(targets[0] == 0, mus[0] * kets.norms[0], 0)
     kept = reference != 0
     lam = csr_matrix((np.concatenate([values, reference[kept]]),
-                      (np.concatenate([rows, a[kept]]),
-                       np.concatenate([cols, b[kept]]))), shape=(size, size))
+                      (np.concatenate([pairs_a, a[kept]]),
+                       np.concatenate([pairs_b, b[kept]]))),
+                     shape=(size, size))
     lam.sort_indices()
-    scan = _Scan(code, patterns, tol, lam)
+    scan = _Scan(code, table.patterns, tol, lam)
     if a.size:
         for i, j in _blocks_after_reference(len(kets.amps)):
-            observed = np.where(targets[j] == i, mus[j] * kets.norms[i], 0)
-            deviation = observed - reference if i == j else observed
-            scan.add(i, (j,), a, b, deviation[None, :], observed[None, :])
+            own = targets[j] == i
+            live = np.flatnonzero(own | kept if i == j else own)
+            observed = np.where(own[live], mus[j][live] * kets.norms[i], 0)
+            deviation = observed - reference[live] if i == j else observed
+            scan.add(i, j, a[live], b[live], deviation, observed)
             if fail_fast and scan.max_dev > tol:
                 break
         return scan, lam, None
@@ -1152,22 +1171,21 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
             f"{code.width}")
     if not code.encoded_kets:
         raise ValueError("code has no materialized encoded kets")
-    patterns = list(family)
     started = time.perf_counter()
+    found = None if exact else _syndrome_plan(code, family)
+    patterns = list(family) if found is None else found[1].patterns
 
     summary = None
     if exact:
         engine = "exact"
         scan, failed, lam = _exact_engine(code, patterns, tol, fail_fast)
+    elif found is not None:
+        engine = "syndrome"
+        scan, lam, summary = _syndrome_engine(code, *found, tol, fail_fast)
+        failed = scan.max_dev > tol
     else:
-        plan = _syndrome_plan(code, patterns)
-        if plan is not None:
-            engine = "syndrome"
-            scan, lam, summary = _syndrome_engine(code, patterns, plan, tol,
-                                                  fail_fast)
-        else:
-            engine = "sparse-float"
-            scan, lam = _sparse_engine(code, patterns, tol, fail_fast)
+        engine = "sparse-float"
+        scan, lam = _sparse_engine(code, patterns, tol, fail_fast)
         failed = scan.max_dev > tol
     ok = not failed
     if ok and summary is None and len(patterns) <= LAMBDA_SUMMARY_MAX:

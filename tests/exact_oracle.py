@@ -42,7 +42,7 @@ def exact_engine(code, patterns, tol: float, fail_fast: bool):
         if counted:
             failed = True
             a, b, deviation, observed = (np.array(c) for c in zip(*counted))
-            scan.add(i, (j,), a, b, deviation[None, :], observed[None, :])
+            scan.add(i, j, a, b, deviation, observed)
             if fail_fast:
                 break
     return scan, failed, lam

@@ -551,6 +551,23 @@ def test_logical_width_mismatch():
         run_trials(code, cfg, family, RegisterState.basis(2, (0, 1)))
 
 
+def test_logical_levels_mismatch_on_both_paths(monkeypatch):
+    # a qutrit input on a qubit code is refused before any pattern is
+    # drawn, on either path
+    code, family = shor_setup()
+    cfg = ChannelConfig(p=0.2, seed=1, trials=20)
+    logical = RegisterState.basis(3, (2,))
+    monkeypatch.setattr(channel, "_draw_pattern",
+                        lambda *args: pytest.fail("a pattern was drawn"))
+    for force in (False, True):
+        with monkeypatch.context() as patch:
+            if force:
+                force_ket(patch)
+            with pytest.raises(ValueError, match="n_levels 3; the code has "
+                                                 "n_levels 2"):
+                run_trials(code, cfg, family, logical)
+
+
 def test_summary_json_keys():
     code, family = shor_setup()
     cfg = ChannelConfig(p=0.1, seed=42, trials=30)
@@ -608,6 +625,11 @@ def test_kl_report_unchanged_by_a_channel_run():
 
     before = report()
     assert before["engine"] == "syndrome"
-    run_trials(code, ChannelConfig(p=0.2, seed=3, trials=100), family,
-               RegisterState.basis(2, (0, 1, 1)))
+    table = code._stabilizer.frames[family]
+    summary = run_trials(code, ChannelConfig(p=0.2, seed=3, trials=100),
+                         family, RegisterState.basis(2, (0, 1, 1)))
+    # the check and the run read one syndrome table
+    assert summary.decoder == "syndrome"
+    assert list(code._stabilizer.frames) == [family]
+    assert code._stabilizer.frames[family] is table
     assert report() == before

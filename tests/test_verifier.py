@@ -675,8 +675,7 @@ def test_back_substitution_matches_enumeration(n):
 
 def cross_check(code, family, *references):
     """The syndrome engine's report against each reference engine's."""
-    patterns = list(family)
-    assert verifier._syndrome_plan(code, patterns) is not None, code.label
+    assert verifier._syndrome_plan(code, family) is not None, code.label
     reports = {}
     for engine in ("syndrome",) + references:
         with pytest.MonkeyPatch.context() as patch:
@@ -922,8 +921,46 @@ def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
     code = builtin("shor9", 2, 1)
     family = enumerate_family(9, 9, 1, n_levels=2,
                               basis=(general([[0, 1], [1, 1]]),))
-    assert verifier._syndrome_plan(code, list(family)) is None
+    assert verifier._syndrome_plan(code, family) is None
     assert kl_check(code, family).engine == "sparse-float"
+
+
+def test_repeated_check_reads_the_kept_syndrome_table():
+    code = builtin("rate14_conv", 2, 3)
+    family = weyl_family(16, 8, 1, 2)
+    reports = [kl_check(code, family).to_json() for _ in range(2)]
+    for data in reports:
+        del data["elapsed_seconds"]
+    assert reports[0]["engine"] == "syndrome"
+    assert reports[1] == reports[0]
+    tab, table = verifier._syndrome_plan(code, family)
+    assert tab is code._stabilizer and list(tab.frames) == [family]
+    assert tab.frames[family] is table
+    assert table.patterns == list(family)
+    assert table.members == set(family)
+
+
+def test_syndrome_engine_scans_only_entries_that_can_be_nonzero(monkeypatch):
+    # a failing pair maps v_j onto one ket, targets[j], so block (i, j)
+    # holds its overlap only where targets[j] == i, and a diagonal block
+    # also holds its deviation where the reference overlap is nonzero;
+    # every other entry is an exact zero and stays out of the scan
+    code = builtin("rate14_conv", 2, 3)
+    family = weyl_family(16, 8, 1, 2)
+    fed = []
+    add = verifier._Scan.add
+
+    def counting(self, i, j, a, b, deviation, observed=None):
+        live = (deviation != 0) | (observed != 0)
+        fed.append((deviation.size, int(np.count_nonzero(live))))
+        add(self, i, j, a, b, deviation, observed)
+
+    monkeypatch.setattr(verifier._Scan, "add", counting)
+    report = kl_check(code, family)
+    assert report.engine == "syndrome" and report.verdict == "fail"
+    entries = sum(size for size, _ in fed)
+    assert entries > 0
+    assert entries == sum(live for _, live in fed)
 
 
 def test_syndrome_engine_settles_rate14_conv_at_five_symbols():
