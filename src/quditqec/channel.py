@@ -60,8 +60,8 @@ from .cyclotomic import PhaseScalar
 from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
                      apply_pattern, weyl_basis)
 from .states import RegisterState
-from .verifier import (_float_matrices, _syndrome_plan, _syndromes, _transfer,
-                       _weyl_rows)
+from .verifier import (_check_family_width, _float_matrices, _syndrome_plan,
+                       _syndromes, _transfer, _weyl_rows)
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
 PROJECTION_FLOOR = 1e-9
@@ -188,13 +188,6 @@ def sample_channel(state: RegisterState, cfg: ChannelConfig,
     menu, weights = cfg.menu_for(state.n_levels)
     pattern = _draw_pattern(cfg, state.width, menu, _menu_cdf(weights), trial)
     return apply_pattern(state, pattern), pattern
-
-
-def _check_family_width(code: CodeSpec, family: PatternFamily) -> None:
-    if family.width != code.width:
-        raise ValueError(
-            f"family width {family.width} does not match code width "
-            f"{code.width}")
 
 
 def _decode(code: CodeSpec, candidates: list[ErrorPattern],

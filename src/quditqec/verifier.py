@@ -23,12 +23,19 @@ that ran):
   its coset of S.  For Weyl errors the
   condition fails exactly when A^dag B commutes with S but is not in it
   (Gottesman 1997; Ketkar, Klappenecker, Kumar and Sarvepalli 2006), so
-  the check passes iff no syndrome class holds two full labels.  Only
-  such failing pairs have their overlaps read off the kets, and only in
-  the blocks where they can be nonzero; lambda is a direct sum of rank-1
-  blocks, one per label class, so its rank and eigenvalues are the class
-  count and the class sizes.  It is built as CSR and handed over dense on
-  a pass with at most ``LAMBDA_SUMMARY_MAX`` patterns.  The family's
+  the check passes iff no syndrome class holds two full labels.  Lambda
+  comes from one rule: a same-syndrome pair's A^dag B maps v_0 onto a
+  multiple mu of one ket, and lambda_ab is mu |v_0|^2 where that ket is
+  v_0.  On a pass lambda is a direct sum of rank-1 blocks, one per label
+  class, so its rank and eigenvalues are the class count and the class
+  sizes.  It is built as CSR and handed over dense on a pass with at most
+  ``LAMBDA_SUMMARY_MAX`` patterns.  Only failing pairs have overlaps to
+  scan, and a failing pair's overlaps are those of its logical class (the
+  coset of S of A^dag B) times one phase, so they are read off every ket
+  for one representative pair per class, and scanned only in the blocks
+  where they can be nonzero.  Each deviation is a magnitude of its class,
+  so equal deviations are bit-equal and exact ties go to the earliest
+  entry, as in the exact engine.  The family's
   members, their Weyl rows, the syndrome class of each and the earliest
   member of each syndrome form one table, built once per (code, family)
   and kept with the code's stabilizer; the channel's syndrome decoder
@@ -136,10 +143,9 @@ class KLReport:
     ``lam`` holds the lambda matrix in the form the engine produced it: a
     scipy CSR matrix from ``sparse-float``; from ``exact`` a dense array
     up to ``LAMBDA_SUMMARY_MAX`` patterns and CSR above.  ``syndrome``
-    builds CSR holding only the entries that can be nonzero
-    (pairs of one full label, and failing pairs whose reference overlap
-    is nonzero) and hands over a dense array on a pass with at most
-    ``LAMBDA_SUMMARY_MAX`` patterns.  Entry (a, b) is <v_0| A^dag B |v_0>,
+    builds CSR holding only the entries that can be nonzero, the
+    same-syndrome pairs whose A^dag B maps v_0 onto itself, and on a pass
+    hands it over as ``exact`` does.  Entry (a, b) is <v_0| A^dag B |v_0>,
     on a failure and after a ``fail_fast`` stop too.  It is not part of
     the JSON report.
     """
@@ -401,7 +407,11 @@ class _Scan:
             self.witness = min(rivals, key=lambda w: (-w.deviation, _key(w)))
             self.max_dev = self.witness.deviation
         hits = np.flatnonzero((mag > self.tol) & on_boundary)
-        if hits.size:
+        # a full list keeps no entry after its last one; a block's entries
+        # come in (a, b) order
+        last = self.boundary[BOUNDARY_WITNESS_CAP - 1:]
+        if hits.size and not (last and _key(last[0]) < (
+                i, j, a[hits[0]], b[hits[0]])):
             self.boundary = sorted(
                 self.boundary + [keep(k) for k in hits[:BOUNDARY_WITNESS_CAP]],
                 key=_key)[:BOUNDARY_WITNESS_CAP]
@@ -1089,57 +1099,63 @@ def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
     """Weyl families on stabilizer codes; see the module docstring.
 
     A pair with different syndromes has A^dag B off the normalizer, so
-    every overlap is an exact zero; a pair with one full label (one coset
-    of S) has A^dag B in S, so it passes with
-    lambda_ab = conj(psi_a) psi_b |v_0|^2, psi relative to the first
-    pattern of the label class.  Only pairs with one
-    syndrome and two full labels reach the scan, block (i, j >= i) by
-    block, and of these only the entries that can be nonzero: a pair maps
-    v_j onto one ket, ``targets[j]``, and on the diagonal the reference
-    overlap counts too.  ``fail_fast`` stops after the first block holding
-    a deviation above ``tol``.  Returns (scan, lam, lambda summary or None
-    on a failure).
+    every overlap is an exact zero.  One ``_transfer`` at v_0 over every
+    same-syndrome pair gives lambda: A^dag B maps v_0 onto mu times the
+    ket ``target``, and lambda_ab = mu |v_0|^2 where that ket is v_0, for
+    pairs of one full label (A^dag B in S) and failing pairs alike.
+
+    A failing pair's A^dag B is its logical class's representative's
+    times a phase and an element of S, which acts on every ket as one
+    phase, so its overlaps are the representative's times kappa, its own
+    mu at v_0 over the representative's: every ket is read for the
+    representatives only.  The scan gets, block (i, j >= i) by block,
+    the entries that can be nonzero: a pair maps v_j onto one ket,
+    ``targets[j]``, and on the diagonal the reference overlap counts too.
+    Each deviation is a magnitude of its class: |v_0|^2 where one of the
+    two overlaps is zero, and |w^k - 1| |v_0|^2 where the class maps v_i
+    and v_0 onto themselves with character ratio w^k.  ``fail_fast``
+    stops after the first block holding a deviation above ``tol``.
+    Returns (scan, lam, lambda summary or None on a failure).
     """
     n, kets, rows = code.n_levels, tab.kets, table.rows
-    size = len(rows)
-    label, _ = _rank_strings(_string_keys(
+    size, dim, norm = len(rows), len(kets.amps), kets.norms[0]
+    label, labels = _rank_strings(_string_keys(
         _reduce(rows, tab.stabilizer, tab.pivots, n), n))
-    _, first = np.unique(label, return_index=True)
-    _, (psi,) = _transfer(tab, n, rows[first[label]], rows, [0])
-    pairs_a, pairs_b = _pairs_within(label)
-    values = psi[pairs_a].conj() * psi[pairs_b] * kets.norms[0]
     a, b = _pairs_within(table.classes)
-    failing = label[a] != label[b]
-    a, b = a[failing], b[failing]
-    # (target ket, mu) of every failing pair, one column per source ket j
-    targets, mus = _transfer(tab, n, rows[a], rows[b], range(len(kets.amps)))
-    reference = np.where(targets[0] == 0, mus[0] * kets.norms[0], 0)
-    kept = reference != 0
-    lam = csr_matrix((np.concatenate([values, reference[kept]]),
-                      (np.concatenate([pairs_a, a[kept]]),
-                       np.concatenate([pairs_b, b[kept]]))),
+    (target,), (mu,) = _transfer(tab, n, rows[a], rows[b], [0])
+    kept = target == 0
+    lam = csr_matrix((mu[kept] * norm, (a[kept], b[kept])),
                      shape=(size, size))
-    lam.sort_indices()
     scan = _Scan(code, table.patterns, tol, lam)
-    if a.size:
-        for i, j in _blocks_after_reference(len(kets.amps)):
-            own = targets[j] == i
-            live = np.flatnonzero(own | kept if i == j else own)
-            observed = np.where(own[live], mus[j][live] * kets.norms[i], 0)
-            deviation = observed - reference[live] if i == j else observed
-            scan.add(i, j, a[live], b[live], deviation, observed)
-            if fail_fast and scan.max_dev > tol:
-                break
-        return scan, lam, None
-    # lambda is a direct sum of rank-1 blocks, one per label class
-    eigenvalues = np.zeros(size)
-    eigenvalues[:len(first)] = np.bincount(label) * kets.norms[0]
-    summary = _summarize_lambda(lam, tol, eigenvalues)
-    if size <= LAMBDA_SUMMARY_MAX:
-        # hand lambda_matrix the dense matrix it returns, in the size range
-        # where the sparse Gram densifies lambda for its summary anyway
-        lam = lam.toarray()
-    return scan, lam, summary
+    failing = label[a] != label[b]
+    if not failing.any():
+        # lambda is a direct sum of rank-1 blocks, one per label class
+        eigenvalues = np.zeros(size)
+        eigenvalues[:labels] = np.bincount(label) * norm
+        return scan, _lambda_out(lam), _summarize_lambda(lam, tol,
+                                                         eigenvalues)
+    a, b, mu, kept = a[failing], b[failing], mu[failing], kept[failing]
+    # each failing pair's logical class, the coset of S of row_b - row_a
+    cls, _ = _rank_strings(_string_keys(_reduce(
+        (rows[b] - rows[a]) % n, tab.stabilizer, tab.pivots, n), n))
+    _, rep = np.unique(cls, return_index=True)
+    # (target ket, mu) of each class's representative, per source ket j
+    targets, mus = _transfer(tab, n, rows[a[rep]], rows[b[rep]], range(dim))
+    kappa = mu / mu[rep[cls]]
+    for i, j in _blocks_after_reference(dim):
+        own = (targets[j] == i)[cls]
+        live = np.flatnonzero(own | kept if i == j else own)
+        chord = np.ones(len(rep))
+        if i == j:
+            fixed = (targets[i] == i) & (targets[0] == 0)
+            k = _root_exponents(mus[i][fixed] / mus[0][fixed], n)
+            chord[fixed] = 2 * np.sin(np.pi * np.minimum(k, n - k) / n)
+        observed = np.where(own[live], kappa[live] * mus[j][cls[live]]
+                            * kets.norms[i], 0)
+        scan.add(i, j, a[live], b[live], chord[cls[live]] * norm, observed)
+        if fail_fast and scan.max_dev > tol:
+            break
+    return scan, lam, None
 
 
 def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
@@ -1165,10 +1181,7 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     and ignored: every engine runs in one thread.
     """
     _check_tol(tol)
-    if family.width != code.width:
-        raise ValueError(
-            f"family width {family.width} does not match code width "
-            f"{code.width}")
+    _check_family_width(code, family)
     if not code.encoded_kets:
         raise ValueError("code has no materialized encoded kets")
     started = time.perf_counter()
@@ -1224,6 +1237,13 @@ def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite nonnegative number, "
                          f"not {tol}")
+
+
+def _check_family_width(code: CodeSpec, family: PatternFamily) -> None:
+    if family.width != code.width:
+        raise ValueError(
+            f"family width {family.width} does not match code width "
+            f"{code.width}")
 
 
 def _as_dense(lam) -> np.ndarray:

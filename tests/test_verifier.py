@@ -6,6 +6,7 @@ from scipy.sparse import issparse
 
 import exact_oracle
 import quditqec.verifier as verifier
+import syndrome_oracle
 from dense_oracle import dense_kl_check, dense_kl_deviation
 from quditqec.codes import (CodeSpec, build_identity_code, build_qcc_from_qbc,
                             builtin, lower_bidiagonal_mu, perfect5_block)
@@ -65,6 +66,27 @@ def test_witness_reevaluates_above_tolerance():
     assert witness.boundary
     assert report.interior_verdict == "vacuous"
     assert report.boundary_witnesses
+
+
+def test_scan_keeps_the_earliest_boundary_entries_in_any_block_order():
+    # at L=1 every register is boundary, so every entry above tol is a
+    # candidate; the scan keeps the earliest BOUNDARY_WITNESS_CAP by
+    # (i, j, a, b), whatever order the blocks come in
+    code = builtin("rate14_conv", 2, 1)
+    family = weyl_family(8, 4, 1, 2)
+    size = len(family)
+    rng = np.random.default_rng(5)
+    blocks = [(i, j, *np.divmod(np.sort(rng.choice(size * size, 6,
+                                                   replace=False)), size))
+              for i, j in ((0, 1), (0, 2), (1, 1), (2, 3))]
+    every = sorted((i, j, int(a), int(b)) for i, j, pa, pb in blocks
+                   for a, b in zip(pa, pb))
+    for order in (blocks, blocks[::-1], blocks[2:] + blocks[:2]):
+        scan = verifier._Scan(code, family, 1e-9, np.zeros((size, size)))
+        for i, j, a, b in order:
+            scan.add(i, j, a, b, np.ones(a.size))
+        assert [witness_key(w) for w in scan.boundary] == \
+            every[:verifier.BOUNDARY_WITNESS_CAP]
 
 
 def test_lambda_identity_for_spin_conv_flips():
@@ -701,6 +723,11 @@ def cross_check(code, family, *references):
             assert abs(ours.lambda_samples[key] - value) < 1e-9, where
         assert np.abs(verifier._as_dense(ours.lam)
                       - verifier._as_dense(ref.lam)).max() < 1e-9, where
+        if engine == "exact" and not ours.passed:
+            # equal deviations are bit-equal in both engines, so exact ties
+            # go to the earliest entry in both
+            assert witness_key(ours.witness) == witness_key(ref.witness), \
+                where
         if ours.passed:
             for key in ("kind", "rank", "dim"):
                 assert ours.lambda_summary[key] == \
@@ -845,6 +872,51 @@ def test_syndrome_engine_on_a_dense_composite_dual(monkeypatch, dual_family,
                    - w.deviation) < 1e-9
 
 
+def close(x, y):
+    return abs(x - y) < 1e-12
+
+
+def same_witness(ours, ref):
+    return witness_key(ours) == witness_key(ref) and close(
+        ours.observed, ref.observed) and close(ours.expected, ref.expected)
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+@pytest.mark.parametrize("code, family, verdict", SYNDROME_CASES)
+def test_syndrome_engine_agrees_with_its_pair_by_pair_oracle(
+        monkeypatch, code, family, verdict, fail_fast):
+    ours = kl_check(code, family, fail_fast=fail_fast)
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_syndrome_engine",
+                      syndrome_oracle.syndrome_engine)
+        ref = kl_check(code, family, fail_fast=fail_fast)
+    assert ours.engine == ref.engine == "syndrome"
+    assert (ours.verdict, ours.interior_verdict) == \
+        (ref.verdict, ref.interior_verdict)
+    assert close(ours.max_deviation, ref.max_deviation)
+    assert close(ours.interior_max_deviation, ref.interior_max_deviation)
+    assert len(ours.boundary_witnesses) == len(ref.boundary_witnesses)
+    assert all(same_witness(w, v) for w, v in zip(ours.boundary_witnesses,
+                                                  ref.boundary_witnesses))
+    assert ours.lambda_samples.keys() == ref.lambda_samples.keys()
+    assert all(close(ours.lambda_samples[key], value)
+               for key, value in ref.lambda_samples.items())
+    assert np.abs(verifier._as_dense(ours.lam)
+                  - verifier._as_dense(ref.lam)).max(initial=0) < 1e-12
+    if ours.passed:
+        for key in ("kind", "rank", "dim"):
+            assert ours.lambda_summary[key] == ref.lambda_summary[key]
+        assert close(ours.lambda_summary["min_eigenvalue"],
+                     ref.lambda_summary["min_eigenvalue"])
+    elif witness_key(ours.witness) == witness_key(ref.witness):
+        assert same_witness(ours.witness, ref.witness)
+    else:
+        # the oracle's float noise split an exact tie: the engine keeps it
+        # and gives it to the earlier entry
+        assert close(ours.witness.deviation, ref.witness.deviation)
+        assert witness_key(ours.witness) < witness_key(ref.witness)
+
+
 # small enough for exact arithmetic: passes and fails, N = 2 and 3, a dual
 @pytest.mark.parametrize("code, family", [
     pytest.param(builtin("majority3", 3, 1), flip_family(3, 3, 3),
@@ -857,6 +929,10 @@ def test_syndrome_engine_on_a_dense_composite_dual(monkeypatch, dual_family,
                  id="rate14_conv-N2"),
     pytest.param(dualize(builtin("majority3", 2, 1)), weyl_family(3, 3, 1, 2),
                  id="dual-majority3-N2"),
+    pytest.param(dualize(builtin("majority3", 3, 1)), weyl_family(3, 3, 1, 3),
+                 id="dual-majority3-N3-L1"),
+    pytest.param(dualize(builtin("majority3", 6, 1)), weyl_family(3, 3, 1, 6),
+                 id="dual-majority3-N6"),
 ])
 def test_syndrome_engine_agrees_with_exact(code, family):
     cross_check(code, family, "exact")
@@ -961,6 +1037,25 @@ def test_syndrome_engine_scans_only_entries_that_can_be_nonzero(monkeypatch):
     entries = sum(size for size, _ in fed)
     assert entries > 0
     assert entries == sum(live for _, live in fed)
+
+
+def test_syndrome_engine_reads_every_ket_once_per_logical_class(
+        monkeypatch):
+    # a failing pair's overlaps are its logical class's times one phase,
+    # so only one representative pair per class is read on every ket
+    code = builtin("rate14_conv", 2, 3)
+    family = weyl_family(16, 8, 1, 2)
+    calls = []
+    transfer = verifier._transfer
+
+    def counting(tab, n, rows_a, rows_b, sources):
+        calls.append((len(rows_a), len(sources)))
+        return transfer(tab, n, rows_a, rows_b, sources)
+
+    monkeypatch.setattr(verifier, "_transfer", counting)
+    report = kl_check(code, family)
+    assert report.engine == "syndrome" and report.verdict == "fail"
+    assert [rows for rows, sources in calls if sources > 1] == [7]
 
 
 def test_syndrome_engine_settles_rate14_conv_at_five_symbols():
