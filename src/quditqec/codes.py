@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -345,15 +345,16 @@ def perfect5_block(n_levels: int) -> CodeSpec:
     """
     n, _ = _sizes(n_levels, 1)
     return CodeSpec("perfect5_block", n, 1, 5, 0, 0, 1, _perfect5_kets(n, 1, 1),
-                    rebuild=lambda N, L, f=True: _tensor_power_of(perfect5_block, N, L))
+                    rebuild=lambda N, L, f=True: _perfect5_blocks(N, L))
 
 
-def _tensor_power_of(block_builder, n_levels: int, logical_len: int) -> CodeSpec:
-    base = block_builder(n_levels)
-    kets = {w: reduce(RegisterState.tensor, [base.encoded_kets[(k,)] for k in w])
-            for w in _windows(n_levels, logical_len)}
-    return CodeSpec(base.label, n_levels, base.n, base.m, 0, 0,
-                    logical_len, kets)
+def _perfect5_blocks(n_levels: int, logical_len: int) -> CodeSpec:
+    """``logical_len`` independent perfect blocks: the qcc of the identity
+    mixing, under the block's label."""
+    identity = MuMatrix(tuple(tuple(int(p == i) for p in range(logical_len))
+                              for i in range(logical_len)))
+    code = build_qcc_from_qbc(perfect5_block(n_levels), identity, logical_len)
+    return replace(code, label="perfect5_block")
 
 
 def build_perfect5(n_levels: int, logical_len: int, flush: bool = True) -> CodeSpec:

@@ -162,9 +162,15 @@ class RegisterState:
         if self.n_levels != other.n_levels:
             raise ValueError("cannot tensor states with different n_levels")
         terms: dict[Digits, PhaseScalar] = {}
+        # builder kets share a few amplitude objects: each distinct pair of
+        # them is multiplied once
+        products: dict[tuple[int, int], PhaseScalar] = {}
         for k1, a1 in self.terms.items():
             for k2, a2 in other.terms.items():
-                terms[k1 + k2] = a1 * a2
+                pair = (id(a1), id(a2))
+                if pair not in products:
+                    products[pair] = a1 * a2
+                terms[k1 + k2] = products[pair]
         return RegisterState._raw(self.n_levels, self.width + other.width, terms)
 
 

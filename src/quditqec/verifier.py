@@ -18,7 +18,7 @@ that ran):
   dual and paste is.  It reads the stabilizer S off the kets (the affine
   support and phase ratios of v_0 give v_0's stabilizer; S is the part
   that acts on every ket with one common phase) and checks it on every
-  ket term; spans and kernels over Z_N come from the Howell form.  A
+  ket term; spans and kernels over Z_N come from one Howell form each.  A
   pattern's syndrome is its symplectic products with S, its full label
   its coset of S.  For Weyl errors the
   condition fails exactly when A^dag B commutes with S but is not in it
@@ -36,10 +36,11 @@ that ran):
   where they can be nonzero.  Each deviation is a magnitude of its class,
   so equal deviations are bit-equal and exact ties go to the earliest
   entry, as in the exact engine.  The family's
-  members, their Weyl rows, the syndrome class of each and the earliest
-  member of each syndrome form one table, built once per (code, family)
-  and kept with the code's stabilizer; the channel's syndrome decoder
-  reads the same table.
+  members, their Weyl rows, the syndrome class of each, the earliest
+  member of each syndrome and which members touch the boundary form one
+  table, built once per (code, family) and kept with the code's
+  stabilizer; the channel's syndrome decoder reads the same table, and a
+  repeated check walks no pattern objects.
 * ``exact`` certifies zeros symbolically.  It writes each ket as integer
   numerators on the lattice of order-2N roots of unity, applies the
   patterns there (Weyl and spin flips only move digits and add to
@@ -74,7 +75,8 @@ witnesses (the earliest ones above tolerance).
 
 Deviations are classified as interior or boundary by whether either
 pattern of the offending pair touches a register of the code's truncation
-boundary (head and tail blocks).  The split is bookkeeping: a boundary
+boundary (head and tail blocks); the accumulator is handed that mask,
+one flag per pattern, and reads nothing else of the code.  The split is bookkeeping: a boundary
 violation need not be a truncation artifact, and an interior that passes
 may merely be too narrow to hold a witness.  ``rate14_conv`` has both a
 head collision (a single phase error on register 3 at L=3) and a
@@ -354,21 +356,26 @@ def _key(w: KLWitness):
     return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
 
 
+def _touches(code: CodeSpec, patterns) -> np.ndarray:
+    """Which patterns act on a register of the code's truncation boundary."""
+    return np.array([any(pos in code.boundary_registers for pos, _ in p.ops)
+                     for p in patterns], dtype=bool)
+
+
 class _Scan:
     """The witness and boundary rule of every engine.
 
     Engines feed it deviations (observed minus expected overlap) block
     by block.  The witness is the largest deviation, ties going to the
     earliest (i, j, a, b); the boundary witnesses are the earliest
-    ``BOUNDARY_WITNESS_CAP`` entries above ``tol`` on the boundary.  A
-    diagonal entry (i == j) expects ``lam[a, b]``, which is read only for
-    the entries kept.
+    ``BOUNDARY_WITNESS_CAP`` entries above ``tol`` on the boundary, where
+    ``touches`` (from ``_touches``) marks pattern a or b.  A diagonal entry
+    (i == j) expects ``lam[a, b]``, which is read only for the entries
+    kept.
     """
 
-    def __init__(self, code: CodeSpec, patterns, tol: float, lam):
-        self.touches = np.array(
-            [bool(set(p.support) & code.boundary_registers)
-             for p in patterns])
+    def __init__(self, touches: np.ndarray, tol: float, lam):
+        self.touches = touches
         self.tol = tol
         self.lam = lam
         self.max_dev = 0.0
@@ -453,7 +460,7 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     """Cached sparse Gram: one family matrix per logical word, built and
     column-compacted once, then the blocks (i, j >= i) in order."""
     mats, lam = _float_family(code, patterns)
-    scan = _Scan(code, patterns, tol, lam)
+    scan = _Scan(_touches(code, patterns), tol, lam)
     for i, j, coo, _ in _sparse_blocks(mats, lam):
         scan.add(i, j, coo.row, coo.col, coo.data)
         if fail_fast and scan.max_dev > tol:
@@ -636,7 +643,7 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     lattice = _read_lattice(code, patterns)
     if lattice is None:
         mats, lam = _float_family(code, patterns)
-        scan = _Scan(code, patterns, tol, lam)
+        scan = _Scan(_touches(code, patterns), tol, lam)
         blocks = ((i, j, a, b, coo.data[live],
                    np.asarray(block[a, b]).ravel() if i == j else None)
                   for i, j, coo, block in _sparse_blocks(mats, lam)
@@ -653,7 +660,7 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     lam = _lambda_out(csr_matrix(
         (_lattice_value(residue[live], order, square * n ** h[0]),
          np.divmod(pairs[live], size)), shape=(size, size)))
-    scan = _Scan(code, patterns, tol, lam)
+    scan = _Scan(_touches(code, patterns), tol, lam)
 
     def blocks():
         for i, j in _blocks_after_reference(len(mats)):
@@ -789,19 +796,6 @@ def _reduce(rows: np.ndarray, basis: np.ndarray, pivots,
     return rows
 
 
-def _span(rows: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
-    """``_howell`` of the span of many rows: rows are reduced against the
-    basis found so far, and only survivors are eliminated."""
-    basis, pivots = rows[:0] % n, []
-    rest = rows % n
-    while True:
-        rest = _reduce(rest, basis, pivots, n)
-        rest = rest[rest.any(axis=1)]
-        if not rest.size:
-            return basis, pivots
-        basis, pivots = _howell(np.vstack([basis, rest[:rows.shape[1]]]), n)
-
-
 def _nullspace(rows: np.ndarray, n: int) -> np.ndarray:
     """Howell rows spanning {v : rows @ v = 0 mod n}: the rows of the Howell
     form of [rows^T | I] whose first part vanishes."""
@@ -901,12 +895,14 @@ class _Tableau:
     ``stabilizer`` holds the Howell rows of S, the Weyl rows that act on
     every ket as one common phase, and ``pivots`` their pivot columns, so
     that a row's coset of S is its ``_reduce`` against them.  ``logical``
-    completes S to
-    the stabilizer of v_0: ket j is its eigenvector with exponents
-    ``characters[j]``.  ``keys`` holds the kets' characters read as base-N
-    numbers, sorted, and ``ket_of`` the ket of each key.  ``frames`` holds
-    the ``_SyndromeTable`` of each Weyl family checked or run on the code,
-    which the syndrome engine and the channel's syndrome path both read.
+    completes S to the stabilizer of v_0: ket j is its eigenvector with
+    exponents ``characters[j]``.  Every span here is one ``_howell`` call,
+    whose canonical rows do not depend on how many rows it is handed.
+    ``keys`` holds the kets' characters read as base-N numbers, sorted,
+    and ``ket_of`` the ket of each key.  ``frames`` holds the
+    ``_SyndromeTable`` of each Weyl family checked or run on the code
+    (its boundary mask included), which the syndrome engine and the
+    channel's syndrome path both read.
     """
 
     stabilizer: np.ndarray
@@ -952,7 +948,7 @@ def _tableau_off_kets(code: CodeSpec) -> _Tableau | None:
     if np.abs(kets.norms - kets.norms[0]).max() > 1e-9:
         return None
     digits, amps, y0 = kets.digits[0], kets.amps[0], kets.first[0]
-    shifts, pivots = _span(digits - y0, n)
+    shifts, pivots = _howell(digits - y0, n)
     if _order(shifts, pivots, n) != len(amps):
         return None
     # ratio(g, h) = v0(y0 + h - g) v0(y0) / (v0(y0 + h) v0(y0 - g)) = w^(-z_g.h)
@@ -1020,8 +1016,9 @@ def _syndromes(tab: _Tableau, rows: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class _SyndromeTable:
-    """A Weyl family's syndromes on one code, built once per (code, family)
-    and kept in the tableau's ``frames``."""
+    """A Weyl family's syndromes on one code, and which of its members touch
+    the code's boundary, built once per (code, family) and kept in the
+    tableau's ``frames``."""
 
     patterns: list[ErrorPattern]
     rows: np.ndarray        # member p as the Weyl row (x | z)
@@ -1029,6 +1026,7 @@ class _SyndromeTable:
     earliest: np.ndarray    # the first member with each key
     classes: np.ndarray     # each member's index into ``keys``
     members: frozenset      # the members, for membership tests
+    touches: np.ndarray     # which members act on a boundary register
 
 
 def _syndrome_plan(code: CodeSpec, family: PatternFamily):
@@ -1046,8 +1044,9 @@ def _syndrome_plan(code: CodeSpec, family: PatternFamily):
         keys, earliest, classes = np.unique(
             _syndromes(tab, rows, code.n_levels), return_index=True,
             return_inverse=True)
-        tab.frames[family] = _SyndromeTable(patterns, rows, keys, earliest,
-                                            classes, frozenset(patterns))
+        tab.frames[family] = _SyndromeTable(
+            patterns, rows, keys, earliest, classes, frozenset(patterns),
+            _touches(code, patterns))
     return tab, tab.frames[family]
 
 
@@ -1126,7 +1125,7 @@ def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
     kept = target == 0
     lam = csr_matrix((mu[kept] * norm, (a[kept], b[kept])),
                      shape=(size, size))
-    scan = _Scan(code, table.patterns, tol, lam)
+    scan = _Scan(table.touches, tol, lam)
     failing = label[a] != label[b]
     if not failing.any():
         # lambda is a direct sum of rank-1 blocks, one per label class

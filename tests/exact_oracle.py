@@ -16,7 +16,7 @@ import numpy as np
 
 from quditqec.errors import apply_pattern
 from quditqec.states import inner_product
-from quditqec.verifier import _blocks_after_reference, _Scan
+from quditqec.verifier import _blocks_after_reference, _Scan, _touches
 
 
 def exact_engine(code, patterns, tol: float, fail_fast: bool):
@@ -28,7 +28,7 @@ def exact_engine(code, patterns, tol: float, fail_fast: bool):
                for w in logicals]
     reference = [[inner_product(x, y) for y in applied[0]] for x in applied[0]]
     lam = np.array([[r.to_complex() for r in row] for row in reference])
-    scan = _Scan(code, patterns, tol, lam)
+    scan = _Scan(_touches(code, patterns), tol, lam)
     failed = False
     for i, j in _blocks_after_reference(len(logicals)):
         counted = []

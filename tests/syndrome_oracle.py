@@ -17,7 +17,8 @@ from scipy.sparse import csr_matrix
 
 from quditqec.verifier import (LAMBDA_SUMMARY_MAX, _blocks_after_reference,
                                _pairs_within, _rank_strings, _reduce, _Scan,
-                               _string_keys, _summarize_lambda, _transfer)
+                               _string_keys, _summarize_lambda, _touches,
+                               _transfer)
 
 
 def syndrome_engine(code, tab, table, tol: float, fail_fast: bool):
@@ -55,7 +56,7 @@ def syndrome_engine(code, tab, table, tol: float, fail_fast: bool):
                        np.concatenate([pairs_b, b[kept]]))),
                      shape=(size, size))
     lam.sort_indices()
-    scan = _Scan(code, table.patterns, tol, lam)
+    scan = _Scan(_touches(code, table.patterns), tol, lam)
     if a.size:
         for i, j in _blocks_after_reference(len(kets.amps)):
             own = targets[j] == i

@@ -162,6 +162,15 @@ def test_simulate_logical_input_validation(capsys):
     assert code == 2
 
 
+def test_simulate_refuses_a_digit_past_n_levels(capsys):
+    code, report, err = run_cli(capsys, [
+        "simulate", "--code", "majority3", "--window", "3", "--p", "0.1",
+        "--trials", "3", "--seed", "1", "--input", "5"])
+    assert code == 2
+    assert report is None
+    assert err == "quditqec: logical digits must lie in 0..1\n"
+
+
 def test_certify_classical_pass(capsys):
     code, report, _ = run_cli(capsys, [
         "certify-classical", "--max-len", "3"])

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import functools
 import itertools
+import operator
 import pickle
 from fractions import Fraction
 
@@ -311,6 +313,27 @@ def test_superposed_builtins_match_term_loop_oracle(label, n, L, flush):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_perfect5_block_matches_term_loop_oracle(n):
     assert_same_code(perfect5_block(n), builder_oracle.perfect5_block(n))
+
+
+@pytest.mark.parametrize("n, length", [(2, 3), (3, 2)])
+def test_perfect5_block_rebuild_is_the_tensor_power(n, length):
+    block = perfect5_block(n)
+    code = block.rebuild(n, length)
+    assert (code.label, code.n_levels, code.n, code.m, code.memory,
+            code.flush_depth, code.logical_len) == \
+        ("perfect5_block", n, 1, 5, 0, 0, length)
+    assert code.boundary_registers == frozenset()
+    assert list(code.encoded_kets) == \
+        list(itertools.product(range(n), repeat=length))
+    for window, ket in code.encoded_kets.items():
+        # the block kets' terms multiplied out, first block slowest
+        terms = {}
+        for parts in itertools.product(*(block.encoded_kets[(k,)].terms.items()
+                                         for k in window)):
+            keys, amps = zip(*parts)
+            terms[sum(keys, ())] = functools.reduce(operator.mul, amps)
+        assert builder_oracle.same_terms(
+            ket, RegisterState(n, 5 * length, terms, validate=False))
 
 
 def test_one_pass_refuses_colliding_digit_strings():

@@ -8,6 +8,7 @@ import exact_oracle
 import quditqec.verifier as verifier
 import syndrome_oracle
 from dense_oracle import dense_kl_check, dense_kl_deviation
+from quditqec.channel import ChannelConfig, run_trials
 from quditqec.codes import (CodeSpec, build_identity_code, build_qcc_from_qbc,
                             builtin, lower_bidiagonal_mu, perfect5_block)
 from quditqec.cyclotomic import PhaseScalar, residue_matrix
@@ -82,7 +83,8 @@ def test_scan_keeps_the_earliest_boundary_entries_in_any_block_order():
     every = sorted((i, j, int(a), int(b)) for i, j, pa, pb in blocks
                    for a, b in zip(pa, pb))
     for order in (blocks, blocks[::-1], blocks[2:] + blocks[:2]):
-        scan = verifier._Scan(code, family, 1e-9, np.zeros((size, size)))
+        scan = verifier._Scan(verifier._touches(code, family), 1e-9,
+                              np.zeros((size, size)))
         for i, j, a, b in order:
             scan.add(i, j, a, b, np.ones(a.size))
         assert [witness_key(w) for w in scan.boundary] == \
@@ -646,6 +648,24 @@ def span_of(rows, n):
     return {tuple(v) for v in coeffs @ rows % n}
 
 
+def tall_rows(rng, n, size=3):
+    """Twelve to forty rows over Z_n, combinations of at most three
+    ``random_rows``: many more rows than columns and a small span, the
+    shape of a ket's support less its first string."""
+    gens = random_rows(rng, n, size)[:3]
+    coeffs = rng.integers(0, n, size=(int(rng.integers(12, 41)), len(gens)))
+    return coeffs @ gens % n
+
+
+def closure_of(rows, n):
+    """Every combination of the rows over Z_n, one row at a time."""
+    span = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    for row in rows:
+        span = np.unique((span[:, None, :] + np.arange(n)[:, None] * row)
+                         .reshape(-1, rows.shape[1]) % n, axis=0)
+    return {tuple(v) for v in span}
+
+
 MODULI = [4, 6, 8, 9, 5]
 
 
@@ -653,10 +673,11 @@ MODULI = [4, 6, 8, 9, 5]
 def test_span_matches_enumeration(n):
     rng = np.random.default_rng(n)
     grid = np.array(list(itertools.product(range(n), repeat=3)))
-    for _ in range(25):
-        rows = random_rows(rng, n)
-        span = span_of(rows, n)
-        basis, pivots = verifier._span(rows, n)
+    draws = [random_rows(rng, n) for _ in range(25)] + \
+        [tall_rows(rng, n) for _ in range(10)]
+    for rows in draws:
+        span = span_of(rows, n) if len(rows) <= 4 else closure_of(rows, n)
+        basis, pivots = verifier._howell(rows, n)
         # echelon rows, pivots dividing n, entries above a pivot below it
         assert pivots == sorted(set(pivots))
         for k, col in enumerate(pivots):
@@ -1001,6 +1022,60 @@ def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
     assert kl_check(code, family).engine == "sparse-float"
 
 
+def refused_stabilizer_codes():
+    """Kets that each stop the stabilizer read at one more refusal: a
+    generator that moves v_1 off its support, one that maps v_1 onto no
+    multiple of itself, a phase ratio w^3 at N=4 that no Z part along the
+    shift 2 gives (2z = -3 mod 4), and |S| dim = 3 != 4."""
+    def amp(z):
+        return PhaseScalar.from_complex(complex(z))
+
+    cat = {(0, 0, 0): amp(2 ** -0.5), (1, 1, 1): amp(2 ** -0.5)}
+    for n, width, kets in (
+            (2, 3, {(0,): cat, (1,): {(0, 0, 1): amp(1)}}),
+            (2, 3, {(0,): cat, (1,): {(0, 0, 1): amp(5 ** -0.5),
+                                      (1, 1, 0): amp(2 * 5 ** -0.5)}}),
+            (4, 1, {(0,): {(0,): amp(2 ** -0.5),
+                           (2,): amp(np.exp(0.25j * np.pi) / 2 ** 0.5)}}),
+            (2, 2, {(0, 0): {(0, 0): amp(1)}, (0, 1): {(0, 1): amp(1)},
+                    (1, 0): {(1, 0): amp(1)}})):
+        length = len(next(iter(kets)))
+        yield CodeSpec("handmade", n, 1, width // length, 0, 0, length, {
+            w: RegisterState(n, width, terms) for w, terms in kets.items()})
+
+
+@pytest.mark.parametrize("op, message", [
+    (spin_flip([1, 2, 0]), "spin flip table length"),
+    (phase_shift([1, W3, W3 * W3]), "phase table length"),
+    (general(np.eye(3)[[1, 2, 0]]), "matrix shape")])
+def test_operators_sized_for_another_n_are_refused(op, message):
+    # the pattern kernel refuses an operator table that is not N long, on
+    # every path that applies the family
+    code = builtin("majority3", 2, 1)
+    family = enumerate_family(3, 3, 1, basis=(op,), n_levels=2)
+    with pytest.raises(ValueError, match=message):
+        kl_check(code, family)
+    with pytest.raises(ValueError, match=message):
+        kl_check(code, family, exact=True)
+    with pytest.raises(ValueError, match=message):
+        run_trials(code, ChannelConfig(p=0.1, seed=1, trials=3), family,
+                   RegisterState.basis(2, (1,)))
+
+
+@pytest.mark.parametrize("code", refused_stabilizer_codes())
+def test_refused_stabilizer_reads_fall_back_to_the_sparse_gram(code):
+    family = weyl_family(code.width, code.width, 1, code.n_levels)
+    assert verifier._read_tableau(code) is None
+    report = kl_check(code, family)
+    assert report.engine == "sparse-float"
+    deviation, _ = dense_kl_deviation(code, family)
+    assert abs(report.max_deviation - deviation.max()) < 1e-9
+    # inexact amplitudes: the exact engine checks them in floats
+    assert verifier._read_lattice(code, list(family)) is None
+    exact = kl_check(code, family, exact=True)
+    assert exact.engine == "exact" and exact.verdict == report.verdict
+
+
 def test_repeated_check_reads_the_kept_syndrome_table():
     code = builtin("rate14_conv", 2, 3)
     family = weyl_family(16, 8, 1, 2)
@@ -1014,6 +1089,25 @@ def test_repeated_check_reads_the_kept_syndrome_table():
     assert tab.frames[family] is table
     assert table.patterns == list(family)
     assert table.members == set(family)
+    assert np.array_equal(table.touches, verifier._touches(code, list(family)))
+
+
+def test_repeated_check_marks_the_boundary_once(monkeypatch):
+    # the syndrome table keeps which members touch the boundary, so a
+    # second check on one (code, family) walks no pattern objects for it
+    code = builtin("rate14_conv", 2, 3)
+    family = weyl_family(16, 8, 1, 2)
+    calls = []
+    touches = verifier._touches
+
+    def counting(code, patterns):
+        calls.append(len(patterns))
+        return touches(code, patterns)
+
+    monkeypatch.setattr(verifier, "_touches", counting)
+    reports = [kl_check(code, family) for _ in range(2)]
+    assert [r.engine for r in reports] == ["syndrome", "syndrome"]
+    assert calls == [len(family)]
 
 
 def test_syndrome_engine_scans_only_entries_that_can_be_nonzero(monkeypatch):
