@@ -28,10 +28,13 @@ that ran):
   multiple mu of one ket, and lambda_ab is mu |v_0|^2 where that ket is
   v_0.  On a pass lambda is a direct sum of rank-1 blocks, one per label
   class, so its rank and eigenvalues are the class count and the class
-  sizes.  It is built as CSR and handed over dense on a pass with at most
-  ``LAMBDA_SUMMARY_MAX`` patterns.  Only failing pairs have overlaps to
-  scan, and a failing pair's overlaps are those of its logical class (the
-  coset of S of A^dag B) times one phase, so they are read off every ket
+  sizes, and its summary reads the identity deviation off the entries.
+  It is built from its entries, on either verdict, as the exact engine
+  builds it: dense up to ``LAMBDA_SUMMARY_MAX`` patterns and CSR above,
+  so a check on this engine never imports scipy below that size.  Only
+  failing pairs have overlaps to scan, and a failing pair's overlaps are
+  those of its logical class (the coset of S of A^dag B) times one
+  phase, so they are read off every ket
   for one representative pair per class, and scanned only in the blocks
   where they can be nonzero.  Each deviation is a magnitude of its class,
   so equal deviations are bit-equal and exact ties go to the earliest
@@ -89,15 +92,17 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
-from scipy.sparse import identity as sparse_identity
 
 from .codes import UNREAD, CodeSpec
 from .cyclotomic import FLOAT_ZERO_TOL, residue_matrix
 from .errors import ErrorPattern, PatternFamily, apply_pattern
 from .states import RegisterState, inner_product
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 BOUNDARY_WITNESS_CAP = 10
 LAMBDA_SAMPLE_DIM = 4
@@ -143,13 +148,12 @@ class KLReport:
     """Outcome of one check.
 
     ``lam`` holds the lambda matrix in the form the engine produced it: a
-    scipy CSR matrix from ``sparse-float``; from ``exact`` a dense array
-    up to ``LAMBDA_SUMMARY_MAX`` patterns and CSR above.  ``syndrome``
-    builds CSR holding only the entries that can be nonzero, the
-    same-syndrome pairs whose A^dag B maps v_0 onto itself, and on a pass
-    hands it over as ``exact`` does.  Entry (a, b) is <v_0| A^dag B |v_0>,
-    on a failure and after a ``fail_fast`` stop too.  It is not part of
-    the JSON report.
+    scipy CSR matrix from ``sparse-float``; from ``exact`` and ``syndrome``
+    a dense array up to ``LAMBDA_SUMMARY_MAX`` patterns and CSR above.
+    ``syndrome`` sets only the entries that can be nonzero, the
+    same-syndrome pairs whose A^dag B maps v_0 onto itself.  Entry (a, b)
+    is <v_0| A^dag B |v_0>, on a failure and after a ``fail_fast`` stop
+    too.  It is not part of the JSON report.
     """
 
     verdict: str
@@ -324,6 +328,7 @@ def _ranked_matrices(entries) -> list[csr_matrix]:
     that meet at one row and string summed.  The columns are the strings
     of all the sets, ranked together in grid order by ``_rank_strings``,
     so products do not scale with N^width and any width fits."""
+    from scipy.sparse import csr_matrix
     columns, count = _rank_strings(
         np.concatenate([keys for _, keys, _, _ in entries], axis=1))
     ends = np.cumsum([len(values) for _, _, values, _ in entries])
@@ -606,10 +611,17 @@ def _lattice_value(residue: np.ndarray, order: int,
     return total / scale
 
 
-def _lambda_out(lam: csr_matrix):
-    """Lambda as the report holds it: dense up to ``LAMBDA_SUMMARY_MAX``
-    patterns, where the summary densifies it anyway, and CSR above."""
-    return lam.toarray() if lam.shape[0] <= LAMBDA_SUMMARY_MAX else lam
+def _lambda_out(values: np.ndarray, a: np.ndarray, b: np.ndarray,
+                size: int):
+    """Lambda as the report holds it, from its entries (a, b, value), one
+    per pair: dense up to ``LAMBDA_SUMMARY_MAX`` patterns, where the
+    summary densifies it anyway, and CSR above."""
+    if size <= LAMBDA_SUMMARY_MAX:
+        lam = np.zeros((size, size), dtype=complex)
+        lam[a, b] = values
+        return lam
+    from scipy.sparse import csr_matrix
+    return csr_matrix((values, (a, b)), shape=(size, size))
 
 
 def _scan_counted(scan: _Scan, blocks, fail_fast: bool) -> bool:
@@ -641,6 +653,7 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     Returns (scan, failed, lam), ``lam`` the reference block on either
     verdict."""
     lattice = _read_lattice(code, patterns)
+    n, size, order = code.n_levels, len(patterns), 2 * code.n_levels
     if lattice is None:
         mats, lam = _float_family(code, patterns)
         scan = _Scan(_touches(code, patterns), tol, lam)
@@ -649,17 +662,17 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
                   for i, j, coo, block in _sparse_blocks(mats, lam)
                   for live in [np.abs(coo.data) >= FLOAT_ZERO_TOL]
                   for a, b in [(coo.row[live], coo.col[live])])
-        return scan, _scan_counted(scan, blocks, fail_fast), _lambda_out(lam)
-    n, size, order = code.n_levels, len(patterns), 2 * code.n_levels
+        entries = lam.tocoo()
+        return scan, _scan_counted(scan, blocks, fail_fast), _lambda_out(
+            entries.data, entries.row, entries.col, size)
     mats = _lattice_matrices(lattice, patterns, n)
     h = lattice.halves
     square = lattice.denominator ** 2
     ref_keys, ref_values = _gram_block(mats, 0, 0, order)
     pairs, residue = _residues(ref_keys, ref_values, order)
     live = residue.any(axis=1)
-    lam = _lambda_out(csr_matrix(
-        (_lattice_value(residue[live], order, square * n ** h[0]),
-         np.divmod(pairs[live], size)), shape=(size, size)))
+    lam = _lambda_out(_lattice_value(residue[live], order, square * n ** h[0]),
+                      *np.divmod(pairs[live], size), size)
     scan = _Scan(_touches(code, patterns), tol, lam)
 
     def blocks():
@@ -1123,16 +1136,16 @@ def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
     a, b = _pairs_within(table.classes)
     (target,), (mu,) = _transfer(tab, n, rows[a], rows[b], [0])
     kept = target == 0
-    lam = csr_matrix((mu[kept] * norm, (a[kept], b[kept])),
-                     shape=(size, size))
+    entries = mu[kept] * norm, a[kept], b[kept]
+    lam = _lambda_out(*entries, size)
     scan = _Scan(table.touches, tol, lam)
     failing = label[a] != label[b]
     if not failing.any():
         # lambda is a direct sum of rank-1 blocks, one per label class
         eigenvalues = np.zeros(size)
         eigenvalues[:labels] = np.bincount(label) * norm
-        return scan, _lambda_out(lam), _summarize_lambda(lam, tol,
-                                                         eigenvalues)
+        return scan, lam, _lambda_summary(
+            eigenvalues, _identity_deviation(*entries), size, tol)
     a, b, mu, kept = a[failing], b[failing], mu[failing], kept[failing]
     # each failing pair's logical class, the coset of S of row_b - row_a
     cls, _ = _rank_strings(_string_keys(_reduce(
@@ -1246,24 +1259,43 @@ def _check_family_width(code: CodeSpec, family: PatternFamily) -> None:
 
 
 def _as_dense(lam) -> np.ndarray:
-    return lam.toarray() if issparse(lam) else lam
+    return lam if isinstance(lam, np.ndarray) else lam.toarray()
+
+
+def _identity_deviation(values: np.ndarray, a: np.ndarray,
+                        b: np.ndarray) -> float:
+    """The largest entry of |lambda - I| for lambda given by its entries
+    (a, b, value), one per pair, every diagonal pair among them."""
+    return float(np.abs(values - (a == b)).max(initial=0.0))
+
+
+def _lambda_summary(eigenvalues: np.ndarray, identity_dev: float, size: int,
+                    tol: float) -> dict:
+    """Kind, rank, size and least eigenvalue of a lambda matrix from its
+    eigenvalues and its largest deviation from the identity."""
+    scale = max(1.0, float(eigenvalues.max(initial=0.0)))
+    rank = int((eigenvalues > max(tol, 1e-9) * scale).sum())
+    kind = "identity" if identity_dev <= max(tol, 1e-9) else "degenerate"
+    return {"kind": kind, "rank": rank, "dim": size,
+            "min_eigenvalue": float(eigenvalues.min(initial=0.0))}
 
 
 def _summarize_lambda(matrix, tol: float,
                       eigenvalues: np.ndarray | None = None) -> dict:
-    """Kind, rank, size and least eigenvalue of a lambda matrix, dense or
-    CSR; the eigenvalues are taken from its Hermitian part unless given."""
+    """``_lambda_summary`` of a lambda matrix, dense or sparse.  The
+    eigenvalues are taken from its Hermitian part unless given; a sparse
+    matrix handed over with them must store every diagonal entry."""
     size = matrix.shape[0]
     if eigenvalues is None:
         matrix = _as_dense(matrix)
         eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-    scale = max(1.0, float(eigenvalues.max(initial=0.0)))
-    rank = int((eigenvalues > max(tol, 1e-9) * scale).sum())
-    identity = sparse_identity(size) if issparse(matrix) else np.eye(size)
-    identity_dev = float(abs(matrix - identity).max())
-    kind = "identity" if identity_dev <= max(tol, 1e-9) else "degenerate"
-    return {"kind": kind, "rank": rank, "dim": size,
-            "min_eigenvalue": float(eigenvalues.min(initial=0.0))}
+    if isinstance(matrix, np.ndarray):
+        identity_dev = float(abs(matrix - np.eye(size)).max())
+    else:
+        entries = matrix.tocoo()
+        identity_dev = _identity_deviation(entries.data, entries.row,
+                                           entries.col)
+    return _lambda_summary(eigenvalues, identity_dev, size, tol)
 
 
 @dataclass

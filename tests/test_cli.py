@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -334,3 +336,60 @@ def test_unexpected_exits_are_one_line(capsys, monkeypatch, exc, status,
     assert report is None
     assert err.count("\n") == 1
     assert err.startswith(text)
+
+
+# Run in a fresh interpreter: the CLI calls must leave scipy unimported;
+# the two Gram checks after them must load it.
+_SCIPY_FREE_CHILD = r"""
+import contextlib, io, json, sys
+
+from quditqec.cli import main
+
+exits = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        exits.append(main(argv))
+before = "scipy" in sys.modules
+
+from quditqec.codes import builtin
+from quditqec.errors import enumerate_family, spin_flip
+from quditqec.verifier import kl_check
+
+exact = kl_check(builtin("shor9", 2, 1),
+                 enumerate_family(9, 9, 1, n_levels=2), exact=True)
+flips = kl_check(builtin("majority3", 2, 2),
+                 enumerate_family(6, 3, 1, basis=(spin_flip([1, 0]),)))
+print(json.dumps({"exits": exits, "before": before,
+                  "after": "scipy" in sys.modules,
+                  "gram": [[exact.engine, exact.verdict],
+                           [flips.engine, flips.verdict]]}))
+"""
+
+
+def test_syndrome_and_usage_paths_never_import_scipy(tmp_path):
+    commands = [
+        (["verify-kl", "--code", "shor9", "--window", "9",
+          "--out", str(tmp_path / "missing" / "report.json")], 2),
+        (["dualize", "--code", "majority3"], 0),
+        (["lambda", "--code", "shor9", "--window", "9"], 0),
+        (["verify-kl", "--code", "rate14_conv", "--logical-len", "3",
+          "--window", "8"], 1),
+        (["simulate", "--code", "rate14_conv", "--logical-len", "2",
+          "--window", "4", "--p", "0.1", "--trials", "20", "--seed", "1"],
+         1),
+        (["certify-classical", "--max-len", "3"], 0),
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_CHILD,
+         json.dumps([argv for argv, _ in commands])],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["exits"] == [status for _, status in commands]
+    assert result["before"] is False
+    assert result["after"] is True
+    assert result["gram"] == [["exact", "pass"], ["sparse-float", "pass"]]

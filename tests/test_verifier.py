@@ -354,6 +354,27 @@ def test_exact_lambda_is_csr_above_the_summary_cap(monkeypatch):
         lambda_matrix(code, family, precomputed=report).matrix, dense)
 
 
+@pytest.mark.parametrize("code, family, verdict", [
+    (builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2), "pass"),
+    (builtin("shor9", 2, 1), weyl_family(9, 3, 1, 2), "fail"),
+])
+def test_syndrome_lambda_is_csr_above_the_summary_cap(monkeypatch, code,
+                                                       family, verdict):
+    dense = kl_check(code, family)
+    assert dense.engine == "syndrome" and dense.verdict == verdict
+    assert isinstance(dense.lam, np.ndarray)
+    monkeypatch.setattr(verifier, "LAMBDA_SUMMARY_MAX", len(family) - 1)
+    report = kl_check(code, family)
+    assert report.engine == "syndrome" and report.verdict == verdict
+    assert issparse(report.lam)
+    assert np.array_equal(report.lam.toarray(), dense.lam)
+    assert report.lambda_summary == dense.lambda_summary
+    if report.passed:
+        assert np.array_equal(
+            lambda_matrix(code, family, precomputed=report).matrix,
+            dense.lam)
+
+
 def test_exact_engine_refuses_overlaps_past_int64():
     big = PhaseScalar.monomial(2, 2 ** 31)
     code = CodeSpec("huge", 2, 1, 3, 0, 0, 1, {
