@@ -41,7 +41,6 @@ harmless for windowed decoding and would mask the real property.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import time
 from dataclasses import dataclass

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .cyclotomic import FLOAT_ZERO_TOL, PhaseScalar, root_of_unity
+from .cyclotomic import FLOAT_ZERO_TOL, PhaseScalar
 
 Digits = tuple[int, ...]
 

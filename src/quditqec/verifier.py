@@ -12,7 +12,9 @@ that ran):
 * ``sparse-float`` applies the family to each logical word's ket in
   floats, one sparse matrix per word with one column per basis string
   that occurs in any of them, and forms the Gram blocks (i, j >= i) with
-  scipy, in order.
+  scipy, in order.  This is the one float walk: it yields only the
+  entries whose deviation is at least ``FLOAT_ZERO_TOL``, the zero of
+  ``PhaseScalar.is_zero``, each with its overlap.
 * ``syndrome`` handles families whose operators are all Weyl operators
   (or the identity) on stabilizer codes over Z_N, which every builtin,
   dual and paste is.  It reads the stabilizer S off the kets (the affine
@@ -51,8 +53,8 @@ that ran):
   decides each entry by its canonical residue modulo the cyclotomic
   polynomial.  Inputs that ``PhaseScalar`` carries in floats (phase shifts,
   general matrices, inexact amplitudes, a ket that mixes the parity of
-  sqrt(N)) take the sparse Gram, where an entry counts when its magnitude
-  is at least ``FLOAT_ZERO_TOL``.
+  sqrt(N)) take the sparse Gram's walk, so both float routes share one
+  zero rule, and every entry it yields counts.
 
 One kernel, ``_apply_patterns``, moves ket digits for a pattern.  For
 every pattern and every ket entry (a digit row) it gives the pattern, the
@@ -71,10 +73,12 @@ otherwise: for a family with another operator, or kets that are no
 stabilizer code (a support that is no affine space, a phase ratio that
 is no N-th root of unity, a generator that does not map every ket onto a
 multiple of itself, a stabilizer of the wrong order, or kets of unequal
-norm).  All three engines run in one thread and feed their deviations
-to one accumulator, which alone picks the witness (the largest
-deviation, ties going to the earliest (i, j, a, b)) and the boundary
-witnesses (the earliest ones above tolerance).
+norm).  All three engines run in one thread and feed their deviations,
+each with its overlap, to one accumulator, which alone picks the witness
+(the largest deviation, ties going to the earliest (i, j, a, b)) and the
+boundary witnesses (the earliest ones above tolerance).  Each returns
+one outcome, (scan, failed, lam, summary), from which ``kl_check``
+builds the report.
 
 Deviations are classified as interior or boundary by whether either
 pattern of the offending pair touches a register of the code's truncation
@@ -107,8 +111,8 @@ if TYPE_CHECKING:
 BOUNDARY_WITNESS_CAP = 10
 LAMBDA_SAMPLE_DIM = 4
 # eigendecomposition for the rank summary is skipped above this family size
-# (the syndrome engine's summary is in closed form and has no cap; up to
-# this size its passing reports hold lambda dense)
+# (the syndrome engine's summary is in closed form and has no cap); up to
+# this size the exact and syndrome engines hold lambda dense
 LAMBDA_SUMMARY_MAX = 4096
 
 
@@ -122,8 +126,8 @@ class KLWitness:
 
     Indices refer to the deterministic enumeration order of the family
     (pattern_a, pattern_b) and of the sorted logical windows (logical_i,
-    logical_j).  `expected` is 0 for off-diagonal entries and the reference
-    lambda value for diagonal ones.
+    logical_j).  `observed` is the overlap itself, `expected` 0 for
+    off-diagonal entries and the reference lambda value for diagonal ones.
     """
 
     pattern_a: int
@@ -153,7 +157,8 @@ class KLReport:
     ``syndrome`` sets only the entries that can be nonzero, the
     same-syndrome pairs whose A^dag B maps v_0 onto itself.  Entry (a, b)
     is <v_0| A^dag B |v_0>, on a failure and after a ``fail_fast`` stop
-    too.  It is not part of the JSON report.
+    too.  It is not part of the JSON report, nor are ``code`` and
+    ``family``, the pairing checked, which ``lambda_matrix`` compares.
     """
 
     verdict: str
@@ -173,6 +178,8 @@ class KLReport:
     elapsed_seconds: float
     family_json: dict = field(repr=False, default_factory=dict)
     lam: object = field(repr=False, compare=False, default=None)
+    code: CodeSpec = field(repr=False, compare=False, default=None)
+    family: PatternFamily = field(repr=False, compare=False, default=None)
 
     @property
     def passed(self) -> bool:
@@ -370,8 +377,9 @@ def _touches(code: CodeSpec, patterns) -> np.ndarray:
 class _Scan:
     """The witness and boundary rule of every engine.
 
-    Engines feed it deviations (observed minus expected overlap) block
-    by block.  The witness is the largest deviation, ties going to the
+    Engines feed it, block by block, the entries they count: each
+    deviation (the overlap less its expected value) with the overlap
+    itself.  The witness is the largest deviation, ties going to the
     earliest (i, j, a, b); the boundary witnesses are the earliest
     ``BOUNDARY_WITNESS_CAP`` entries above ``tol`` on the boundary, where
     ``touches`` (from ``_touches``) marks pattern a or b.  A diagonal entry
@@ -383,34 +391,27 @@ class _Scan:
         self.touches = touches
         self.tol = tol
         self.lam = lam
-        self.max_dev = 0.0
-        self.interior_max = 0.0
+        self.max_dev = self.interior_max = 0.0
         self.witness: KLWitness | None = None
         self.boundary: list[KLWitness] = []
 
     def add(self, i: int, j: int, a, b, deviation: np.ndarray,
-            observed: np.ndarray | None = None) -> None:
-        """Fold in deviations of block (i, j).
-
-        ``deviation[k]`` belongs to (i, j, a[k], b[k]), in (a, b) order.
-        ``observed`` holds the overlaps themselves when the engine has
-        them; otherwise they are taken as expected plus deviation.
-        """
+            observed: np.ndarray) -> None:
+        """Fold in entries of block (i, j): ``deviation[k]`` and the
+        overlap ``observed[k]`` belong to (i, j, a[k], b[k]), in (a, b)
+        order.  Off the diagonal the two are equal."""
         if deviation.size == 0:
             return
         mag = np.abs(deviation)
         on_boundary = self.touches[a] | self.touches[b]
-        inside = mag[~on_boundary]
-        if inside.size:
-            self.interior_max = max(self.interior_max, float(inside.max()))
+        self.interior_max = max(self.interior_max,
+                                float(mag[~on_boundary].max(initial=0.0)))
 
         def keep(k):
             pa, pb = int(a[k]), int(b[k])
             expected = complex(self.lam[pa, pb]) if j == i else 0j
-            value = expected + complex(deviation[k]) \
-                if observed is None else complex(observed[k])
-            return KLWitness(pa, pb, i, j, value, expected, float(mag[k]),
-                             bool(on_boundary[k]))
+            return KLWitness(pa, pb, i, j, complex(observed[k]), expected,
+                             float(mag[k]), bool(on_boundary[k]))
 
         # argmax takes the first of equal values, the earliest in the block
         top = int(mag.argmax())
@@ -449,28 +450,35 @@ def _float_family(code: CodeSpec, patterns):
 
 
 def _sparse_blocks(mats: list[csr_matrix], lam: csr_matrix):
-    """The Gram blocks (i, j >= i) after the reference, in order, as
-    (i, j, COO deviations in (a, b) order, the block as CSR); a diagonal
-    block's deviations are the block less lambda."""
+    """The float Gram blocks (i, j >= i) after the reference, in order, as
+    (i, j, a, b, deviation, observed) in (a, b) order, for the entries
+    whose deviation (a diagonal block's entry less lambda's) is at least
+    ``FLOAT_ZERO_TOL``, the float zero of ``PhaseScalar.is_zero``.
+    ``observed`` is the overlap itself."""
     for i, j in _blocks_after_reference(len(mats)):
         block = gram = (mats[i].conj() @ mats[j].T).tocsr()
         if i == j:
             gram = (gram - lam).tocsr()
         # sorted CSR reads out row-major, the (a, b) order the scan needs
         gram.sort_indices()
-        yield i, j, gram.tocoo(), block
+        coo = gram.tocoo()
+        live = np.abs(coo.data) >= FLOAT_ZERO_TOL
+        a, b, deviation = coo.row[live], coo.col[live], coo.data[live]
+        observed = np.asarray(block[a, b]).ravel() if i == j else deviation
+        yield i, j, a, b, deviation, observed
 
 
 def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
-    """Cached sparse Gram: one family matrix per logical word, built and
-    column-compacted once, then the blocks (i, j >= i) in order."""
+    """Cached sparse Gram: one family matrix per logical word, built once,
+    then the blocks (i, j >= i) in order; ``fail_fast`` stops after the
+    first block holding a deviation above ``tol``."""
     mats, lam = _float_family(code, patterns)
     scan = _Scan(_touches(code, patterns), tol, lam)
-    for i, j, coo, _ in _sparse_blocks(mats, lam):
-        scan.add(i, j, coo.row, coo.col, coo.data)
+    for block in _sparse_blocks(mats, lam):
+        scan.add(*block)
         if fail_fast and scan.max_dev > tol:
             break
-    return scan, lam
+    return scan, scan.max_dev > tol, lam, None
 
 
 # -- the exact engine ---------------------------------------------------------
@@ -627,44 +635,33 @@ def _lambda_out(values: np.ndarray, a: np.ndarray, b: np.ndarray,
 def _scan_counted(scan: _Scan, blocks, fail_fast: bool) -> bool:
     """Feed each block's counted entries, (i, j, a, b, deviation,
     observed) in (a, b) order, to the scan, and under ``fail_fast`` only
-    the first one of all.  ``observed``, the overlaps themselves, is None
-    off the diagonal, where they equal the deviations.  True when an entry
-    counted."""
+    the first one of all.  True when an entry counted."""
     failed = False
-    for i, j, a, b, deviation, observed in blocks:
-        if not a.size:
-            continue
-        failed = True
-        if fail_fast:
-            a, b, deviation = a[:1], b[:1], deviation[:1]
-        if observed is not None:
-            observed = observed[:a.size]
-        scan.add(i, j, a, b, deviation, observed)
-        if fail_fast:
-            break
+    for i, j, *entries in blocks:
+        if entries[0].size:
+            scan.add(i, j, *(e[:1] if fail_fast else e for e in entries))
+            failed = True
+            if fail_fast:
+                break
     return failed
 
 
 def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     """Integer Gram blocks on the cyclotomic lattice, in the block order of
     the sparse Gram; an entry counts when its residue is not zero.  Inputs
-    that ``PhaseScalar`` carries in floats take the sparse Gram, where an
-    entry counts when its magnitude is not below ``FLOAT_ZERO_TOL``.
-    Returns (scan, failed, lam), ``lam`` the reference block on either
-    verdict."""
+    that ``PhaseScalar`` carries in floats take the sparse Gram's walk,
+    where an entry counts when its magnitude is not below
+    ``FLOAT_ZERO_TOL``.  Returns (scan, failed, lam, None), ``lam`` the
+    reference block on either verdict."""
     lattice = _read_lattice(code, patterns)
     n, size, order = code.n_levels, len(patterns), 2 * code.n_levels
     if lattice is None:
         mats, lam = _float_family(code, patterns)
         scan = _Scan(_touches(code, patterns), tol, lam)
-        blocks = ((i, j, a, b, coo.data[live],
-                   np.asarray(block[a, b]).ravel() if i == j else None)
-                  for i, j, coo, block in _sparse_blocks(mats, lam)
-                  for live in [np.abs(coo.data) >= FLOAT_ZERO_TOL]
-                  for a, b in [(coo.row[live], coo.col[live])])
+        failed = _scan_counted(scan, _sparse_blocks(mats, lam), fail_fast)
         entries = lam.tocoo()
-        return scan, _scan_counted(scan, blocks, fail_fast), _lambda_out(
-            entries.data, entries.row, entries.col, size)
+        return scan, failed, _lambda_out(entries.data, entries.row,
+                                         entries.col, size), None
     mats = _lattice_matrices(lattice, patterns, n)
     h = lattice.halves
     square = lattice.denominator ** 2
@@ -692,7 +689,8 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
             pairs, residue = _residues(keys, values, order)
             live = residue.any(axis=1)
             pairs = pairs[live]
-            observed = None
+            a, b = np.divmod(pairs, size)
+            deviation = observed = _lattice_value(residue[live], order, scale)
             if i == j:
                 # the overlaps themselves, zero where block (i, i) has none
                 at = np.searchsorted(own_pairs, pairs)
@@ -701,11 +699,9 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
                 observed = np.zeros(len(pairs), dtype=complex)
                 observed[held] = _lattice_value(own[at[held]], order,
                                                 square * n ** h[i])
-            a, b = np.divmod(pairs, size)
-            yield i, j, a, b, _lattice_value(residue[live], order, scale), \
-                observed
+            yield i, j, a, b, deviation, observed
 
-    return scan, _scan_counted(scan, blocks(), fail_fast), lam
+    return scan, _scan_counted(scan, blocks(), fail_fast), lam, None
 
 
 # -- the syndrome engine ------------------------------------------------------
@@ -1127,7 +1123,7 @@ def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
     two overlaps is zero, and |w^k - 1| |v_0|^2 where the class maps v_i
     and v_0 onto themselves with character ratio w^k.  ``fail_fast``
     stops after the first block holding a deviation above ``tol``.
-    Returns (scan, lam, lambda summary or None on a failure).
+    Returns (scan, failed, lam, lambda summary or None).
     """
     n, kets, rows = code.n_levels, tab.kets, table.rows
     size, dim, norm = len(rows), len(kets.amps), kets.norms[0]
@@ -1144,7 +1140,7 @@ def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
         # lambda is a direct sum of rank-1 blocks, one per label class
         eigenvalues = np.zeros(size)
         eigenvalues[:labels] = np.bincount(label) * norm
-        return scan, lam, _lambda_summary(
+        return scan, False, lam, _lambda_summary(
             eigenvalues, _identity_deviation(*entries), size, tol)
     a, b, mu, kept = a[failing], b[failing], mu[failing], kept[failing]
     # each failing pair's logical class, the coset of S of row_b - row_a
@@ -1167,7 +1163,7 @@ def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
         scan.add(i, j, a[live], b[live], chord[cls[live]] * norm, observed)
         if fail_fast and scan.max_dev > tol:
             break
-    return scan, lam, None
+    return scan, scan.max_dev > tol, lam, None
 
 
 def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
@@ -1192,28 +1188,25 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     must be finite and nonnegative.  `jobs` is accepted for compatibility
     and ignored: every engine runs in one thread.
     """
-    _check_tol(tol)
-    _check_family_width(code, family)
     if not code.encoded_kets:
         raise ValueError("code has no materialized encoded kets")
+    _check_tol(tol)
+    _check_family_width(code, family)
     started = time.perf_counter()
     found = None if exact else _syndrome_plan(code, family)
     patterns = list(family) if found is None else found[1].patterns
 
-    summary = None
     if exact:
         engine = "exact"
-        scan, failed, lam = _exact_engine(code, patterns, tol, fail_fast)
+        outcome = _exact_engine(code, patterns, tol, fail_fast)
     elif found is not None:
         engine = "syndrome"
-        scan, lam, summary = _syndrome_engine(code, *found, tol, fail_fast)
-        failed = scan.max_dev > tol
+        outcome = _syndrome_engine(code, *found, tol, fail_fast)
     else:
         engine = "sparse-float"
-        scan, lam = _sparse_engine(code, patterns, tol, fail_fast)
-        failed = scan.max_dev > tol
-    ok = not failed
-    if ok and summary is None and len(patterns) <= LAMBDA_SUMMARY_MAX:
+        outcome = _sparse_engine(code, patterns, tol, fail_fast)
+    scan, failed, lam, summary = outcome
+    if not failed and summary is None and len(patterns) <= LAMBDA_SUMMARY_MAX:
         summary = _summarize_lambda(lam, tol)
     k = min(len(patterns), LAMBDA_SAMPLE_DIM)
     corner = _as_dense(lam[:k, :k])
@@ -1224,7 +1217,7 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     # every register on the boundary leaves nothing for the interior check
     vacuous = set(range(1, code.width + 1)) <= code.boundary_registers
     return KLReport(
-        verdict="pass" if ok else "fail",
+        verdict="fail" if failed else "pass",
         code_label=code.label,
         tolerance=tol,
         exact=exact,
@@ -1232,16 +1225,18 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
         family_size=len(patterns),
         logical_dim=len(code.logical_windows()),
         max_deviation=scan.max_dev,
-        witness=None if ok else scan.witness,
+        witness=scan.witness if failed else None,
         interior_max_deviation=scan.interior_max,
         interior_verdict="vacuous" if vacuous
         else ("pass" if scan.interior_max <= tol else "fail"),
-        boundary_witnesses=() if ok else tuple(scan.boundary),
+        boundary_witnesses=tuple(scan.boundary) if failed else (),
         lambda_samples=samples,
         lambda_summary=summary,
         elapsed_seconds=elapsed,
         family_json=family.to_json(),
         lam=lam,
+        code=code,
+        family=family,
     )
 
 
@@ -1280,22 +1275,13 @@ def _lambda_summary(eigenvalues: np.ndarray, identity_dev: float, size: int,
             "min_eigenvalue": float(eigenvalues.min(initial=0.0))}
 
 
-def _summarize_lambda(matrix, tol: float,
-                      eigenvalues: np.ndarray | None = None) -> dict:
-    """``_lambda_summary`` of a lambda matrix, dense or sparse.  The
-    eigenvalues are taken from its Hermitian part unless given; a sparse
-    matrix handed over with them must store every diagonal entry."""
-    size = matrix.shape[0]
-    if eigenvalues is None:
-        matrix = _as_dense(matrix)
-        eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-    if isinstance(matrix, np.ndarray):
-        identity_dev = float(abs(matrix - np.eye(size)).max())
-    else:
-        entries = matrix.tocoo()
-        identity_dev = _identity_deviation(entries.data, entries.row,
-                                           entries.col)
-    return _lambda_summary(eigenvalues, identity_dev, size, tol)
+def _summarize_lambda(matrix, tol: float) -> dict:
+    """``_lambda_summary`` of a lambda matrix, dense or sparse, with the
+    eigenvalues of its Hermitian part."""
+    matrix = _as_dense(matrix)
+    return _lambda_summary(
+        np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T)),
+        float(abs(matrix - np.eye(len(matrix))).max()), len(matrix), tol)
 
 
 @dataclass
@@ -1322,15 +1308,23 @@ def lambda_matrix(code: CodeSpec, family: PatternFamily,
     """Full lambda matrix over family pairs; only defined for passing codes.
 
     `precomputed` skips the verification pass when the caller already holds
-    a report for exactly this (code, family) pairing.  The matrix and its
-    summary are the ones the check computed; the summary is taken again
-    only when the check skipped it (families above ``LAMBDA_SUMMARY_MAX``
-    on an engine without a closed form) or ran at another tolerance.  `jobs` is
-    ignored, as in `kl_check`; `tol` is checked as there.
+    a report for exactly this (code, family) pairing; a ValueError refuses
+    a report of another pairing, unless its code and family are equal to
+    these.  The matrix and its summary are the ones the check computed; the
+    summary is taken again only when the check skipped it (families above
+    ``LAMBDA_SUMMARY_MAX`` on an engine without a closed form) or ran at
+    another tolerance.  `jobs` is ignored, as in `kl_check`; `tol` is
+    checked as there.
     """
     _check_tol(tol)
-    report = precomputed if precomputed is not None \
-        else kl_check(code, family, tol=tol, jobs=jobs)
+    report = precomputed or kl_check(code, family, tol=tol, jobs=jobs)
+    # identity first: a matching report costs no field comparison
+    if (report.code is not code and report.code != code
+            or report.family is not family and report.family != family):
+        raise ValueError(
+            f"precomputed report is of code {report.code_label!r} and family "
+            f"{report.family_json}, not of an equal code {code.label!r} and "
+            f"family {family.to_json()}")
     if not report.passed:
         raise VerificationError(
             f"code {code.label!r} fails the recoverability check "

@@ -22,7 +22,7 @@ from quditqec.verifier import _blocks_after_reference, _Scan, _touches
 def exact_engine(code, patterns, tol: float, fail_fast: bool):
     """Cyclotomic overlaps, block by block as in the sparse Gram; an entry
     counts when its deviation is not a symbolic zero.  Returns (scan,
-    failed, lam), ``lam`` the reference block on either verdict."""
+    failed, lam, None), ``lam`` the reference block on either verdict."""
     logicals = code.logical_windows()
     applied = [[apply_pattern(code.encoded_kets[w], p) for p in patterns]
                for w in logicals]
@@ -45,4 +45,4 @@ def exact_engine(code, patterns, tol: float, fail_fast: bool):
             scan.add(i, j, a, b, deviation, observed)
             if fail_fast:
                 break
-    return scan, failed, lam
+    return scan, failed, lam, None

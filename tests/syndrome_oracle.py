@@ -16,9 +16,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from quditqec.verifier import (LAMBDA_SUMMARY_MAX, _blocks_after_reference,
+                               _identity_deviation, _lambda_summary,
                                _pairs_within, _rank_strings, _reduce, _Scan,
-                               _string_keys, _summarize_lambda, _touches,
-                               _transfer)
+                               _string_keys, _touches, _transfer)
 
 
 def syndrome_engine(code, tab, table, tol: float, fail_fast: bool):
@@ -33,8 +33,8 @@ def syndrome_engine(code, tab, table, tol: float, fail_fast: bool):
     block, and of these only the entries that can be nonzero: a pair maps
     v_j onto one ket, ``targets[j]``, and on the diagonal the reference
     overlap counts too.  ``fail_fast`` stops after the first block holding
-    a deviation above ``tol``.  Returns (scan, lam, lambda summary or None
-    on a failure).
+    a deviation above ``tol``.  Returns (scan, failed, lam, lambda summary
+    or None).
     """
     n, kets, rows = code.n_levels, tab.kets, table.rows
     size = len(rows)
@@ -66,13 +66,14 @@ def syndrome_engine(code, tab, table, tol: float, fail_fast: bool):
             scan.add(i, j, a[live], b[live], deviation, observed)
             if fail_fast and scan.max_dev > tol:
                 break
-        return scan, lam, None
+        return scan, scan.max_dev > tol, lam, None
     # lambda is a direct sum of rank-1 blocks, one per label class
     eigenvalues = np.zeros(size)
     eigenvalues[:len(first)] = np.bincount(label) * kets.norms[0]
-    summary = _summarize_lambda(lam, tol, eigenvalues)
+    summary = _lambda_summary(eigenvalues, _identity_deviation(
+        values, pairs_a, pairs_b), size, tol)
     if size <= LAMBDA_SUMMARY_MAX:
         # hand lambda_matrix the dense matrix it returns, in the size range
         # where the sparse Gram densifies lambda for its summary anyway
         lam = lam.toarray()
-    return scan, lam, summary
+    return scan, False, lam, summary

@@ -86,7 +86,7 @@ def test_scan_keeps_the_earliest_boundary_entries_in_any_block_order():
         scan = verifier._Scan(verifier._touches(code, family), 1e-9,
                               np.zeros((size, size)))
         for i, j, a, b in order:
-            scan.add(i, j, a, b, np.ones(a.size))
+            scan.add(i, j, a, b, np.ones(a.size), np.ones(a.size))
         assert [witness_key(w) for w in scan.boundary] == \
             every[:verifier.BOUNDARY_WITNESS_CAP]
 
@@ -547,6 +547,32 @@ def test_lambda_matrix_reuses_the_check(monkeypatch):
     assert np.abs(lam.matrix - report.lam.toarray()).max() == 0.0
 
 
+def test_lambda_matrix_refuses_a_report_of_another_pairing():
+    code = builtin("shor9", 2, 1)
+    report = kl_check(code, weyl_family(9, 9, 1, 2))
+    assert report.passed and report.family_size == 28
+    x_only = enumerate_family(9, 9, 1, basis=[weyl(1, 0)])
+    assert len(x_only) == 10
+    with pytest.raises(ValueError, match="precomputed report"):
+        lambda_matrix(code, x_only, precomputed=report)
+    other = builtin("shor9", 2, 1)
+    other.label = "shor9-copy"
+    with pytest.raises(ValueError, match="shor9-copy"):
+        lambda_matrix(other, weyl_family(9, 9, 1, 2), precomputed=report)
+    # an equal code and family, built anew, are the report's pairing
+    lam = lambda_matrix(builtin("shor9", 2, 1), weyl_family(9, 9, 1, 2),
+                        precomputed=report)
+    assert lam.rank == report.lambda_summary["rank"]
+
+
+def test_kl_check_refuses_a_code_without_kets():
+    code = builtin("majority3", 2, 1)
+    family = weyl_family(3, 3, 1, 2)
+    code.encoded_kets = {}
+    with pytest.raises(ValueError, match="no materialized encoded kets"):
+        kl_check(code, family)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_lambda_matrix_checks_tolerance(tol):
     code = builtin("shor9", 2, 1)
@@ -604,6 +630,21 @@ def test_non_weyl_families_agree_with_dense_oracle(code, basis, window,
         assert np.abs(lam - oracle_lam).max() < 1e-9
     if code.n_levels ** code.width <= 27:
         assert dense_kl_check(code, family)[0] == verdict
+
+
+@pytest.mark.parametrize("code, basis, window, verdict", NON_WEYL_CASES)
+def test_float_verdict_at_zero_tolerance_is_the_exact_one(code, basis, window,
+                                                          verdict):
+    # the sparse Gram takes a deviation below FLOAT_ZERO_TOL as zero, the
+    # rule of the exact engine's float mode, so rounding fails no check
+    family = enumerate_family(code.width, window, 1, basis=basis,
+                              n_levels=code.n_levels)
+    floats = kl_check(code, family, tol=0.0)
+    exact = kl_check(code, family, tol=0.0, exact=True)
+    assert floats.engine == "sparse-float"
+    assert floats.verdict == exact.verdict == verdict
+    if floats.passed:
+        assert floats.max_deviation == floats.interior_max_deviation == 0.0
 
 
 def test_jobs_do_not_change_the_report():
