@@ -15,21 +15,6 @@ _INT_LIST = {"type": "array", "items": {"type": "integer"}}
 
 _VERSION_FIELD = {"schema_version": {"const": SCHEMA_VERSION}}
 
-_ERROR_OP = {
-    "type": "object",
-    "properties": {
-        "position": {"type": "integer", "minimum": 1},
-        "kind": {"enum": ["weyl", "identity", "spin_flip",
-                          "phase_shift", "general"]},
-        "a": {"type": "integer"},
-        "b": {"type": "integer"},
-        "table": _INT_LIST,
-        "phases": {"type": "array", "items": _COMPLEX},
-        "matrix": {"type": "array",
-                   "items": {"type": "array", "items": _COMPLEX}},
-    },
-}
-
 _FAMILY = {
     "type": "object",
     "required": ["width", "window", "max_errors", "basis"],

@@ -53,10 +53,18 @@ def _dual_state(state: RegisterState) -> RegisterState:
 
 
 def dualize(code: CodeSpec) -> CodeSpec:
-    """Fourier-transform every physical register of every encoded ket."""
+    """Fourier-transform every physical register of every encoded ket.
+
+    The label counts the transforms modulo the order of F.  F^2 negates
+    every digit, so F^2 is the identity at N = 2 and F^4 is at any N: the
+    double dual is labelled as the code only at N = 2, where it equals
+    it."""
     kets = {window: _dual_state(state)
             for window, state in code.encoded_kets.items()}
-    label = code.label[:-5] if code.label.endswith("-dual") else code.label + "-dual"
+    label, power = code.label, 1
+    while label.endswith("-dual"):
+        label, power = label[:-5], power + 1
+    label += "-dual" * (power % (2 if code.n_levels == 2 else 4))
     rebuild = None
     if code.rebuild is not None:
         inner = code.rebuild

@@ -53,8 +53,8 @@ that ran):
   decides each entry by its canonical residue modulo the cyclotomic
   polynomial.  Inputs that ``PhaseScalar`` carries in floats (phase shifts,
   general matrices, inexact amplitudes, a ket that mixes the parity of
-  sqrt(N)) take the sparse Gram's walk, so both float routes share one
-  zero rule, and every entry it yields counts.
+  sqrt(N)) run the sparse Gram as a counted walk, so both float routes
+  share one zero rule, and every entry it yields counts.
 
 One kernel, ``_apply_patterns``, moves ket digits for a pattern.  For
 every pattern and every ket entry (a digit row) it gives the pattern, the
@@ -74,11 +74,14 @@ stabilizer code (a support that is no affine space, a phase ratio that
 is no N-th root of unity, a generator that does not map every ket onto a
 multiple of itself, a stabilizer of the wrong order, or kets of unequal
 norm).  All three engines run in one thread and feed their deviations,
-each with its overlap, to one accumulator, which alone picks the witness
-(the largest deviation, ties going to the earliest (i, j, a, b)) and the
-boundary witnesses (the earliest ones above tolerance).  Each returns
-one outcome, (scan, failed, lam, summary), from which ``kl_check``
-builds the report.
+each with its overlap, to one accumulator through one loop,
+``_scan_blocks``: blocks (i, j) in order, each block's entries in (a, b)
+order.  So the accumulator takes the first entry whose deviation exceeds
+every earlier one as the witness (the largest deviation, ties going to
+the earliest (i, j, a, b)) and the first entries above tolerance on the
+boundary as the boundary witnesses.  Each engine returns one outcome,
+(scan, failed, lam, summary), from which ``kl_check`` builds the
+report.
 
 Deviations are classified as interior or boundary by whether either
 pattern of the offending pair touches a register of the code's truncation
@@ -364,10 +367,6 @@ def _float_matrices(sets, n: int, width: int) -> list[csr_matrix]:
     return _ranked_matrices(entries)
 
 
-def _key(w: KLWitness):
-    return w.logical_i, w.logical_j, w.pattern_a, w.pattern_b
-
-
 def _touches(code: CodeSpec, patterns) -> np.ndarray:
     """Which patterns act on a register of the code's truncation boundary."""
     return np.array([any(pos in code.boundary_registers for pos, _ in p.ops)
@@ -377,10 +376,12 @@ def _touches(code: CodeSpec, patterns) -> np.ndarray:
 class _Scan:
     """The witness and boundary rule of every engine.
 
-    Engines feed it, block by block, the entries they count: each
-    deviation (the overlap less its expected value) with the overlap
-    itself.  The witness is the largest deviation, ties going to the
-    earliest (i, j, a, b); the boundary witnesses are the earliest
+    Engines feed it the entries they count, blocks (i, j) in the order of
+    ``_blocks_after_reference`` and each block's entries in (a, b) order:
+    each deviation (the overlap less its expected value) with the overlap
+    itself.  So the witness, the first entry whose deviation exceeds every
+    one before it, is the largest deviation with ties going to the
+    earliest (i, j, a, b), and the boundary witnesses are the first
     ``BOUNDARY_WITNESS_CAP`` entries above ``tol`` on the boundary, where
     ``touches`` (from ``_touches``) marks pattern a or b.  A diagonal entry
     (i == j) expects ``lam[a, b]``, which is read only for the entries
@@ -415,19 +416,12 @@ class _Scan:
 
         # argmax takes the first of equal values, the earliest in the block
         top = int(mag.argmax())
-        if mag[top] > 0 and mag[top] >= self.max_dev:
-            rivals = [w for w in (keep(top), self.witness) if w is not None]
-            self.witness = min(rivals, key=lambda w: (-w.deviation, _key(w)))
+        if mag[top] > self.max_dev:
+            self.witness = keep(top)
             self.max_dev = self.witness.deviation
-        hits = np.flatnonzero((mag > self.tol) & on_boundary)
-        # a full list keeps no entry after its last one; a block's entries
-        # come in (a, b) order
-        last = self.boundary[BOUNDARY_WITNESS_CAP - 1:]
-        if hits.size and not (last and _key(last[0]) < (
-                i, j, a[hits[0]], b[hits[0]])):
-            self.boundary = sorted(
-                self.boundary + [keep(k) for k in hits[:BOUNDARY_WITNESS_CAP]],
-                key=_key)[:BOUNDARY_WITNESS_CAP]
+        room = BOUNDARY_WITNESS_CAP - len(self.boundary)
+        hits = np.flatnonzero((mag > self.tol) & on_boundary)[:room]
+        self.boundary += [keep(k) for k in hits]
 
 
 def _blocks_after_reference(dim: int):
@@ -436,17 +430,23 @@ def _blocks_after_reference(dim: int):
         itertools.combinations_with_replacement(range(dim), 2), 1, None)
 
 
-def _float_family(code: CodeSpec, patterns):
-    """One float family matrix per logical word, built once, and lambda,
-    the reference block (0, 0), as sorted CSR."""
-    size = len(patterns)
-    kets = [code.encoded_kets[w] for w in code.logical_windows()]
-    (stacked,) = _float_matrices([(kets, patterns)], code.n_levels,
-                                 code.width)
-    mats = [stacked[k * size:(k + 1) * size] for k in range(len(kets))]
-    lam = (mats[0].conj() @ mats[0].T).tocsr()
-    lam.sort_indices()
-    return mats, lam
+def _scan_blocks(scan: _Scan, blocks, fail_fast: bool,
+                 counted: bool = False) -> bool:
+    """Feed blocks (i, j, a, b, deviation, observed) to the scan and return
+    whether the check failed: on a deviation above ``tol``, or for a
+    counted walk (the exact engine's) on any entry.  ``fail_fast`` stops
+    at the first failing block, of a counted walk feeding only its first
+    entry."""
+    failed = False
+    for i, j, *entries in blocks:
+        if counted and fail_fast:
+            entries = [e[:1] for e in entries]
+        scan.add(i, j, *entries)
+        failed = (failed or entries[0].size > 0) if counted \
+            else scan.max_dev > scan.tol
+        if failed and fail_fast:
+            break
+    return failed
 
 
 def _sparse_blocks(mats: list[csr_matrix], lam: csr_matrix):
@@ -468,17 +468,23 @@ def _sparse_blocks(mats: list[csr_matrix], lam: csr_matrix):
         yield i, j, a, b, deviation, observed
 
 
-def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
+def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool,
+                   counted: bool = False):
     """Cached sparse Gram: one family matrix per logical word, built once,
-    then the blocks (i, j >= i) in order; ``fail_fast`` stops after the
-    first block holding a deviation above ``tol``."""
-    mats, lam = _float_family(code, patterns)
+    then the blocks (i, j >= i) after the reference block (0, 0), lambda,
+    in order, fed to ``_scan_blocks`` as a float walk or, for the exact
+    engine, a counted one.  Returns (scan, failed, lam, None), ``lam`` as
+    sorted CSR."""
+    size = len(patterns)
+    kets = [code.encoded_kets[w] for w in code.logical_windows()]
+    (stacked,) = _float_matrices([(kets, patterns)], code.n_levels,
+                                 code.width)
+    mats = [stacked[k * size:(k + 1) * size] for k in range(len(kets))]
+    lam = (mats[0].conj() @ mats[0].T).tocsr()
+    lam.sort_indices()
     scan = _Scan(_touches(code, patterns), tol, lam)
-    for block in _sparse_blocks(mats, lam):
-        scan.add(*block)
-        if fail_fast and scan.max_dev > tol:
-            break
-    return scan, scan.max_dev > tol, lam, None
+    return scan, _scan_blocks(scan, _sparse_blocks(mats, lam), fail_fast,
+                              counted), lam, None
 
 
 # -- the exact engine ---------------------------------------------------------
@@ -581,7 +587,7 @@ def _lattice_matrices(lattice: _Lattice, patterns, n: int) -> list[csr_matrix]:
 
 def _fold(keys: np.ndarray, values: np.ndarray):
     """Sorted distinct keys, which are nonnegative, and the integer sum of
-    the values of each."""
+    the values (or value rows) of each."""
     order = np.argsort(keys)
     keys, values = keys[order], values[order]
     start = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -632,76 +638,55 @@ def _lambda_out(values: np.ndarray, a: np.ndarray, b: np.ndarray,
     return csr_matrix((values, (a, b)), shape=(size, size))
 
 
-def _scan_counted(scan: _Scan, blocks, fail_fast: bool) -> bool:
-    """Feed each block's counted entries, (i, j, a, b, deviation,
-    observed) in (a, b) order, to the scan, and under ``fail_fast`` only
-    the first one of all.  True when an entry counted."""
-    failed = False
-    for i, j, *entries in blocks:
-        if entries[0].size:
-            scan.add(i, j, *(e[:1] if fail_fast else e for e in entries))
-            failed = True
-            if fail_fast:
-                break
-    return failed
-
-
 def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
     """Integer Gram blocks on the cyclotomic lattice, in the block order of
-    the sparse Gram; an entry counts when its residue is not zero.  Inputs
-    that ``PhaseScalar`` carries in floats take the sparse Gram's walk,
-    where an entry counts when its magnitude is not below
-    ``FLOAT_ZERO_TOL``.  Returns (scan, failed, lam, None), ``lam`` the
-    reference block on either verdict."""
+    the sparse Gram; an entry counts when its residue is not zero.  On a
+    diagonal block the residues of the block and of the reference are
+    subtracted by pair, beside the block's own, so each deviation comes
+    with its overlap.  Inputs that ``PhaseScalar`` carries in floats run
+    the sparse Gram as a counted walk, where an entry counts when its
+    magnitude is not below ``FLOAT_ZERO_TOL``.  Returns (scan, failed, lam,
+    None), ``lam`` the reference block on either verdict."""
     lattice = _read_lattice(code, patterns)
     n, size, order = code.n_levels, len(patterns), 2 * code.n_levels
     if lattice is None:
-        mats, lam = _float_family(code, patterns)
-        scan = _Scan(_touches(code, patterns), tol, lam)
-        failed = _scan_counted(scan, _sparse_blocks(mats, lam), fail_fast)
+        scan, failed, lam, _ = _sparse_engine(code, patterns, tol, fail_fast,
+                                              counted=True)
         entries = lam.tocoo()
         return scan, failed, _lambda_out(entries.data, entries.row,
                                          entries.col, size), None
     mats = _lattice_matrices(lattice, patterns, n)
     h = lattice.halves
     square = lattice.denominator ** 2
-    ref_keys, ref_values = _gram_block(mats, 0, 0, order)
-    pairs, residue = _residues(ref_keys, ref_values, order)
-    live = residue.any(axis=1)
-    lam = _lambda_out(_lattice_value(residue[live], order, square * n ** h[0]),
-                      *np.divmod(pairs[live], size), size)
+    ref_pairs, ref = _residues(*_gram_block(mats, 0, 0, order), order)
+    live = ref.any(axis=1)
+    lam = _lambda_out(_lattice_value(ref[live], order, square * n ** h[0]),
+                      *np.divmod(ref_pairs[live], size), size)
     scan = _Scan(_touches(code, patterns), tol, lam)
 
     def blocks():
         for i, j in _blocks_after_reference(len(mats)):
-            keys, values = _gram_block(mats, i, j, order)
+            pairs, own = _residues(*_gram_block(mats, i, j, order), order)
+            half, odd = divmod(h[i] + h[j], 2)
+            scale = square * n ** half * math.sqrt(n) ** odd
+            residue = own
             if i == j:
-                own_pairs, own = _residues(keys, values, order)
-                # v_i's overlaps less lambda, over D^2 N^(h_i + h_0)
-                keys, values = _fold(
-                    np.concatenate([keys, ref_keys]),
-                    np.concatenate([values * n ** h[0],
-                                    -ref_values * n ** h[i]]))
-                scale = square * n ** (h[i] + h[0])
-            else:
-                scale = square * n ** ((h[i] + h[j]) // 2) \
-                    * math.sqrt(n) ** ((h[i] + h[j]) % 2)
-            pairs, residue = _residues(keys, values, order)
+                # residues are linear: v_i's overlaps less lambda, over
+                # D^2 N^(h_i + h_0), beside the overlaps themselves
+                pairs, both = _fold(np.concatenate([pairs, ref_pairs]),
+                                    np.block([[own * n ** h[0], own],
+                                              [-ref * n ** h[i],
+                                               np.zeros_like(ref)]]))
+                residue, own = np.hsplit(both, 2)
             live = residue.any(axis=1)
-            pairs = pairs[live]
-            a, b = np.divmod(pairs, size)
-            deviation = observed = _lattice_value(residue[live], order, scale)
-            if i == j:
-                # the overlaps themselves, zero where block (i, i) has none
-                at = np.searchsorted(own_pairs, pairs)
-                held = at < len(own_pairs)
-                held[held] = own_pairs[at[held]] == pairs[held]
-                observed = np.zeros(len(pairs), dtype=complex)
-                observed[held] = _lattice_value(own[at[held]], order,
-                                                square * n ** h[i])
+            a, b = np.divmod(pairs[live], size)
+            observed = _lattice_value(own[live], order, scale)
+            deviation = _lattice_value(residue[live], order, square * n ** (
+                h[i] + h[0])) if i == j else observed
             yield i, j, a, b, deviation, observed
 
-    return scan, _scan_counted(scan, blocks(), fail_fast), lam, None
+    return scan, _scan_blocks(scan, blocks(), fail_fast, counted=True), \
+        lam, None
 
 
 # -- the syndrome engine ------------------------------------------------------
@@ -1150,20 +1135,20 @@ def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
     # (target ket, mu) of each class's representative, per source ket j
     targets, mus = _transfer(tab, n, rows[a[rep]], rows[b[rep]], range(dim))
     kappa = mu / mu[rep[cls]]
-    for i, j in _blocks_after_reference(dim):
-        own = (targets[j] == i)[cls]
-        live = np.flatnonzero(own | kept if i == j else own)
-        chord = np.ones(len(rep))
-        if i == j:
-            fixed = (targets[i] == i) & (targets[0] == 0)
-            k = _root_exponents(mus[i][fixed] / mus[0][fixed], n)
-            chord[fixed] = 2 * np.sin(np.pi * np.minimum(k, n - k) / n)
-        observed = np.where(own[live], kappa[live] * mus[j][cls[live]]
-                            * kets.norms[i], 0)
-        scan.add(i, j, a[live], b[live], chord[cls[live]] * norm, observed)
-        if fail_fast and scan.max_dev > tol:
-            break
-    return scan, scan.max_dev > tol, lam, None
+
+    def blocks():
+        for i, j in _blocks_after_reference(dim):
+            own = (targets[j] == i)[cls]
+            live = np.flatnonzero(own | kept if i == j else own)
+            chord = np.ones(len(rep))
+            if i == j:
+                fixed = (targets[i] == i) & (targets[0] == 0)
+                k = _root_exponents(mus[i][fixed] / mus[0][fixed], n)
+                chord[fixed] = 2 * np.sin(np.pi * np.minimum(k, n - k) / n)
+            yield i, j, a[live], b[live], chord[cls[live]] * norm, np.where(
+                own[live], kappa[live] * mus[j][cls[live]] * kets.norms[i], 0)
+
+    return scan, _scan_blocks(scan, blocks(), fail_fast), lam, None
 
 
 def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,

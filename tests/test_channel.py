@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -292,6 +293,26 @@ def test_record_invariant_and_counts():
     assert summary.in_family_count == sum(r.in_family for r in records)
     assert summary.in_family_success_count == \
         sum(r.success for r in records if r.in_family)
+
+
+def test_trial_records_round_trip_through_json():
+    # at p=0.5 some shor9 syndromes lie outside the single-error family,
+    # so some trials choose nothing
+    code, family = shor_setup()
+    cfg = ChannelConfig(p=0.5, seed=11, trials=60)
+    summary = run_trials(code, cfg, family, RegisterState.basis(2, (0,)),
+                         keep_records=True)
+    dumped = [json.loads(json.dumps(r.to_json())) for r in summary.records]
+    assert {data["chosen"] is None for data in dumped} == {True, False}
+    for rec, data in zip(summary.records, dumped):
+        assert ErrorPattern.from_json(data["injected"]) == rec.injected
+        if rec.chosen is None:
+            assert data["chosen"] is None
+        else:
+            assert ErrorPattern.from_json(data["chosen"]) == rec.chosen
+        assert (data["in_family"], data["logical_fidelity"],
+                data["success"]) == (rec.in_family, rec.logical_fidelity,
+                                     rec.success)
 
 
 def reference_records(code, cfg, family, logical):

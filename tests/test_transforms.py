@@ -78,6 +78,21 @@ def test_dualize_twice_negates_digits():
                 twice.encoded_kets[window], RegisterState.basis(n, negated))
 
 
+@pytest.mark.parametrize("name", ["spin_conv", "majority3", "shor9",
+                                  "rate14_conv"])
+def test_double_dual_is_labelled_as_the_code_only_where_it_equals_it(name):
+    # F^2 is the identity at N=2; at N=3 it negates digits, so the double
+    # dual is another code, and only F^4 gives the code back
+    code = builtin(name, 2, 1)
+    assert dualize(dualize(code)) == code
+    code = builtin(name, 3, 1)
+    twice = dualize(dualize(code))
+    assert twice.label == f"{name}-dual-dual"
+    assert twice != code
+    assert dualize(twice).label == f"{name}-dual-dual-dual"
+    assert dualize(dualize(twice)) == code
+
+
 def test_dualize_preserves_gram():
     dual = dualize(builtin("majority3", 3, 1))
     windows = dual.logical_windows()

@@ -69,10 +69,10 @@ def test_witness_reevaluates_above_tolerance():
     assert report.boundary_witnesses
 
 
-def test_scan_keeps_the_earliest_boundary_entries_in_any_block_order():
+def test_scan_keeps_the_earliest_boundary_entries_in_block_order():
     # at L=1 every register is boundary, so every entry above tol is a
-    # candidate; the scan keeps the earliest BOUNDARY_WITNESS_CAP by
-    # (i, j, a, b), whatever order the blocks come in
+    # candidate; fed blocks in order, the scan keeps the earliest
+    # BOUNDARY_WITNESS_CAP by (i, j, a, b)
     code = builtin("rate14_conv", 2, 1)
     family = weyl_family(8, 4, 1, 2)
     size = len(family)
@@ -82,13 +82,12 @@ def test_scan_keeps_the_earliest_boundary_entries_in_any_block_order():
               for i, j in ((0, 1), (0, 2), (1, 1), (2, 3))]
     every = sorted((i, j, int(a), int(b)) for i, j, pa, pb in blocks
                    for a, b in zip(pa, pb))
-    for order in (blocks, blocks[::-1], blocks[2:] + blocks[:2]):
-        scan = verifier._Scan(verifier._touches(code, family), 1e-9,
-                              np.zeros((size, size)))
-        for i, j, a, b in order:
-            scan.add(i, j, a, b, np.ones(a.size), np.ones(a.size))
-        assert [witness_key(w) for w in scan.boundary] == \
-            every[:verifier.BOUNDARY_WITNESS_CAP]
+    scan = verifier._Scan(verifier._touches(code, family), 1e-9,
+                          np.zeros((size, size)))
+    for i, j, a, b in blocks:
+        scan.add(i, j, a, b, np.ones(a.size), np.ones(a.size))
+    assert [witness_key(w) for w in scan.boundary] == \
+        every[:verifier.BOUNDARY_WITNESS_CAP]
 
 
 def test_lambda_identity_for_spin_conv_flips():
@@ -1138,6 +1137,23 @@ def test_refused_stabilizer_reads_fall_back_to_the_sparse_gram(code):
     assert exact.engine == "exact" and exact.verdict == report.verdict
 
 
+
+def test_duplicate_characters_fall_back_to_the_sparse_gram():
+    # |0>, |1> and w|0> at N=3: the stabilizer read finds Z, which gives
+    # v_0 and v_2 one character, so no tableau reads off the kets; v_0 and
+    # v_2 are not orthogonal, and the sparse Gram fails the check
+    one = PhaseScalar.exact_one(3)
+    code = CodeSpec("handmade", 3, 1, 1, 0, 0, 1, {
+        (0,): RegisterState.basis(3, (0,)),
+        (1,): RegisterState.basis(3, (1,)),
+        (2,): RegisterState(3, 1, {(0,): one * PhaseScalar.from_complex(
+            W3)})})
+    assert verifier._read_tableau(code) is None
+    report = kl_check(code, weyl_family(1, 1, 1, 3))
+    assert report.engine == "sparse-float" and report.verdict == "fail"
+    # |<v_0|v_2>| = 1 and, with Z, |<v_1|Z|v_1> - <v_0|Z|v_0>| = |w - 1|
+    assert abs(report.max_deviation - 3 ** 0.5) < 1e-9
+
 def test_repeated_check_reads_the_kept_syndrome_table():
     code = builtin("rate14_conv", 2, 3)
     family = weyl_family(16, 8, 1, 2)
@@ -1252,3 +1268,59 @@ def test_exact_reports_carry_lambda_data():
     for key, value in floats.lambda_samples.items():
         assert abs(exact.lambda_samples[key] - value) < 1e-12
     assert len(exact.to_json()["lambda_samples"]) == 16
+
+
+# -- the order the scan relies on ---------------------------------------------
+
+def feed_cases(path):
+    """(code, family, exact, forced) of each check one engine path runs."""
+    non_weyl = [(code, enumerate_family(code.width, window, 1, basis=basis,
+                                        n_levels=code.n_levels))
+                for code, basis, window, _ in (p.values
+                                               for p in NON_WEYL_CASES)]
+    if path == "syndrome":
+        return [(code, family, False, False)
+                for code, family, _ in (p.values for p in SYNDROME_CASES)]
+    if path == "sparse-float":
+        forced = {"rate14_conv-N2", "identity-N3", "dual-spin_conv-N2-L1",
+                  "shor9-N2-w3", "majority3-N5"}
+        return [(code, family, False, False) for code, family in non_weyl] \
+            + [(*p.values[:2], False, True) for p in SYNDROME_CASES
+               if p.id in forced]
+    lattice = path == "exact-lattice"
+    return [(code, family, True, False) for code, family in non_weyl
+            + [p.values[:2] for p in EXACT_CASES]
+            if (verifier._read_lattice(code, list(family)) is not None)
+            == lattice]
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+@pytest.mark.parametrize("path", ["syndrome", "sparse-float",
+                                  "exact-lattice", "exact-float"])
+def test_engines_feed_the_scan_in_block_and_entry_order(monkeypatch, path,
+                                                        fail_fast):
+    # the scan keeps the first largest deviation and the first boundary
+    # entries it is fed, so every engine must feed blocks (i, j) in
+    # increasing order and each block's (a, b) in increasing order
+    fed = []
+    add = verifier._Scan.add
+
+    def spy(self, i, j, a, b, deviation, observed):
+        fed.append((i, j, np.asarray(a), np.asarray(b)))
+        add(self, i, j, a, b, deviation, observed)
+
+    monkeypatch.setattr(verifier._Scan, "add", spy)
+    entries = 0
+    for code, family, exact, forced in feed_cases(path):
+        fed.clear()
+        with monkeypatch.context() as patch:
+            if forced:
+                force_engine(patch, "sparse-float")
+            report = kl_check(code, family, exact=exact, fail_fast=fail_fast)
+        assert report.engine == (path.split("-")[0] if exact else path)
+        blocks = [(i, j) for i, j, _, _ in fed]
+        assert all(x < y for x, y in zip(blocks, blocks[1:])), code.label
+        for _, _, a, b in fed:
+            assert (np.diff(a * len(family) + b) > 0).all(), code.label
+            entries += a.size
+    assert entries > 0
