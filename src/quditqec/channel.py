@@ -139,6 +139,9 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One channel trial: the injected pattern, whether the family holds
+    it, the decoder's choice and the logical fidelity after recovery."""
+
     injected: ErrorPattern
     in_family: bool
     chosen: ErrorPattern | None
@@ -271,6 +274,9 @@ def decode_mld(code: CodeSpec, corrupted: RegisterState,
 
 @dataclass
 class ChannelSummary:
+    """Counts and mean fidelity of a ``run_trials`` run, with its records
+    when they were kept."""
+
     code_label: str
     n_levels: int
     logical_len: int

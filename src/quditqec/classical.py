@@ -74,6 +74,9 @@ class RadiusCounterexample:
 
 @dataclass
 class RadiusReport:
+    """Outcome of ``certify_radius``: the verdict, what was checked and
+    the first counterexample, if any."""
+
     verdict: str
     n_levels: int
     message_len_max: int

@@ -193,24 +193,28 @@ def _parse_logical(text: str | None, n_levels: int,
     return RegisterState.basis(n_levels, digits)
 
 
+def _emit_code(code: CodeSpec, args: argparse.Namespace, summary: str,
+               kets: bool = True) -> None:
+    """Emit a code's manifest, with its encoded kets when ``kets`` is set."""
+    manifest = code.to_manifest()
+    if kets:
+        manifest["kets"] = code.kets_json()
+    _emit(manifest, args, summary)
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     code = _make_code(args)
-    manifest = code.to_manifest()
-    if args.kets:
-        manifest["kets"] = code.kets_json()
-    _emit(manifest, args,
-          f"constructed {code.label}: N={code.n_levels} "
-          f"L={code.logical_len} width={code.width}")
+    _emit_code(code, args,
+               f"constructed {code.label}: N={code.n_levels} "
+               f"L={code.logical_len} width={code.width}", kets=args.kets)
     return 0
 
 
 def _cmd_dualize(args: argparse.Namespace) -> int:
     code = dualize(_make_code(args))
-    manifest = code.to_manifest()
-    manifest["kets"] = code.kets_json()
-    _emit(manifest, args,
-          f"dualized {args.code}: N={code.n_levels} "
-          f"L={code.logical_len} width={code.width}")
+    _emit_code(code, args,
+               f"dualized {args.code}: N={code.n_levels} "
+               f"L={code.logical_len} width={code.width}")
     return 0
 
 
@@ -228,10 +232,8 @@ def _cmd_paste(args: argparse.Namespace) -> int:
         code = paste(outer, inner)
     else:
         code = theorem2_pipeline(base)
-    manifest = code.to_manifest()
-    manifest["kets"] = code.kets_json()
-    _emit(manifest, args,
-          f"pasted {code.label}: N={code.n_levels} width={code.width}")
+    _emit_code(code, args,
+               f"pasted {code.label}: N={code.n_levels} width={code.width}")
     return 0
 
 

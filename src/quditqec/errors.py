@@ -107,6 +107,7 @@ class SingleRegisterError:
 
 
 def identity() -> SingleRegisterError:
+    """The identity operator, which leaves every register unchanged."""
     return SingleRegisterError("identity")
 
 
@@ -200,9 +201,11 @@ def apply_pattern(state: RegisterState, pattern: ErrorPattern,
     return state
 
 
-def iter_supports(width: int, window: int, max_errors: int) -> Iterator[tuple[int, ...]]:
-    """Supports (sorted position tuples) with <= max_errors in any window
-    of consecutive registers, in lexicographic order starting with the empty one.
+def _walk_supports(positions: Sequence[int], window: int,
+                   max_errors: int) -> Iterator[tuple[int, ...]]:
+    """Supports drawn from the sorted ``positions``, with <= max_errors in
+    any window of consecutive registers of the full row, in lexicographic
+    order starting with the empty one.  Only the positions are visited.
 
     The window constraint is equivalent to: any max_errors + 1 consecutive
     support members span at least window + 1 registers.
@@ -210,17 +213,25 @@ def iter_supports(width: int, window: int, max_errors: int) -> Iterator[tuple[in
     t = max_errors
 
     def extend(prefix: list[int], start: int) -> Iterator[tuple[int, ...]]:
-        for pos in range(start, width + 1):
+        for k in range(start, len(positions)):
+            pos = positions[k]
             if len(prefix) >= t and pos - prefix[-t] < window:
                 continue
             prefix.append(pos)
             yield tuple(prefix)
-            yield from extend(prefix, pos + 1)
+            yield from extend(prefix, k + 1)
             prefix.pop()
 
     yield ()
     if t > 0:
-        yield from extend([], 1)
+        yield from extend([], 0)
+
+
+def iter_supports(width: int, window: int, max_errors: int) -> Iterator[tuple[int, ...]]:
+    """Supports (sorted position tuples within 1..width) with <= max_errors
+    in any window of consecutive registers, in lexicographic order starting
+    with the empty one."""
+    return _walk_supports(range(1, width + 1), window, max_errors)
 
 
 @dataclass(frozen=True)
@@ -229,7 +240,9 @@ class PatternFamily:
 
     ``registers`` optionally restricts supports to a subset of positions;
     the window constraint is still measured on the full register row, so a
-    restricted family is exactly a sub-family of the unrestricted one.
+    restricted family is exactly a sub-family of the unrestricted one, in
+    the same order.  Its support walk visits only ``registers``, never the
+    rest of the row.
     """
 
     width: int
@@ -257,10 +270,9 @@ class PatternFamily:
             object.__setattr__(self, "registers", allowed)
 
     def _supports(self) -> Iterator[tuple[int, ...]]:
-        allowed = None if self.registers is None else set(self.registers)
-        for support in iter_supports(self.width, self.window, self.max_errors):
-            if allowed is None or all(pos in allowed for pos in support):
-                yield support
+        positions = range(1, self.width + 1) if self.registers is None \
+            else self.registers
+        return _walk_supports(positions, self.window, self.max_errors)
 
     def __iter__(self) -> Iterator[ErrorPattern]:
         for support in self._supports():
@@ -294,7 +306,7 @@ class PatternFamily:
     def restricted(self, allowed: Iterable[int]) -> "PatternFamily":
         """Sub-family whose supports avoid every register outside ``allowed``."""
         return PatternFamily(self.width, self.window, self.max_errors,
-                             self.basis, tuple(sorted(set(allowed))))
+                             self.basis, tuple(allowed))
 
     def to_json(self) -> dict:
         if all(op.kind == "weyl" for op in self.basis):
@@ -309,16 +321,11 @@ class PatternFamily:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PatternFamily":
-        basis = []
-        for entry in data["basis"]:
-            if "kind" not in entry:
-                basis.append(weyl(entry["a"], entry["b"]))
-            else:
-                basis.append(SingleRegisterError.from_json(entry))
+        basis = tuple(SingleRegisterError.from_json(entry)
+                      for entry in data["basis"])
         registers = data.get("registers")
         return cls(data["width"], data["window"], data["max_errors"],
-                   tuple(basis),
-                   None if registers is None else tuple(registers))
+                   basis, None if registers is None else tuple(registers))
 
 
 def enumerate_family(width: int, window: int, max_errors: int,

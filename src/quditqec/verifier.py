@@ -504,20 +504,22 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool,
 
 @dataclass
 class _Lattice:
-    """The logical words' kets as integer entries on the lattice Z[w]."""
+    """The logical words' kets as integer entries on the lattice Z[w], one
+    flat array per field over the entries of every ket, ket by ket."""
 
-    digits: list[np.ndarray]      # (entries, width) basis strings
-    exponents: list[np.ndarray]   # exponent of w, mod 2N
-    numerators: list[np.ndarray]  # coefficient times ``denominator``
-    halves: list[int]             # each ket's power of sqrt(N) below
+    digits: np.ndarray       # (entries, width) basis strings
+    ket: np.ndarray          # the ket each entry belongs to
+    exponents: np.ndarray    # exponent of w, mod 2N
+    numerators: np.ndarray   # coefficient times ``denominator``
+    halves: list[int]        # each ket's power of sqrt(N) below
     denominator: int
 
 
 def _read_lattice(code: CodeSpec, patterns) -> _Lattice | None:
-    """The kets on the lattice, or None for an input that ``PhaseScalar``
-    carries in floats: an operator other than Weyl, spin flip and the
-    identity, an inexact amplitude, or a ket whose terms mix the parity of
-    sqrt(N).
+    """The kets on the lattice, one entry per (ket, string, exponent) in
+    term order, or None for an input that ``PhaseScalar`` carries in
+    floats: an operator other than Weyl, spin flip and the identity, an
+    inexact amplitude, or a ket whose terms mix the parity of sqrt(N).
 
     Every Gram entry is at most fan-in x max|numerator|^2 x terms, with
     the numerator of a term summed over its exponents and the fan-in the
@@ -536,8 +538,8 @@ def _read_lattice(code: CodeSpec, patterns) -> _Lattice | None:
         if any(p is None for p in parts) or len({h for _, h in parts}) > 1:
             return None
         kets.append((terms, parts))
-    coefficients = [list(coeffs.values()) for _, parts in kets
-                    for coeffs, _ in parts]
+    parts = [part for _, ket_parts in kets for part in ket_parts]
+    coefficients = [list(coeffs.values()) for coeffs, _ in parts]
     denominator = math.lcm(*(c.denominator for cs in coefficients
                              for c in cs))
     peak = max((sum(map(abs, cs)) for cs in coefficients), default=0)
@@ -552,37 +554,33 @@ def _read_lattice(code: CodeSpec, patterns) -> _Lattice | None:
         raise ValueError(
             f"exact overlaps of {code.label!r} may reach {bound} (fan-in x "
             f"max|numerator|^2 x terms), past the int64 bound {limit}")
-    lattice = _Lattice([], [], [], [], denominator)
-    for terms, parts in kets:
-        counts = [len(coeffs) for coeffs, _ in parts]
-        lattice.digits.append(np.repeat(
-            np.array(list(terms), dtype=np.int64).reshape(-1, code.width),
-            counts, axis=0))
-        lattice.exponents.append(np.fromiter(
-            (e % order for coeffs, _ in parts for e in coeffs), np.int64))
-        lattice.numerators.append(np.fromiter(
-            (int(c * denominator) for coeffs, _ in parts
-             for c in coeffs.values()), np.int64))
-        lattice.halves.append(parts[0][1] if parts else 0)
-    return lattice
+    counts = [len(cs) for cs in coefficients]
+    strings = np.array([s for terms, _ in kets for s in terms],
+                       dtype=np.int64).reshape(-1, code.width)
+    ket = np.repeat(np.arange(len(kets)), [len(terms) for terms, _ in kets])
+    return _Lattice(
+        np.repeat(strings, counts, axis=0), np.repeat(ket, counts),
+        np.fromiter((e % order for coeffs, _ in parts for e in coeffs),
+                    np.int64),
+        np.fromiter((int(c * denominator) for cs in coefficients
+                     for c in cs), np.int64),
+        [ket_parts[0][1] if ket_parts else 0 for _, ket_parts in kets],
+        denominator)
 
 
 def _lattice_matrices(lattice: _Lattice, patterns, n: int) -> list[csr_matrix]:
     """Each ket's family matrix on the lattice: row a 2N + e holds the
     integer entries of pattern a applied to the ket at exponent e, over
     the column space of ``_ranked_matrices``."""
-    order, size = 2 * n, len(patterns)
-    counts = [len(digits) for digits in lattice.digits]
-    rows, source, keys, gained, _ = _apply_patterns(
-        np.concatenate(lattice.digits), patterns, n)
-    ket = np.repeat(np.arange(len(counts)), counts)[source]
-    exponents = np.concatenate(lattice.exponents)[source] + gained
+    order, size, dim = 2 * n, len(patterns), len(lattice.halves)
+    rows, source, keys, gained, _ = _apply_patterns(lattice.digits, patterns,
+                                                    n)
+    exponents = lattice.exponents[source] + gained
     (stacked,) = _ranked_matrices([(
-        (ket * size + rows) * order + exponents % order, keys,
-        np.concatenate(lattice.numerators)[source],
-        len(counts) * size * order)])
+        (lattice.ket[source] * size + rows) * order + exponents % order, keys,
+        lattice.numerators[source], dim * size * order)])
     height = size * order
-    return [stacked[k * height:(k + 1) * height] for k in range(len(counts))]
+    return [stacked[k * height:(k + 1) * height] for k in range(dim)]
 
 
 def _fold(keys: np.ndarray, values: np.ndarray):
@@ -845,11 +843,6 @@ class _Kets:
         self.first = np.array([d[0] for d in self.digits])
         self.norms = np.array([np.vdot(a, a).real for a in self.amps])
 
-    def amplitude(self, j: int, digits: np.ndarray) -> np.ndarray:
-        """Ket j's amplitudes at digit rows (reduced mod N), 0 off its
-        support."""
-        return self.lookup(j, digits @ self.place)
-
     def lookup(self, j: int, index: np.ndarray) -> np.ndarray:
         """Ket j's amplitudes at grid indices, 0 off its support."""
         known = self.indices[j]
@@ -929,12 +922,13 @@ def _tableau_off_kets(code: CodeSpec) -> _Tableau | None:
     S, the rows whose root is 1 on every ket, from the logical rows, and
     |S| dim must be N^width.  The kets must share one norm and have
     distinct roots, which makes them orthogonal.  None (no stabilizer code
-    this engine can serve) otherwise, and also when N to the number of
-    rows of S, or of the logical rows, reaches 2^62: syndromes and ket keys
-    are read as base-N integers.
+    this engine can serve) otherwise, also when a ket has no terms, and
+    when N to the number of rows of S, or of the logical rows, reaches
+    2^62: syndromes and ket keys are read as base-N integers.
     """
     n, width = code.n_levels, code.width
-    if n ** width >= 2 ** 62:
+    if n ** width >= 2 ** 62 or not all(
+            code.encoded_kets[w].terms for w in code.logical_windows()):
         return None
     kets = _Kets(code, n ** np.arange(width - 1, -1, -1, dtype=np.int64))
     dim = len(kets.amps)
@@ -946,7 +940,7 @@ def _tableau_off_kets(code: CodeSpec) -> _Tableau | None:
     if _order(shifts, pivots, n) != len(amps):
         return None
     # ratio(g, h) = v0(y0 + h - g) v0(y0) / (v0(y0 + h) v0(y0 - g)) = w^(-z_g.h)
-    at = lambda rows: kets.amplitude(0, rows % n)
+    at = lambda rows: kets.lookup(0, (rows % n) @ kets.place)
     ratio = at(y0 + shifts[None, :, :] - shifts[:, None, :]) * amps[0] / (
         at(y0 + shifts)[None, :] * at(y0 - shifts)[:, None])
     exponents = _root_exponents(ratio.reshape(-1), n)
@@ -1071,7 +1065,7 @@ def _transfer(tab: _Tableau, n: int, rows_a: np.ndarray, rows_b: np.ndarray,
         exponent = ((z_b * source).sum(axis=1) - (z_a * y).sum(axis=1)) % n
         targets.append(i)
         mus.append(np.exp(2j * np.pi * exponent / n)
-                   * kets.amplitude(j, source) / first_amps[i])
+                   * kets.lookup(j, source @ kets.place) / first_amps[i])
     return targets, mus
 
 
@@ -1271,6 +1265,9 @@ def _summarize_lambda(matrix, tol: float) -> dict:
 
 @dataclass
 class LambdaReport:
+    """The dense lambda matrix of a passing check, its kind (identity or
+    degenerate) and rank, and the check it came from."""
+
     matrix: np.ndarray
     kind: str
     rank: int

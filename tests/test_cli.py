@@ -247,6 +247,19 @@ def test_argparse_rejections():
     assert exc.value.code == 2
 
 
+SUBCOMMANDS = ["construct", "dualize", "paste", "verify-kl", "lambda",
+               "simulate", "certify-classical"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_has_help(capsys, command):
+    assert sorted(cli._HANDLERS) == sorted(SUBCOMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: quditqec {command}")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, report, err = run_cli(capsys, [

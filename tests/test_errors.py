@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from quditqec.cyclotomic import PhaseScalar
-from quditqec.errors import (ErrorPattern, PatternFamily, additive_flip,
+from quditqec.errors import (ErrorPattern, PatternFamily,
+                             SingleRegisterError, additive_flip,
                              apply_pattern, enumerate_family, general,
                              identity, iter_supports, phase_shift, spin_flip,
                              weyl, weyl_basis)
@@ -212,6 +213,69 @@ def test_family_restriction():
     for pattern in sub:
         assert all(pos <= 3 for pos in pattern.support)
         assert family.contains(pattern)
+
+
+@pytest.mark.parametrize("width, window, max_errors", [
+    (1, 1, 1), (4, 2, 1), (4, 2, 2), (6, 3, 1), (6, 3, 2), (7, 4, 2),
+    (7, 7, 1), (8, 3, 2)])
+def test_restricted_family_is_the_full_walk_filtered(width, window,
+                                                      max_errors):
+    family = enumerate_family(width, window, max_errors, n_levels=2)
+    full = list(family)
+    for registers in ((), (1,), (width,), (2, 3), (3, 1, 3),
+                      tuple(range(1, width + 1, 2)), tuple(range(2, width)),
+                      tuple(range(1, width + 1))):
+        registers = tuple(pos for pos in registers if pos <= width)
+        sub = family.restricted(registers)
+        expected = [p for p in full if set(p.support) <= set(registers)]
+        assert list(sub) == expected, registers
+        assert len(sub) == len(expected), registers
+        assert list(sub._supports()) == [
+            s for s in iter_supports(width, window, max_errors)
+            if set(s) <= set(registers)], registers
+
+
+def test_an_interior_family_lists_its_patterns():
+    # 79 supports inside registers 10..19 of a 40-register row
+    family = enumerate_family(40, 8, 2, n_levels=2).restricted(range(10, 20))
+    patterns = list(family)
+    assert len(patterns) == len(family) == 1111
+    assert all(family.contains(p) for p in patterns)
+    # the window rule inside 10..19 is the rule of a 10-register row
+    supports = sorted(tuple(pos + 9 for pos in s)
+                      for s in brute_force_supports(10, 8, 2))
+    assert list(family._supports()) == supports
+    assert len(supports) == 79
+
+
+SINGLE_KINDS = [identity(), weyl(1, 2), spin_flip([1, 0, 0]),
+                phase_shift([1, 1j, -1]), general([[0, 1j], [0.5, 0]])]
+
+
+@pytest.mark.parametrize("op", SINGLE_KINDS, ids=lambda op: op.kind)
+def test_every_single_register_kind_round_trips(op):
+    data = op.to_json()
+    assert data["kind"] == op.kind
+    assert SingleRegisterError.from_json(data) == op
+
+
+def test_patterns_and_families_round_trip_through_json():
+    pattern = ErrorPattern.from_dict(6, {
+        pos: op for pos, op in enumerate(SINGLE_KINDS, start=2)})
+    assert pattern.weight == 4
+    assert ErrorPattern.from_json(pattern.to_json()) == pattern
+    weyl_only = enumerate_family(6, 3, 1, n_levels=3).restricted((2, 4, 5))
+    data = weyl_only.to_json()
+    # an all-Weyl basis is written in its shorthand, without a kind
+    assert data["basis"][0] == {"a": 0, "b": 1}
+    assert SingleRegisterError.from_json(data["basis"][0]) == weyl(0, 1)
+    mixed = enumerate_family(6, 3, 1, basis=SINGLE_KINDS[1:])
+    assert [entry["kind"] for entry in mixed.to_json()["basis"]] == \
+        ["weyl", "spin_flip", "phase_shift", "general"]
+    for family in (weyl_only, mixed):
+        back = PatternFamily.from_json(family.to_json())
+        assert back == family
+        assert list(back) == list(family)
 
 
 def test_round_trips():

@@ -1,4 +1,6 @@
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import quditqec
@@ -82,3 +84,16 @@ def test_module_private_names_are_read():
                   path.read_text(), filename=str(path)))
               if name not in read]
     assert not unread, f"defined but never read: {unread}"
+
+
+def test_public_functions_and_classes_have_docstrings():
+    missing = []
+    for name in quditqec.__all__:
+        obj = getattr(quditqec, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        # read the source: a dataclass without one gets a generated __doc__
+        (node,) = ast.parse(textwrap.dedent(inspect.getsource(obj))).body
+        if not ast.get_docstring(node):
+            missing.append(name)
+    assert not missing, f"no docstring: {missing}"

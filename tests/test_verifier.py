@@ -484,9 +484,14 @@ def test_lattice_rows_match_exact_application():
     # a ket that holds every string: the identity, the first pattern, then
     # makes column k the string of grid index k
     grid = np.array(list(itertools.product(range(3), repeat=5)))
-    lattice.digits.append(grid)
-    lattice.exponents.append(np.zeros(len(grid), dtype=np.int64))
-    lattice.numerators.append(np.ones(len(grid), dtype=np.int64))
+    lattice.digits = np.vstack([lattice.digits, grid])
+    lattice.ket = np.append(lattice.ket, np.full(len(grid),
+                                                 len(lattice.halves)))
+    lattice.exponents = np.append(lattice.exponents,
+                                  np.zeros(len(grid), dtype=np.int64))
+    lattice.numerators = np.append(lattice.numerators,
+                                   np.ones(len(grid), dtype=np.int64))
+    lattice.halves.append(0)
     mats = verifier._lattice_matrices(lattice, patterns, 3)
     residue = residue_matrix(6)
     place = 3 ** np.arange(4, -1, -1)
@@ -1153,6 +1158,51 @@ def test_duplicate_characters_fall_back_to_the_sparse_gram():
     assert report.engine == "sparse-float" and report.verdict == "fail"
     # |<v_0|v_2>| = 1 and, with Z, |<v_1|Z|v_1> - <v_0|Z|v_0>| = |w - 1|
     assert abs(report.max_deviation - 3 ** 0.5) < 1e-9
+
+
+def test_a_ket_without_terms_takes_the_float_paths():
+    # |000> and the zero ket at N=2: no stabilizer reads off a ket with no
+    # terms, so the sparse Gram and the channel's ket decoder serve it
+    code = CodeSpec("handmade", 2, 1, 3, 0, 0, 1, {
+        (0,): RegisterState.basis(2, (0, 0, 0)),
+        (1,): RegisterState(2, 3, {})})
+    family = weyl_family(3, 3, 1, 2)
+    assert verifier._read_tableau(code) is None
+    floats, exact = kl_check(code, family), kl_check(code, family, exact=True)
+    assert floats.engine == "sparse-float" and exact.engine == "exact"
+    assert floats.verdict == exact.verdict == "fail"
+    assert floats.max_deviation == exact.max_deviation == 1.0
+    summary = run_trials(code, ChannelConfig(p=0.2, seed=3, trials=20),
+                         family, RegisterState.basis(2, (0,)))
+    assert summary.decoder == "ket" and summary.trials == 20
+
+
+def test_a_stabilizer_past_the_syndrome_range_falls_back(monkeypatch):
+    # one ket over {0, 3}^12 at N=6: N^width = 6^12 stays below 2^62, but S
+    # has 24 Howell rows (pivots 2 and 3), and syndromes of 6^24 >= 2^62
+    # values are not read as base-N integers
+    one = PhaseScalar.exact_one(6)
+    site = RegisterState(6, 1, {(0,): one, (3,): one})
+    ket = site
+    for _ in range(11):
+        ket = ket.tensor(site)
+    assert len(ket) == 4096
+    code = CodeSpec("handmade", 6, 1, 12, 0, 0, 1, {(0,): ket})
+    orders = []
+    real_order = verifier._order
+
+    def order(rows, pivots, n):
+        orders.append((len(rows), real_order(rows, pivots, n)))
+        return orders[-1][1]
+
+    monkeypatch.setattr(verifier, "_order", order)
+    assert verifier._read_tableau(code) is None
+    # the read got past the order check of S, which has |S| = 6^12
+    assert orders[-1] == (24, 6 ** 12)
+    report = kl_check(code, weyl_family(12, 12, 1, 6))
+    assert report.engine == "sparse-float" and report.passed
+    assert report.family_size == 421
+
 
 def test_repeated_check_reads_the_kept_syndrome_table():
     code = builtin("rate14_conv", 2, 3)
