@@ -2,9 +2,14 @@
 
 Each trial corrupts an encoded state register by register, decodes by
 projecting every candidate-corrected state onto the code space, and scores
-the recovered logical state against the input.  Trials are independent and
-derive their randomness from (seed, trial index) through numpy's seed
-sequence, so runs reproduce bit for bit.
+the recovered logical state against the input.  Trials are independent:
+trial t draws exactly what numpy's ``default_rng([seed, t])`` draws, so
+runs reproduce bit for bit.  No generator is built per trial.  The seed
+sequence's hashing and PCG64's seeding run as array operations over a
+block of trial indices, and the state of a trial's k-th draw comes from
+the closed form of its LCG, A^k s + (1 + A + ... + A^(k-1)) inc mod 2^128
+(the jump-ahead of Brown, 1994), so the uniforms of a block are a few
+dozen array operations.
 
 For a fixed input the record of a trial depends on its injected pattern
 alone, so :func:`run_trials` draws every pattern first and works each
@@ -26,8 +31,9 @@ distinct pattern once, on one of two paths:
   engine.  It holds the members, their Weyl rows, the syndromes the
   family reaches with the earliest member of each, and the member set
   that decides whether an injected pattern is in the family.  A call
-  labels only its distinct injected rows, so its cost is mostly the
-  per-trial seed stream.
+  labels only its distinct injected rows.  Drawing the trials costs about
+  1-4 us per trial plus about 0.3 ms per call (numpy 2.4, a shared 2-core
+  Xeon); one generator per trial cost about 20 us per trial.
 * ``"ket"``: otherwise.  Corruption runs in floats, through the
   verifier's one pattern kernel.  The candidate rows (the kets under the
   family) and the corrupted rows share one column space of ranked
@@ -49,8 +55,10 @@ means, and the trial records will show it).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +78,18 @@ TIE_RTOL = 1e-12
 # distinct patterns decoded per stacked product; bounds the dense block of
 # amplitudes at (logical dim * family size) x DECODE_BLOCK
 DECODE_BLOCK = 256
+# trials drawn at once by run_trials; bounds each of the draw's arrays at
+# DRAW_BLOCK x width 64-bit words
+DRAW_BLOCK = 1024
+
+# numpy's SeedSequence (pool size, hash and mix constants) and PCG64's
+# multiplier, for drawing the streams of default_rng([seed, trial])
+_MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class UncorrectableError(RuntimeError):
@@ -163,21 +183,191 @@ def _menu_cdf(weights) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _draw_pattern(cfg: ChannelConfig, width: int, menu, cdf: np.ndarray,
-                  trial: int) -> ErrorPattern:
-    """The pattern injected in one trial, drawn from (cfg.seed, trial).
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, low word first, as a
+    seed sequence splits its entropy (zero is one word)."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_keys(const: int, mult: int, count: int):
+    """The running constants of ``count`` seed-sequence hashes, as (count,
+    1) uint32 columns: hash i xors with constant i, and multiplies by
+    constant i + 1, the constant being advanced by ``mult`` each time."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    keys = np.array(consts, dtype=np.uint32)[:, None]
+    return keys[:-1], keys[1:]
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray):
+    """The seed sequence's hash of ``values`` under keys of
+    :func:`_hash_keys`: xor, multiply, fold the high half into the low."""
+    values = (values ^ xor) * mul
+    return values ^ values >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The seed sequence's mix of pool word ``x`` with hashed word ``y``."""
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ out >> np.uint32(16)
+
+
+def _seed_states(words: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``(x_hi, x_lo, inc_hi, inc_lo)`` of ``PCG64(SeedSequence(entropy))``
+    for each column of the entropy ``words`` (uint32 arrays that broadcast,
+    low word first), as 64-bit halves.
+
+    The pool mixing and ``generate_state(4, uint64)`` run as numpy runs
+    them, hash for hash; the hashes one source word makes into the other
+    pool words are independent, so they run as one array operation.
+    PCG64 then sets inc = 2 initseq + 1 and x = inc + initstate; its state
+    before the first draw is x A + inc.  A zero word among the first
+    ``_POOL`` mixes as the pool's own padding does, so a trial index below
+    2^32 may be given a zero high word.
+    """
+    extra = words[_POOL:]
+    xor, mul = _hash_keys(_INIT_A, _MULT_A,
+                          _POOL * _POOL + _POOL * len(extra))
+    (size,) = np.broadcast_shapes(*(w.shape for w in words))
+    entropy = np.zeros((_POOL, size), dtype=np.uint32)
+    for row, word in zip(entropy, words):
+        row[:] = word
+    pool = _hash(entropy, xor[:_POOL], mul[:_POOL])
+    at = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[at:at + _POOL - 1],
+                                          mul[at:at + _POOL - 1]))
+        at += _POOL - 1
+    for word in extra:
+        pool = _mix(pool, _hash(word, xor[at:at + _POOL], mul[at:at + _POOL]))
+        at += _POOL
+    # generate_state(4, uint64): eight words cycling the pool, paired low
+    # word first
+    out = _hash(np.tile(pool, (2, 1)),
+                *_hash_keys(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    x_lo = inc_lo + state_lo
+    return inc_hi + state_hi + (x_lo < inc_lo), x_lo, inc_hi, inc_lo
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(count: int) -> tuple[np.ndarray, ...]:
+    """``(a_hi, a_lo, c_hi, c_lo)`` for draws k < count: the state of draw
+    k is a x + c inc mod 2^128, with a = A^(k+2) and c = 1 + A + ... +
+    A^(k+1), A being PCG64's multiplier."""
+    power, total = _PCG_MULT, 1
+    columns = []
+    for _ in range(count):
+        total = (total + power) % 2 ** 128
+        power = power * _PCG_MULT % 2 ** 128
+        columns.append((power >> 64, power & _MASK64,
+                        total >> 64, total & _MASK64))
+    return tuple(np.array(c, dtype=np.uint64) for c in zip(*columns))
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of uint64 arrays."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low, cross, cross2 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> 32) + (cross & _MASK32) + (cross2 & _MASK32)
+    return a1 * b1 + (cross >> 32) + (cross2 >> 32) + (mid >> 32)
+
+
+def _uniforms(state: tuple[np.ndarray, ...], draws) -> np.ndarray:
+    """Uniform number ``draws`` (from 0) of each generator of ``state``
+    (arrays of :func:`_seed_states`, broadcast against ``draws``), as
+    ``Generator.random`` gives it.
+
+    The state of a draw comes from the closed form of :func:`_jumps`;
+    its output is PCG64's XSL-RR, the xor of its halves rotated right by
+    its top six bits, and the double keeps the top 53 bits.
+    """
+    x_hi, x_lo, inc_hi, inc_lo = state
+    table = _jumps(1 << int(np.max(draws)).bit_length())
+    a_hi, a_lo, c_hi, c_lo = (column[draws] for column in table)
+    ax = a_lo * x_lo
+    lo = ax + c_lo * inc_lo
+    hi = (_mulhi(a_lo, x_lo) + _mulhi(c_lo, inc_lo) + (lo < ax)
+          + a_hi * x_lo + a_lo * x_hi + c_hi * inc_lo + c_lo * inc_hi)
+    out, rot = hi ^ lo, hi >> 58
+    out = out >> rot | out << (64 - rot & 63)
+    return (out >> 11) * 2.0 ** -53
+
+
+def _draw_rows(cfg: ChannelConfig, width: int, cdf: np.ndarray,
+               trial_words: list[np.ndarray]) -> np.ndarray:
+    """The patterns of ``default_rng([cfg.seed, t])`` for trials t given by
+    their words (uint32 arrays, low word first), one row per trial: 0 at
+    a register left alone, 1 + its menu pick at a hit register.
 
     One uniform per register decides the hit registers; then one uniform
     per hit register, in register order, picks its menu entry by the
     ``cdf`` of :func:`_menu_cdf`.  This is the stream of one
     ``rng.choice(len(menu), p=weights)`` per hit register, draw for draw.
     """
-    rng = np.random.default_rng([cfg.seed, trial])
-    hits = np.flatnonzero(rng.random(width) < cfg.p)
-    picks = cdf.searchsorted(rng.random(hits.size), side="right")
-    return ErrorPattern(width, tuple(
-        (slot + 1, menu[pick])
-        for slot, pick in zip(hits.tolist(), picks.tolist())))
+    state = _seed_states([np.array([w], np.uint32) for w in _words(cfg.seed)]
+                         + trial_words)
+    hit = _uniforms(tuple(s[:, None] for s in state),
+                    np.arange(width)[None, :]) < cfg.p
+    rows = np.zeros(hit.shape, dtype=np.min_scalar_type(cdf.size))
+    trial, slot = np.nonzero(hit)
+    if trial.size:
+        counts = hit.sum(axis=1)
+        # a trial's j-th hit register takes its draw width + j
+        rank = np.arange(trial.size) - (np.cumsum(counts) - counts)[trial]
+        rows[trial, slot] = 1 + cdf.searchsorted(
+            _uniforms(tuple(s[trial] for s in state), width + rank),
+            side="right")
+    return rows
+
+
+def _patterns(menu, rows: np.ndarray) -> list[ErrorPattern]:
+    """The pattern of each row of :func:`_draw_rows`."""
+    trial, slot = np.nonzero(rows)
+    by_pick = (None,) + tuple(menu)
+    ops = list(zip((slot + 1).tolist(),
+                   map(by_pick.__getitem__, rows[trial, slot].tolist())))
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    return [ErrorPattern(rows.shape[1], tuple(ops[a:b]))
+            for a, b in zip([0] + ends, ends)]
+
+
+def _draw_distinct(cfg: ChannelConfig, width: int, menu, cdf: np.ndarray):
+    """The distinct patterns of trials 0 .. cfg.trials - 1, in first-seen
+    order, and each trial's index into them, drawn ``DRAW_BLOCK`` trials
+    at a time.  Only the first row of each kind becomes a pattern."""
+    seen: dict[bytes, int] = {}
+    distinct: list[ErrorPattern] = []
+    slots = np.empty(cfg.trials, dtype=np.intp)
+    for start in range(0, cfg.trials, DRAW_BLOCK):
+        trials = np.arange(start, min(start + DRAW_BLOCK, cfg.trials),
+                           dtype=np.uint64)
+        rows = _draw_rows(cfg, width, cdf,
+                          [(trials & _MASK32).astype(np.uint32),
+                           (trials >> 32).astype(np.uint32)])
+        step = width * rows.itemsize
+        _, first, inverse = np.unique(
+            rows.view(np.dtype((np.void, step))).ravel(),
+            return_index=True, return_inverse=True)
+        # the block's kinds of row in first-seen order, numbered across
+        # blocks in first-seen order
+        order = np.argsort(first)
+        kinds = rows[first[order]]
+        blob = kinds.tobytes()
+        known = len(seen)
+        index = np.array([seen.setdefault(blob[at:at + step], len(seen))
+                          for at in range(0, len(blob), step)])
+        distinct += _patterns(menu, kinds[index >= known])
+        slots[start:start + trials.size] = index[np.argsort(order)][inverse]
+    return distinct, slots
 
 
 def sample_channel(state: RegisterState, cfg: ChannelConfig,
@@ -186,10 +376,16 @@ def sample_channel(state: RegisterState, cfg: ChannelConfig,
 
     The draw is fully determined by (cfg.seed, trial): both feed one seed
     sequence, so trial streams are independent and reproducible in any
-    execution order.  The corruption is exact.
+    execution order.  A negative trial index is refused with a
+    ValueError, as the seed sequence refuses it.  The corruption is exact.
     """
+    trial = operator.index(trial)
+    if trial < 0:
+        raise ValueError("trial index must be nonnegative")
     menu, weights = cfg.menu_for(state.n_levels)
-    pattern = _draw_pattern(cfg, state.width, menu, _menu_cdf(weights), trial)
+    (pattern,) = _patterns(menu, _draw_rows(
+        cfg, state.width, _menu_cdf(weights),
+        [np.array([w], np.uint32) for w in _words(trial)]))
     return apply_pattern(state, pattern), pattern
 
 
@@ -347,10 +543,10 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     stabilizer is read once per code and the family's syndrome table built
     once per (code, family), both kept with the code and shared with
     ``kl_check``, so a repeated call labels only its distinct injected
-    rows; what is left per call is
-    mostly the per-trial seed stream (one ``default_rng([seed, trial])``
-    per trial), the floor while that stream stays bit for bit.  The
-    ket path corrupts the encoded state in floats, one row per pattern
+    rows.  The draw runs ``DRAW_BLOCK`` trials at a time as array work
+    that gives each trial the stream of ``default_rng([seed, trial])``
+    bit for bit; only the first trial of each distinct pattern builds an
+    ``ErrorPattern``.  The ket path corrupts the encoded state in floats, one row per pattern
     in the candidates' column space, decodes ``DECODE_BLOCK`` rows at a
     time by one stacked sparse product, and scores against the input in
     floats.  The
@@ -371,13 +567,7 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     logical_input = logical_input.normalized()
     menu, weights = cfg.menu_for(code.n_levels)
     cdf = _menu_cdf(weights)
-    width = code.width
-    # each trial's index into the distinct patterns, in first-seen order
-    first_seen: dict[ErrorPattern, int] = {}
-    slots = [first_seen.setdefault(_draw_pattern(cfg, width, menu, cdf, t),
-                                   len(first_seen))
-             for t in range(cfg.trials)]
-    distinct = list(first_seen)
+    distinct, slots = _draw_distinct(cfg, code.width, menu, cdf)
     target = np.array([logical_input.amplitude(w).to_complex()
                        for w in code.logical_windows()])
     # the distinct injected rows, then the family's table; None when a
@@ -406,16 +596,21 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
         else:
             outcome.append(TrialRecord(pattern, in_family, patterns[pick],
                                        fid, fid >= SUCCESS_FIDELITY))
-    records = [outcome[slot] for slot in slots]
-
-    in_family_count = sum(r.in_family for r in records)
-    success_count = sum(r.success for r in records)
-    in_family_success = sum(r.success for r in records if r.in_family)
+    # per-trial counts as per-pattern counts times multiplicity; fsum is
+    # exact, so the mean is the mean over the records in trial order
+    repeats = np.bincount(slots, minlength=len(distinct)).tolist()
+    in_family_count = sum(n for r, n in zip(outcome, repeats) if r.in_family)
+    success_count = sum(n for r, n in zip(outcome, repeats) if r.success)
+    in_family_success = sum(n for r, n in zip(outcome, repeats)
+                            if r.success and r.in_family)
     conditional = None if in_family_count == 0 \
         else in_family_success / in_family_count
-    mean_fidelity = math.fsum(r.logical_fidelity for r in records) / len(records)
+    fidelities = np.array([r.logical_fidelity for r in outcome])
+    mean_fidelity = math.fsum(fidelities[slots].tolist()) / cfg.trials
+    records = None if not keep_records \
+        else tuple(map(outcome.__getitem__, slots.tolist()))
     return ChannelSummary(
         code.label, code.n_levels, code.logical_len, cfg.p, cfg.trials,
         in_family_count, success_count, in_family_success, conditional,
         mean_fidelity, cfg.seed, decoder,
-        records=tuple(records) if keep_records else None)
+        records=records)

@@ -109,13 +109,19 @@ def draw_before(cfg, width, menu, weights, trial):
 
 ZERO_WEIGHT_MENU = ((weyl(1, 0), weyl(0, 1), weyl(1, 1), weyl(0, 2)),
                     (0.3, 0.0, 0.45, 0.25))
+# a zero weight first and last, and an entry listed twice
+DUPLICATE_MENU = ((weyl(1, 0), weyl(0, 1), weyl(1, 0), weyl(1, 1)),
+                  (0.0, 0.3, 0.7, 0.0))
 
 
 @pytest.mark.parametrize("n, menu", [
-    (2, None), (3, None), (3, ZERO_WEIGHT_MENU)])
+    (2, None), (3, None), (3, ZERO_WEIGHT_MENU), (3, DUPLICATE_MENU)])
 def test_draw_stream_is_pinned(n, menu):
+    # seeds of one and two 32-bit words of entropy
     state = RegisterState.basis(n, (0,) * 12)
-    for p, seed in itertools.product((0.0, 0.02, 0.2, 1.0), (1, 2, 4242)):
+    for p, seed in itertools.product(
+            (0.0, 0.02, 0.2, 1.0),
+            (0, 1, 2, 4242, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1)):
         if menu is None:
             cfg = ChannelConfig(p=p, seed=seed, trials=1)
         else:
@@ -158,14 +164,98 @@ def test_draw_breaks_ties_as_choice(monkeypatch):
     for weights, tie, pick in (((0.0, 0.5, 0.5), 0.0, 1),
                                ((0.5, 0.0, 0.5), 0.5, 2),
                                ((0.25, 0.5, 0.25), 0.25, 1)):
-        assert generator_drawing(tie, 1).random(2)[1] == tie
+        stream = generator_drawing(tie, 1).random(2)
+        assert stream[1] == tie
+        # the referee draws from the generator, the channel's picks from
+        # the same uniforms, fed in where uniforms become picks
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed, tie=tie: generator_drawing(tie, 1))
+        monkeypatch.setattr(channel, "_uniforms",
+                            lambda state, draws, stream=stream: stream[draws])
         cfg = ChannelConfig(p=1.0, seed=1, trials=1, error_menu=menu,
                             weights=weights)
         _, pattern = sample_channel(state, cfg, 0)
         assert pattern == draw_before(cfg, 1, menu, weights, 0), weights
         assert pattern.ops == ((1, menu[pick]),)
+
+
+def test_draw_stream_is_pinned_at_wide_trial_indices():
+    # trial indices of one, two and three words: the last takes the seed
+    # sequence past its pool of four words
+    state = RegisterState.basis(2, (0,) * 12)
+    for seed, trial in itertools.product(
+            (0, 7, 2 ** 32, 2 ** 64 - 1),
+            (2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 64 + 3)):
+        cfg = ChannelConfig(p=0.4, seed=seed, trials=1)
+        entries, weights = cfg.menu_for(2)
+        _, pattern = sample_channel(state, cfg, trial)
+        assert pattern == draw_before(cfg, 12, entries, weights, trial), \
+            (seed, trial)
+
+
+def test_sample_channel_refuses_a_negative_trial():
+    state = RegisterState.basis(2, (0, 0))
+    cfg = ChannelConfig(p=0.5, seed=3, trials=1)
+    with pytest.raises(ValueError):
+        np.random.default_rng([cfg.seed, -1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_channel(state, cfg, -1)
+    with pytest.raises(TypeError):
+        sample_channel(state, cfg, 1.0)
+
+
+def benchmark_channel_inputs():
+    """The channel runs of the benchmark: (code, cfg, family, logical)."""
+    r14 = builtin("rate14_conv", 2, 3)
+    r14_family = enumerate_family(r14.width, 8, 1, n_levels=2)
+    p5 = builtin("perfect5", 3, 1)
+    p5_family = enumerate_family(p5.width, 5, 1, n_levels=3)
+    shor = builtin("shor9", 3, 1)
+    dual = dualize(builtin("majority3", 3, 1))
+    phases = enumerate_family(dual.width, 3, 1, n_levels=3,
+                              basis=(weyl(0, 1), weyl(0, 2)))
+    return [
+        (r14, ChannelConfig(p=0.02, seed=11, trials=600), r14_family,
+         RegisterState.basis(2, (0, 1, 1))),
+        (r14, ChannelConfig(p=0.2, seed=12, trials=250), r14_family,
+         RegisterState.basis(2, (0, 1, 1))),
+        (p5, ChannelConfig(p=0.02, seed=13, trials=60), p5_family,
+         RegisterState.basis(3, (2,))),
+        (p5, ChannelConfig(p=0.2, seed=14, trials=25), p5_family,
+         RegisterState.basis(3, (2,))),
+        (shor, ChannelConfig(p=0.05, seed=15, trials=100),
+         enumerate_family(shor.width, 9, 1, n_levels=3),
+         RegisterState.basis(3, (1,))),
+        (dual, ChannelConfig(p=0.1, seed=16, trials=250,
+                             error_menu=phases.basis), phases,
+         RegisterState.basis(3, (1,))),
+    ]
+
+
+def test_run_trials_draws_as_sample_channel():
+    for code, cfg, family, logical in benchmark_channel_inputs():
+        summary = run_trials(code, cfg, family, logical, keep_records=True)
+        state = RegisterState.basis(code.n_levels, (0,) * code.width)
+        entries, weights = cfg.menu_for(code.n_levels)
+        for trial, record in enumerate(summary.records):
+            pattern = sample_channel(state, cfg, trial)[1]
+            assert record.injected == pattern, (code.label, trial)
+            assert pattern == draw_before(cfg, code.width, entries, weights,
+                                          trial), (code.label, trial)
+        assert any(r.injected.weight > 0 for r in summary.records)
+
+
+def test_draw_blocks_do_not_change_records(monkeypatch):
+    # blocks that do not divide the trials, with patterns repeating within
+    # and across blocks
+    for code, cfg, family, logical in benchmark_channel_inputs()[::2]:
+        whole = run_trials(code, cfg, family, logical, keep_records=True)
+        for block in (1, 7, cfg.trials - 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(channel, "DRAW_BLOCK", block)
+                blocked = run_trials(code, cfg, family, logical,
+                                     keep_records=True)
+            assert blocked == whole, (code.label, block)
 
 
 def test_decode_uncorrupted_shor9():
@@ -577,7 +667,7 @@ def test_logical_levels_mismatch_on_both_paths(monkeypatch):
     code, family = shor_setup()
     cfg = ChannelConfig(p=0.2, seed=1, trials=20)
     logical = RegisterState.basis(3, (2,))
-    monkeypatch.setattr(channel, "_draw_pattern",
+    monkeypatch.setattr(channel, "_draw_rows",
                         lambda *args: pytest.fail("a pattern was drawn"))
     for force in (False, True):
         with monkeypatch.context() as patch:
