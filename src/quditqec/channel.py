@@ -13,10 +13,14 @@ dozen array operations.
 
 For a fixed input the record of a trial depends on its injected pattern
 alone, so :func:`run_trials` draws every pattern first and works each
-distinct pattern once, on one of two paths:
+distinct pattern once.  A pattern stays the draw's row of menu picks
+through every stage: whether it is in the family is decided on the rows
+in one array pass, by the rule of ``PatternFamily.contains``, and
+``ErrorPattern`` objects are built only for the ket path or the records.
+Each distinct pattern runs on one of two paths:
 
-* ``"syndrome"``: when every family pattern and every distinct injected
-  pattern is a Weyl operator (or the identity) and the verifier can read a
+* ``"syndrome"``: when every family pattern and every drawn menu pick is
+  a Weyl operator and the verifier can read a
   stabilizer S off the code's kets.  For Weyl patterns the
   squared projection of candidate c is exactly 1 when E_c^dag E_inj
   commutes with S (it then maps the code space onto itself) and exactly 0
@@ -28,12 +32,13 @@ distinct pattern once, on one of two paths:
   code or the family alone is built once: the stabilizer once per code
   (kept on the code), and the family's syndrome table once per (code,
   family), kept on the stabilizer and shared with the verifier's syndrome
-  engine.  It holds the members, their Weyl rows, the syndromes the
-  family reaches with the earliest member of each, and the member set
-  that decides whether an injected pattern is in the family.  A call
-  labels only its distinct injected rows.  Drawing the trials costs about
-  1-4 us per trial plus about 0.3 ms per call (numpy 2.4, a shared 2-core
-  Xeon); one generator per trial cost about 20 us per trial.
+  engine.  It holds the family's patterns, their Weyl rows and the
+  syndromes the family reaches with the earliest pattern of each.  A call
+  reads the Weyl rows of its distinct patterns off a table of (a mod N,
+  b mod N) per menu entry, labels them, and moves only the logical kets
+  the input holds.  Drawing the trials costs about 1-4 us per trial plus
+  about 0.3 ms per call (numpy 2.4, a shared 2-core Xeon); one generator
+  per trial cost about 20 us per trial.
 * ``"ket"``: otherwise.  Corruption runs in floats, through the
   verifier's one pattern kernel.  The candidate rows (the kets under the
   family) and the corrupted rows share one column space of ranked
@@ -69,7 +74,7 @@ from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
                      apply_pattern, weyl_basis)
 from .states import RegisterState
 from .verifier import (_check_family_width, _float_matrices, _syndrome_plan,
-                       _syndromes, _transfer, _weyl_rows)
+                       _syndromes, _transfer)
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
 PROJECTION_FLOOR = 1e-9
@@ -330,44 +335,82 @@ def _draw_rows(cfg: ChannelConfig, width: int, cdf: np.ndarray,
 
 
 def _patterns(menu, rows: np.ndarray) -> list[ErrorPattern]:
-    """The pattern of each row of :func:`_draw_rows`."""
+    """The pattern of each row of :func:`_draw_rows`.  Patterns share one
+    (position, operator) tuple per kind of hit."""
     trial, slot = np.nonzero(rows)
+    kinds, cell = np.unique(slot * (len(menu) + 1) + rows[trial, slot],
+                            return_inverse=True)
     by_pick = (None,) + tuple(menu)
-    ops = list(zip((slot + 1).tolist(),
-                   map(by_pick.__getitem__, rows[trial, slot].tolist())))
+    cells = [(pos + 1, by_pick[pick]) for pos, pick in zip(
+        *(half.tolist() for half in np.divmod(kinds, len(menu) + 1)))]
+    ops = list(map(cells.__getitem__, cell.tolist()))
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
     return [ErrorPattern(rows.shape[1], tuple(ops[a:b]))
             for a, b in zip([0] + ends, ends)]
 
 
-def _draw_distinct(cfg: ChannelConfig, width: int, menu, cdf: np.ndarray):
-    """The distinct patterns of trials 0 .. cfg.trials - 1, in first-seen
-    order, and each trial's index into them, drawn ``DRAW_BLOCK`` trials
-    at a time.  Only the first row of each kind becomes a pattern."""
-    seen: dict[bytes, int] = {}
-    distinct: list[ErrorPattern] = []
-    slots = np.empty(cfg.trials, dtype=np.intp)
+def _first_seen(rows: np.ndarray):
+    """The distinct rows of a 2-d array in first-seen order, and each row's
+    index into them."""
+    _, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel(),
+        return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], rank[inverse]
+
+
+def _draw_distinct(cfg: ChannelConfig, width: int, cdf: np.ndarray):
+    """The distinct rows of :func:`_draw_rows` over trials 0 .. cfg.trials
+    - 1, in first-seen order, and each trial's index into them, drawn
+    ``DRAW_BLOCK`` trials at a time."""
+    kinds, slots = [], []
     for start in range(0, cfg.trials, DRAW_BLOCK):
         trials = np.arange(start, min(start + DRAW_BLOCK, cfg.trials),
                            dtype=np.uint64)
-        rows = _draw_rows(cfg, width, cdf,
-                          [(trials & _MASK32).astype(np.uint32),
-                           (trials >> 32).astype(np.uint32)])
-        step = width * rows.itemsize
-        _, first, inverse = np.unique(
-            rows.view(np.dtype((np.void, step))).ravel(),
-            return_index=True, return_inverse=True)
-        # the block's kinds of row in first-seen order, numbered across
-        # blocks in first-seen order
-        order = np.argsort(first)
-        kinds = rows[first[order]]
-        blob = kinds.tobytes()
-        known = len(seen)
-        index = np.array([seen.setdefault(blob[at:at + step], len(seen))
-                          for at in range(0, len(blob), step)])
-        distinct += _patterns(menu, kinds[index >= known])
-        slots[start:start + trials.size] = index[np.argsort(order)][inverse]
-    return distinct, slots
+        block, index = _first_seen(_draw_rows(
+            cfg, width, cdf, [(trials & _MASK32).astype(np.uint32),
+                              (trials >> 32).astype(np.uint32)]))
+        kinds.append(block)
+        slots.append(index)
+    if len(kinds) == 1:
+        return kinds[0], slots[0]
+    # the blocks' kinds in trial order, so first seen across blocks
+    distinct, merged = _first_seen(np.concatenate(kinds))
+    offsets = np.cumsum([0] + [block.shape[0] for block in kinds[:-1]])
+    return distinct, np.concatenate([merged[offset + index] for offset, index
+                                     in zip(offsets, slots)])
+
+
+def _in_family(family: PatternFamily, menu, rows: np.ndarray) -> np.ndarray:
+    """Whether the pattern of each row of :func:`_draw_rows` is a member of
+    ``family``, by the rule of ``PatternFamily.contains``: every hit's menu
+    entry is in the basis and its register in ``family.registers``, and no
+    ``window`` consecutive registers hold more than ``max_errors`` hits."""
+    hit = rows > 0
+    ok = np.array([True] + [op in family.basis for op in menu])[rows]
+    if family.registers is not None:
+        allowed = np.zeros(rows.shape[1], dtype=bool)
+        allowed[[pos - 1 for pos in family.registers]] = True
+        ok &= allowed | ~hit
+    # hits[:, k] counts the hits on the first k registers
+    hits = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.intp)
+    np.cumsum(hit, axis=1, out=hits[:, 1:])
+    per_window = hits[:, family.window:] - hits[:, :-family.window]
+    return ok.all(axis=1) & (per_window <= family.max_errors).all(axis=1)
+
+
+def _menu_weyl_rows(menu, n_levels: int, rows: np.ndarray):
+    """The Weyl row (x | z) of the pattern of each row of
+    :func:`_draw_rows`, read off a table of (a mod N, b mod N) per pick, or
+    None when a drawn pick is not a Weyl operator."""
+    weyl = [op.kind == "weyl" for op in menu]
+    if not all(weyl) and not np.array([True] + weyl)[rows].all():
+        return None
+    a = np.array([0] + [op.a % n_levels for op in menu], dtype=np.int64)
+    b = np.array([0] + [op.b % n_levels for op in menu], dtype=np.int64)
+    return np.hstack([a[rows], b[rows]])
 
 
 def sample_channel(state: RegisterState, cfg: ChannelConfig,
@@ -504,17 +547,19 @@ def _frame_decode(tab, table, rows: np.ndarray, n_levels: int,
 
     An injected pattern B gets the earliest member A of its syndrome class;
     A^dag B then maps logical ket v_j onto mu_j v_(i_j), so the corrected
-    state's logical amplitudes are beta_(i_j) = target_j mu_j.
+    state's logical amplitudes are beta_(i_j) = target_j mu_j.  Only the
+    kets j with target_j != 0 are moved.
     """
     keys = _syndromes(tab, rows, n_levels)
     where = np.minimum(table.keys.searchsorted(keys), table.keys.size - 1)
     chosen = np.where(table.keys[where] == keys, table.earliest[where], -1)
     hit = np.flatnonzero(chosen >= 0)
+    live = np.flatnonzero(target)
     targets, mus = _transfer(tab, n_levels, table.rows[chosen[hit]],
-                             rows[hit], range(len(target)))
+                             rows[hit], live)
     beta = np.zeros((len(target), hit.size), dtype=complex)
     cols = np.arange(hit.size)
-    for amp, i, mu in zip(target, targets, mus):
+    for amp, i, mu in zip(target[live], targets, mus):
         beta[i, cols] = amp * mu
     fidelity = np.zeros(len(chosen))
     fidelity[hit] = np.abs(target.conj() @ beta) ** 2 \
@@ -532,29 +577,37 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     only the distinct patterns are worked, in first-seen order, and the
     records are then laid out in trial order.
 
-    The syndrome path runs when every family pattern and every distinct
-    injected pattern is Weyl or the identity and a stabilizer reads off
-    the code's kets; otherwise the ket path runs.  The syndrome
-    path gives each pattern its syndrome class, chooses the earliest family
-    member in the injected pattern's class (none when the class holds no
-    member) and scores the residual's logical action on the input.  This
-    is exactly the ket path's choice: a Weyl candidate's squared projection
-    onto the code space is 1 in the injected class and 0 outside it.  The
-    stabilizer is read once per code and the family's syndrome table built
-    once per (code, family), both kept with the code and shared with
-    ``kl_check``, so a repeated call labels only its distinct injected
-    rows.  The draw runs ``DRAW_BLOCK`` trials at a time as array work
-    that gives each trial the stream of ``default_rng([seed, trial])``
-    bit for bit; only the first trial of each distinct pattern builds an
-    ``ErrorPattern``.  The ket path corrupts the encoded state in floats, one row per pattern
-    in the candidates' column space, decodes ``DECODE_BLOCK`` rows at a
-    time by one stacked sparse product, and scores against the input in
-    floats.  The
-    summary's ``decoder`` names the path.  The summary is a pure function
-    of (code, cfg, family, input); `jobs` is accepted for compatibility and
-    ignored.  A logical input whose width is not the code's logical width,
-    or whose ``n_levels`` is not the code's, is refused with a ValueError
-    before any pattern is drawn.
+    The draw runs ``DRAW_BLOCK`` trials at a time as array work that gives
+    each trial the stream of ``default_rng([seed, trial])`` bit for bit,
+    and yields one row per distinct pattern: 0 at a register left alone,
+    1 + the menu pick at a hit register.  Every stage reads these rows.
+    Whether a pattern is in the family is decided on them in one array
+    pass, by the rule of ``PatternFamily.contains``.  The counts and the
+    mean fidelity come from per-pattern arrays weighted by each pattern's
+    multiplicity.  An ``ErrorPattern`` is built per distinct pattern only
+    for the ket path or for the records, and a ``TrialRecord`` only when
+    the records are kept.
+
+    The syndrome path runs when every family pattern and every drawn menu
+    pick is Weyl and a stabilizer reads off the code's kets; otherwise
+    the ket path runs.  The syndrome path reads the Weyl rows of the
+    patterns off a table of the menu, gives each its syndrome class,
+    chooses the earliest family member in the injected pattern's class
+    (none when the class holds no member) and scores the residual's
+    logical action on the input, moving only the logical kets the input
+    holds.  This is exactly the ket path's choice: a Weyl candidate's
+    squared projection onto the code space is 1 in the injected class and
+    0 outside it.  The stabilizer is read once per code and the family's
+    syndrome table built once per (code, family), both kept with the code
+    and shared with ``kl_check``.  The ket path corrupts the encoded state
+    in floats, one row per pattern in the candidates' column space,
+    decodes ``DECODE_BLOCK`` rows at a time by one stacked sparse product,
+    and scores against the input in floats.  The summary's ``decoder``
+    names the path.  The summary is a pure function of (code, cfg, family,
+    input); `jobs` is accepted for compatibility and ignored.  A logical
+    input whose width is not the code's logical width, or whose
+    ``n_levels`` is not the code's, is refused with a ValueError before
+    any pattern is drawn.
     """
     _check_family_width(code, family)
     if logical_input.width != code.logical_width:
@@ -566,49 +619,49 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
             f"has n_levels {code.n_levels}")
     logical_input = logical_input.normalized()
     menu, weights = cfg.menu_for(code.n_levels)
-    cdf = _menu_cdf(weights)
-    distinct, slots = _draw_distinct(cfg, code.width, menu, cdf)
-    target = np.array([logical_input.amplitude(w).to_complex()
-                       for w in code.logical_windows()])
-    # the distinct injected rows, then the family's table; None when a
-    # pattern is not Weyl or no stabilizer reads off the kets
-    rows = _weyl_rows(code, distinct)
+    kinds, slots = _draw_distinct(cfg, code.width, _menu_cdf(weights))
+    windows = {w: k for k, w in enumerate(code.logical_windows())}
+    target = np.zeros(len(windows), dtype=complex)
+    for w, amp in logical_input.terms.items():
+        target[windows[w]] = amp.to_complex()
+    in_family = _in_family(family, menu, kinds)
+    # None when a drawn pick is not Weyl, the family is not Weyl or no
+    # stabilizer reads off the kets
+    rows = _menu_weyl_rows(menu, code.n_levels, kinds)
     found = None if rows is None else _syndrome_plan(code, family)
+    distinct = _patterns(menu, kinds) \
+        if found is None or keep_records else None
     if found is None:
         decoder = "ket"
         patterns = list(family)
-        members = set(patterns)
         chosen, _, logical = _decode(code, patterns,
                                      code.encode(logical_input), distinct)
         fidelity = np.abs(target.conj() @ logical) ** 2
     else:
         decoder = "syndrome"
         tab, table = found
-        patterns, members = table.patterns, table.members
+        patterns = table.patterns
         chosen, fidelity = _frame_decode(tab, table, rows, code.n_levels,
                                          target)
-    outcome = []
-    for pattern, pick, fid in zip(distinct, chosen.tolist(),
-                                  fidelity.tolist()):
-        in_family = pattern in members
-        if pick < 0:
-            outcome.append(TrialRecord(pattern, in_family, None, 0.0, False))
-        else:
-            outcome.append(TrialRecord(pattern, in_family, patterns[pick],
-                                       fid, fid >= SUCCESS_FIDELITY))
+    fidelity = np.where(chosen >= 0, fidelity, 0.0)
+    success = fidelity >= SUCCESS_FIDELITY
     # per-trial counts as per-pattern counts times multiplicity; fsum is
-    # exact, so the mean is the mean over the records in trial order
-    repeats = np.bincount(slots, minlength=len(distinct)).tolist()
-    in_family_count = sum(n for r, n in zip(outcome, repeats) if r.in_family)
-    success_count = sum(n for r, n in zip(outcome, repeats) if r.success)
-    in_family_success = sum(n for r, n in zip(outcome, repeats)
-                            if r.success and r.in_family)
+    # exact, so the mean is the mean over the trials in trial order
+    repeats = np.bincount(slots, minlength=len(kinds))
+    in_family_count = int(repeats[in_family].sum())
+    success_count = int(repeats[success].sum())
+    in_family_success = int(repeats[in_family & success].sum())
     conditional = None if in_family_count == 0 \
         else in_family_success / in_family_count
-    fidelities = np.array([r.logical_fidelity for r in outcome])
-    mean_fidelity = math.fsum(fidelities[slots].tolist()) / cfg.trials
-    records = None if not keep_records \
-        else tuple(map(outcome.__getitem__, slots.tolist()))
+    mean_fidelity = math.fsum(fidelity[slots].tolist()) / cfg.trials
+    records = None
+    if keep_records:
+        outcome = [TrialRecord(pattern, member,
+                               None if pick < 0 else patterns[pick], fid, ok)
+                   for pattern, member, pick, fid, ok in zip(
+                       distinct, in_family.tolist(), chosen.tolist(),
+                       fidelity.tolist(), success.tolist())]
+        records = tuple(map(outcome.__getitem__, slots.tolist()))
     return ChannelSummary(
         code.label, code.n_levels, code.logical_len, cfg.p, cfg.trials,
         in_family_count, success_count, in_family_success, conditional,

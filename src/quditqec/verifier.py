@@ -41,11 +41,12 @@ that ran):
   where they can be nonzero.  Each deviation is a magnitude of its class,
   so equal deviations are bit-equal and exact ties go to the earliest
   entry, as in the exact engine.  The family's
-  members, their Weyl rows, the syndrome class of each, the earliest
-  member of each syndrome and which members touch the boundary form one
-  table, built once per (code, family) and kept with the code's
+  patterns in order, their Weyl rows, the syndrome class of each, the
+  earliest pattern of each syndrome and which patterns touch the boundary
+  form one table, built once per (code, family) and kept with the code's
   stabilizer; the channel's syndrome decoder reads the same table, and a
-  repeated check walks no pattern objects.
+  repeated check walks no pattern objects.  The table holds no set of
+  the patterns: the channel decides membership on its drawn rows.
 * ``exact`` certifies zeros symbolically.  It writes each ket as integer
   numerators on the lattice of order-2N roots of unity, applies the
   patterns there (Weyl and spin flips only move digits and add to
@@ -1004,16 +1005,17 @@ def _syndromes(tab: _Tableau, rows: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class _SyndromeTable:
-    """A Weyl family's syndromes on one code, and which of its members touch
-    the code's boundary, built once per (code, family) and kept in the
-    tableau's ``frames``."""
+    """A Weyl family's patterns in order with their Weyl rows and syndromes
+    on one code, and which of them touch the code's boundary, built once
+    per (code, family) and kept in the tableau's ``frames``.  It answers
+    no membership test; ``PatternFamily.contains`` and the channel's row
+    rule do."""
 
     patterns: list[ErrorPattern]
     rows: np.ndarray        # member p as the Weyl row (x | z)
     keys: np.ndarray        # every syndrome the family reaches, sorted
     earliest: np.ndarray    # the first member with each key
     classes: np.ndarray     # each member's index into ``keys``
-    members: frozenset      # the members, for membership tests
     touches: np.ndarray     # which members act on a boundary register
 
 
@@ -1033,7 +1035,7 @@ def _syndrome_plan(code: CodeSpec, family: PatternFamily):
             _syndromes(tab, rows, code.n_levels), return_index=True,
             return_inverse=True)
         tab.frames[family] = _SyndromeTable(
-            patterns, rows, keys, earliest, classes, frozenset(patterns),
+            patterns, rows, keys, earliest, classes,
             _touches(code, patterns))
     return tab, tab.frames[family]
 

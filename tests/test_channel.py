@@ -743,3 +743,111 @@ def test_kl_report_unchanged_by_a_channel_run():
     assert list(code._stabilizer.frames) == [family]
     assert code._stabilizer.frames[family] is table
     assert report() == before
+
+
+MEMBERSHIP_MENUS = [
+    (weyl(0, 1), weyl(1, 0), weyl(1, 1)),
+    # weyl(2, 0) acts as the identity at N=2, but is neither the identity
+    # pattern nor a basis entry
+    (weyl(1, 0), weyl(2, 0), weyl(0, 1)),
+    (weyl(1, 0), spin_flip([1, 0]), weyl(1, 1)),
+]
+
+
+@pytest.mark.parametrize("menu", MEMBERSHIP_MENUS)
+@pytest.mark.parametrize("window, max_errors, registers, basis", [
+    (3, 0, None, None),
+    (3, 1, None, None),
+    (3, 2, None, None),
+    (7, 2, None, None),
+    (7, 1, None, None),
+    (3, 1, (6, 2, 2, 5), None),
+    (4, 2, (7, 1, 3, 3, 4), None),
+    (2, 1, (), None),
+    (3, 2, (5, 1, 2, 1), (spin_flip([1, 0]), weyl(1, 1))),
+])
+def test_row_membership_matches_family(menu, window, max_errors, registers,
+                                       basis):
+    # the rule run_trials applies to the draw's rows is the family's own
+    width = 7
+    family = enumerate_family(width, window, max_errors, n_levels=2,
+                              basis=basis)
+    if registers is not None:
+        family = family.restricted(registers)
+    cfg = ChannelConfig(p=0.35, seed=len(menu) + 10 * window + max_errors,
+                        trials=400, error_menu=menu)
+    rows, _ = channel._draw_distinct(
+        cfg, width, channel._menu_cdf(cfg.menu_for(2)[1]))
+    patterns = channel._patterns(menu, rows)
+    members = frozenset(family)
+    got = channel._in_family(family, menu, rows).tolist()
+    assert got == [family.contains(p) for p in patterns]
+    assert got == [p in members for p in patterns]
+    assert True in got and False in got
+    if max_errors and registers != () and \
+            any(op in family.basis for op in menu):
+        assert any(g and p.weight > 0 for g, p in zip(got, patterns))
+
+
+@pytest.mark.parametrize("weight, decoder", [(0.0, "syndrome"), (0.2, "ket")])
+def test_a_non_weyl_entry_sends_run_trials_to_the_ket_path_once_drawn(
+        weight, decoder):
+    # the path follows the picks drawn, not the menu's entries
+    code, family = shor_setup()
+    rest = (1.0 - weight) / 3
+    cfg = ChannelConfig(p=0.2, seed=77, trials=60,
+                        error_menu=(weyl(1, 0), spin_flip([1, 0]),
+                                    weyl(0, 1), weyl(1, 1)),
+                        weights=(rest, weight, rest, rest))
+    summary = assert_matches_reference(code, cfg, family,
+                                       RegisterState.basis(2, (1,)))
+    assert summary.decoder == decoder
+    drawn = {op.kind for r in summary.records for _, op in r.injected.ops}
+    assert ("spin_flip" in drawn) == (weight > 0)
+
+
+def spy_transfer(monkeypatch):
+    """Record the source kets of every ``_transfer`` call of the channel."""
+    sources = []
+    transfer = channel._transfer
+
+    def spy(tab, n, rows_a, rows_b, live):
+        sources.append(list(live))
+        return transfer(tab, n, rows_a, rows_b, live)
+
+    monkeypatch.setattr(channel, "_transfer", spy)
+    return sources
+
+
+def test_frame_decode_moves_only_the_input_kets(monkeypatch):
+    code = builtin("rate14_conv", 2, 3)
+    family = enumerate_family(16, 8, 1, n_levels=2)
+    cfg = ChannelConfig(p=0.2, seed=8, trials=100)
+    sources = spy_transfer(monkeypatch)
+    summary = run_trials(code, cfg, family, RegisterState.basis(2, (0, 1, 1)))
+    assert summary.decoder == "syndrome"
+    # (0, 1, 1) is the fourth of the eight logical words
+    assert sources == [[3]]
+    sources.clear()
+    two = RegisterState(2, 3, {(0, 0, 1): PhaseScalar.exact_one(2),
+                               (1, 1, 0): PhaseScalar.exact_one(2)})
+    run_trials(code, cfg, family, two)
+    assert sources == [[1, 6]]
+
+
+def test_summary_without_records_builds_no_pattern(monkeypatch):
+    code = builtin("rate14_conv", 2, 3)
+    family = enumerate_family(16, 8, 1, n_levels=2)
+    cfg = ChannelConfig(p=0.2, seed=21, trials=300)
+    logical = RegisterState.basis(2, (0, 1, 1))
+    kept = run_trials(code, cfg, family, logical, keep_records=True)
+    monkeypatch.setattr(channel, "_patterns",
+                        lambda *args: pytest.fail("a pattern was built"))
+    bare = run_trials(code, cfg, family, logical)
+    assert (bare.decoder, bare.records) == ("syndrome", None)
+    assert (bare.in_family_count, bare.success_count,
+            bare.in_family_success_count, bare.conditional_success) == \
+        (kept.in_family_count, kept.success_count,
+         kept.in_family_success_count, kept.conditional_success)
+    assert repr(bare.mean_fidelity) == repr(kept.mean_fidelity)
+    assert 0 < kept.in_family_count < cfg.trials

@@ -1216,7 +1216,6 @@ def test_repeated_check_reads_the_kept_syndrome_table():
     assert tab is code._stabilizer and list(tab.frames) == [family]
     assert tab.frames[family] is table
     assert table.patterns == list(family)
-    assert table.members == set(family)
     assert np.array_equal(table.touches, verifier._touches(code, list(family)))
 
 
