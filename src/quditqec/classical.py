@@ -20,17 +20,29 @@ word's first occurrence, is its rival.  Two corruptions of one codeword
 never give one word, so every repeated word is such a collision.
 Codewords of different lengths are never compared.
 
-Each length is one array pass.  With M = N^L messages and C
-corruptions, the pair (m, c) sits at flat index t = m*C + c, which is
-its place in that order.  All M codewords come from the encoder's
-recurrence at once; each pair gets one exact integer key for its
-corrupted word, computed from the codeword's key and the at most
-``max_errors``-per-window symbols the corruption touches.  A stable sort
-groups equal keys with t ascending, so the smallest t that is not first
-in its group is the counterexample and its group's first t the rival.
-The working set is a few machine words per pair: M*C keys (one int64
-each while N^(2(L+2)) <= 2^62, a few beyond), the M*C sort order, and
-one M*C gather of small digits per support slot.
+Each length is decided from its C corruptions alone.  The encoder is
+Z_N-linear and injective, so (m, c) and (m', c') with m != m' reach one
+word iff enc(m - m') = e_c' - e_c: iff the corruptions are distinct and
+lie in one coset of the code.  Each corruption gets a coset residue,
+itself minus the codeword that agrees with it on the first L even
+symbols, read off the recurrence without division, so composite N
+works; one sort of the C residues finds the classes of two or more.  A
+length without one passes having built no codeword.
+
+Only a length that has such a class is searched pair by pair, and only
+over the corruptions in those classes, in their original order: every
+repeated word, its first pair and their relative order survive that
+cut.  With M = N^L messages, the pair (m, c) sits at flat index
+t = m*C + c, its place in the order above.  All M codewords come from
+the encoder's recurrence at once; each kept pair gets one exact integer
+key for its corrupted word, computed from the codeword's key and the at
+most ``max_errors``-per-window symbols the corruption touches.  A stable
+sort groups equal keys with t ascending, so the smallest t that is not
+first in its group is the counterexample and its group's first t the
+rival.  A passing length holds a few words per corruption; a failing
+one a few words per (message, kept corruption) pair: M*C' keys (one
+int64 each while N^(2(L+2)) <= 2^62, a few beyond), their sort order,
+and one gather of small digits per support slot.
 
 Plain Hamming-nearest decoding is deliberately not the criterion: the
 radius is a sliding-window density, not a ball, and at the exact design
@@ -110,17 +122,24 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _codewords(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every message of ``length`` symbols in product order, and its flushed
-    codeword from the encoder's recurrence: (M, length) and (M, 2(length+2))."""
-    messages = np.indices((n,) * length).reshape(length, -1).T
+def _encode(n: int, messages: np.ndarray) -> np.ndarray:
+    """The flushed codeword of every row of an (M, L) message array by the
+    encoder's recurrence: (M, 2(L+2)), symbols 2i and 2i+1 being
+    a_i + a_(i-2) and a_i + a_(i-1) + a_(i-2) mod N."""
+    count, length = messages.shape
     # two zero symbols before the message and the two flush symbols after it
-    a = np.zeros((len(messages), length + 4), dtype=np.int64)
+    a = np.zeros((count, length + 4), dtype=np.int64)
     a[:, 2:length + 2] = messages
-    words = np.empty((len(messages), 2 * (length + 2)), dtype=np.int64)
+    words = np.empty((count, 2 * (length + 2)), dtype=np.int64)
     words[:, 0::2] = (a[:, 2:] + a[:, :-2]) % n
     words[:, 1::2] = (a[:, 2:] + a[:, 1:-1] + a[:, :-2]) % n
-    return messages, words
+    return words
+
+
+def _codewords(n: int, length: int) -> np.ndarray:
+    """The flushed codeword of every message of ``length`` symbols, in
+    product order: (N^length, 2(length+2))."""
+    return _encode(n, np.indices((n,) * length).reshape(length, -1).T)
 
 
 def _corruptions(n: int, word_len: int, window: int, max_errors: int):
@@ -205,6 +224,60 @@ def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
     return later, int(first[0])
 
 
+def _coset_mates(n: int, length: int, positions: np.ndarray,
+                 offsets: np.ndarray) -> np.ndarray:
+    """The corruptions, ascending, that share their coset of the code with
+    another corruption of a ``length``-symbol message; empty when none do.
+
+    A corruption e's residue is e - enc(d), where d is the message whose
+    codeword agrees with e on the first ``length`` even symbols,
+    d_i = e_(2i) - d_(i-2) mod N, so two residues are equal exactly when
+    the two corruptions differ by a codeword.
+    """
+    count = len(positions)
+    errors = np.zeros((count, 2 * (length + 2)), dtype=np.int64)
+    rows = np.arange(count)
+    # a slot past a support adds offset 0 at position 0
+    for s in range(positions.shape[1]):
+        errors[rows, positions[:, s]] += offsets[:, s]
+    d = np.zeros((count, length + 2), dtype=np.int64)
+    for i in range(length):
+        d[:, i + 2] = (errors[:, 2 * i] - d[:, i]) % n
+    residues = (errors - _encode(n, d[:, 2:])) % n
+    order = np.lexsort(residues.T)
+    ranked = residues[order]
+    mate = (ranked[1:] == ranked[:-1]).all(axis=1)
+    shared = np.zeros(count, dtype=bool)
+    shared[order[1:][mate]] = True
+    shared[order[:-1][mate]] = True
+    return np.flatnonzero(shared)
+
+
+def _first_collision(n: int, length: int, positions: np.ndarray,
+                     offsets: np.ndarray) -> tuple[int, int] | None:
+    """``_first_repeat`` of the full (message, corruption) key table of one
+    length, at columns m*C + c, keyed only where it can repeat.
+
+    (m, c) and (m', c') reach one word iff enc(m - m') = e_c' - e_c: the
+    encoder is linear and injective, so the two corruptions are distinct
+    and share a coset.  Without such a pair no key repeats and no
+    codeword is built; otherwise only the pairs whose corruption has a
+    coset mate are keyed, in their original order, which keeps every
+    repeated word, its first pair and their relative order.
+    """
+    mates = _coset_mates(n, length, positions, offsets)
+    if not len(mates):
+        return None
+    later, first = _first_repeat(_keys(n, _codewords(n, length),
+                                       positions[mates], offsets[mates]))
+
+    def column(t):
+        m, c = divmod(t, len(mates))
+        return m * len(positions) + int(mates[c])
+
+    return column(later), column(first)
+
+
 def certify_radius(n_levels: int, message_len_max: int, window: int = 4,
                    max_errors: int = 1) -> RadiusReport:
     """Certify unique decodability under windowed additive corruption.
@@ -218,9 +291,11 @@ def certify_radius(n_levels: int, message_len_max: int, window: int = 4,
     (message, corruption) pair as the rival, and the two counts stop at
     that collision, as a loop in that order would stop.
 
-    Each length is one array pass over its M = N^length messages and C
-    corruptions: M*C exact keys, one stable sort of them, and one M*C
-    gather per slot of the largest support, so memory grows as M*C.
+    Each length sorts the coset residues of its C corruptions, so a
+    passing length costs O(C) memory whatever N^length is.  Only a
+    failing length builds its M = N^length codewords and M*C' exact keys,
+    C' being the corruptions that share a coset with another, with one
+    stable sort of them and one M*C' gather per support slot.
     Every argument must be an integer (not a bool).
     """
     n = _integer("n_levels", n_levels)
@@ -242,13 +317,12 @@ def certify_radius(n_levels: int, message_len_max: int, window: int = 4,
     corruptions_checked = 0
 
     for length in range(1, message_len_max + 1):
-        messages, words = _codewords(n, length)
         supports, owner, positions, offsets = _corruptions(
             n, 2 * (length + 2), window, max_errors)
-        repeat = _first_repeat(_keys(n, words, positions, offsets))
+        repeat = _first_collision(n, length, positions, offsets)
         if repeat is None:
-            messages_checked += len(messages)
-            corruptions_checked += len(messages) * len(owner)
+            messages_checked += n ** length
+            corruptions_checked += n ** length * len(owner)
             continue
         later, first = repeat
         messages_checked += later // len(owner) + 1
@@ -257,12 +331,13 @@ def certify_radius(n_levels: int, message_len_max: int, window: int = 4,
         def pair(t):
             m, c = divmod(t, len(owner))
             support = supports[owner[c]]
-            return (tuple(int(a) for a in messages[m]), support,
+            message = np.unravel_index(m, (n,) * length)
+            return (tuple(int(a) for a in message), support,
                     tuple(int(o) for o in offsets[c, :len(support)]))
 
         msg, support, values = pair(later)
         rival = pair(first)
-        word = [int(x) for x in words[later // len(owner)]]
+        word = [int(x) for x in _encode(n, np.array([msg]))[0]]
         for pos, off in zip(support, values):
             word[pos - 1] = (word[pos - 1] + off) % n
         ce = RadiusCounterexample(msg, support, values, *rival, tuple(word))

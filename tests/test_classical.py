@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from quditqec.classical import _first_repeat, certify_radius
+from quditqec.classical import (_codewords, _corruptions, _first_collision,
+                                _first_repeat, _keys, certify_radius)
 from quditqec.codes import builtin, classical_conv_encode
-from quditqec.errors import additive_flip, enumerate_family
+from quditqec.errors import additive_flip, enumerate_family, iter_supports
 from quditqec.verifier import kl_check
 from radius_oracle import oracle_certify_radius
 
@@ -118,10 +121,58 @@ def test_matches_dict_oracle(n, length, window, max_errors):
 def test_oracle_grid_holds_collisions_past_the_first_length():
     # the counts of a failure carry the totals of every passing length
     # before it; the grid must exercise that offset
-    assert (2, 5, 3, 1) in ORACLE_GRID
-    report = oracle_certify_radius(2, 5, window=3, max_errors=1)
-    assert not report.passed and len(report.counterexample.message) == 4
-    assert report.messages_checked > 2 + 4 + 8
+    for n in (2, 3):
+        assert (n, 5, 3, 1) in ORACLE_GRID
+        report = oracle_certify_radius(n, 5, window=3, max_errors=1)
+        assert not report.passed and len(report.counterexample.message) == 4
+        assert report.messages_checked > n + n ** 2 + n ** 3
+
+
+def corruption_count(n, word_len, window, max_errors):
+    return sum((n - 1) ** len(s)
+               for s in iter_supports(word_len, window, max_errors))
+
+
+REFEREE_PAIRS = 2 * 10 ** 5
+# a case is kept when at least its length-1 table is within reach
+REFEREE_GRID = [(n, window, t) for n in (2, 3, 4, 5, 7)
+                for window in range(1, 7) for t in range(3)
+                if n * corruption_count(n, 6, window, t) <= REFEREE_PAIRS]
+
+
+@pytest.mark.parametrize("n, window, max_errors", REFEREE_GRID)
+def test_coset_residues_match_the_full_pair_table(n, window, max_errors):
+    # at every length whose full (message, corruption) table stays small,
+    # the residue pass must find the full table's first repeated key and
+    # its first occurrence, at the full table's columns m*C + c
+    length = 1
+    while True:
+        _, _, positions, offsets = _corruptions(
+            n, 2 * (length + 2), window, max_errors)
+        if n ** length * len(positions) > REFEREE_PAIRS:
+            break
+        words = _codewords(n, length)
+        assert _first_collision(n, length, positions, offsets) == \
+            _first_repeat(_keys(n, words, positions, offsets))
+        length += 1
+
+
+@pytest.mark.parametrize("n, max_len", [(4, 7), (3, 8)])
+def test_lengths_past_the_pair_table_pass_in_small_memory(n, max_len):
+    # 3.4e8 and 8.1e7 (message, corruption) pairs: the full key table
+    # would take gigabytes, the residues of the corruptions do not
+    tracemalloc.start()
+    try:
+        report = certify_radius(n, max_len)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lengths = range(1, max_len + 1)
+    assert report.passed and report.counterexample is None
+    assert report.messages_checked == sum(n ** L for L in lengths)
+    assert report.corruptions_checked == sum(
+        n ** L * corruption_count(n, 2 * (L + 2), 4, 1) for L in lengths)
+    assert peak < 64 * 2 ** 20
 
 
 def test_keys_past_int64_stay_exact():

@@ -189,6 +189,15 @@ def test_certify_classical_fail(capsys):
     assert report["counterexample"] is not None
 
 
+def test_certify_classical_past_the_pair_table(capsys):
+    code, report, _ = run_cli(capsys, [
+        "certify-classical", "--n-levels", "4", "--max-len", "7"])
+    assert code == 0
+    validate(report, "radius_report")
+    assert report["verdict"] == "pass" and report["counterexample"] is None
+    assert report["messages_checked"] == sum(4 ** L for L in range(1, 8))
+
+
 def test_certify_classical_without_errors(capsys):
     code, report, _ = run_cli(capsys, [
         "certify-classical", "--max-len", "2", "--max-errors", "0"])
