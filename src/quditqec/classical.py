@@ -255,15 +255,11 @@ def _coset_mates(n: int, length: int, positions: np.ndarray,
 
 def _first_collision(n: int, length: int, positions: np.ndarray,
                      offsets: np.ndarray) -> tuple[int, int] | None:
-    """``_first_repeat`` of the full (message, corruption) key table of one
-    length, at columns m*C + c, keyed only where it can repeat.
-
-    (m, c) and (m', c') reach one word iff enc(m - m') = e_c' - e_c: the
-    encoder is linear and injective, so the two corruptions are distinct
-    and share a coset.  Without such a pair no key repeats and no
-    codeword is built; otherwise only the pairs whose corruption has a
-    coset mate are keyed, in their original order, which keeps every
-    repeated word, its first pair and their relative order.
+    """``_first_repeat`` of one length's full (message, corruption) key
+    table, at its columns m*C + c: None, with no codeword built, when no
+    two corruptions share a coset; otherwise found among the pairs whose
+    corruption has a coset mate, which hold every repeated word's pairs
+    in their original order.
     """
     mates = _coset_mates(n, length, positions, offsets)
     if not len(mates):
