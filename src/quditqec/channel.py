@@ -20,27 +20,27 @@ in one array pass, by the rule of ``PatternFamily.contains``, and
 Each distinct pattern runs on one of two paths:
 
 * ``"syndrome"``: when every family pattern and every drawn menu pick is
-  a Weyl operator and the verifier can read a
-  stabilizer S off the code's kets.  For Weyl patterns the
-  squared projection of candidate c is exactly 1 when E_c^dag E_inj
-  commutes with S (it then maps the code space onto itself) and exactly 0
-  otherwise (some stabilizer moves the state to another eigenspace).  The
-  decoder's choice is therefore the earliest family member with the
-  injected pattern's syndrome, and the residual E_c^dag E_inj acts on the
-  logical kets as a phased permutation, read off the tableau.  No encoded
-  state, corrupted state or stacked decoder is built.  What depends on the
-  code or the family alone is built once: the stabilizer once per code
-  (kept on the code), and the family's syndrome table once per (code,
-  family), kept on the stabilizer and shared with the verifier's syndrome
-  engine.  It holds the family's patterns, their Weyl rows and the
-  syndromes the family reaches with the earliest pattern of each.  A call
-  reads the Weyl rows of its distinct patterns off a table of (a mod N,
-  b mod N) per menu entry, labels them, and moves only the logical kets
-  the input holds.  Drawing the trials costs about 1-4 us per trial plus
-  about 0.3 ms per call (numpy 2.4, a shared 2-core Xeon); one generator
-  per trial cost about 20 us per trial.
-* ``"ket"``: otherwise.  Corruption runs in floats, through the
-  verifier's one pattern kernel.  The candidate rows (the kets under the
+  a Weyl operator and a stabilizer S reads off the code's kets (see
+  ``stabilizer``).  For Weyl patterns the squared projection of
+  candidate c is exactly 1 when E_c^dag E_inj commutes with S (it then
+  maps the code space onto itself) and exactly 0 otherwise (some
+  stabilizer moves the state to another eigenspace).  The decoder's
+  choice is therefore the earliest family member with the injected
+  pattern's syndrome, and the residual E_c^dag E_inj acts on the logical
+  kets as a phased permutation, read off the tableau.  No encoded state,
+  corrupted state or stacked decoder is built.  What depends on the code
+  or the family alone is built once: the stabilizer once per code (kept
+  on the code), and the family's syndrome table once per (code, family),
+  kept on the stabilizer and shared with the syndrome KL engine.  It
+  holds the family's patterns, their Weyl rows and the syndromes the
+  family reaches with the earliest pattern of each.  A call reads the
+  Weyl rows of its distinct patterns off their rows of menu picks, by the
+  Weyl-row rule the family's table is built with, labels them, and moves
+  only the logical kets the input holds.  Drawing the trials costs about
+  1-4 us per trial plus about 0.3 ms per call (numpy 2.4, a shared 2-core
+  Xeon); one generator per trial cost about 20 us per trial.
+* ``"ket"``: otherwise.  Corruption runs in floats, through the one
+  pattern kernel of ``errors``.  The candidate rows (the kets under the
   family) and the corrupted rows share one column space of ranked
   strings, so no width is refused, and a block of distinct patterns is
   decoded in one stacked sparse product.
@@ -71,10 +71,11 @@ import numpy as np
 from .codes import CodeSpec
 from .cyclotomic import PhaseScalar
 from .errors import (ErrorPattern, PatternFamily, SingleRegisterError,
-                     apply_pattern, weyl_basis)
+                     _check_family_width, _float_matrices, apply_pattern,
+                     weyl_basis)
+from .stabilizer import (_earliest_members, _syndrome_plan, _transfer,
+                         _weyl_rows)
 from .states import RegisterState
-from .verifier import (_check_family_width, _float_matrices, _syndrome_plan,
-                       _syndromes, _transfer)
 
 SUCCESS_FIDELITY = 1.0 - 1e-6
 PROJECTION_FLOOR = 1e-9
@@ -401,18 +402,6 @@ def _in_family(family: PatternFamily, menu, rows: np.ndarray) -> np.ndarray:
     return ok.all(axis=1) & (per_window <= family.max_errors).all(axis=1)
 
 
-def _menu_weyl_rows(menu, n_levels: int, rows: np.ndarray):
-    """The Weyl row (x | z) of the pattern of each row of
-    :func:`_draw_rows`, read off a table of (a mod N, b mod N) per pick, or
-    None when a drawn pick is not a Weyl operator."""
-    weyl = [op.kind == "weyl" for op in menu]
-    if not all(weyl) and not np.array([True] + weyl)[rows].all():
-        return None
-    a = np.array([0] + [op.a % n_levels for op in menu], dtype=np.int64)
-    b = np.array([0] + [op.b % n_levels for op in menu], dtype=np.int64)
-    return np.hstack([a[rows], b[rows]])
-
-
 def sample_channel(state: RegisterState, cfg: ChannelConfig,
                    trial: int) -> tuple[RegisterState, ErrorPattern]:
     """Corrupt each register independently with probability p.
@@ -452,7 +441,7 @@ def _decode(code: CodeSpec, candidates: list[ErrorPattern],
     windows = code.logical_windows()
     stacked, corrupted = _float_matrices(
         [([code.encoded_kets[w] for w in windows], candidates),
-         ([state], patterns)], code.n_levels, code.width)
+         ([state], patterns)], code.n_levels)
     stacked = stacked.conj()
     chosen, projections, logicals = [], [], []
     for start in range(0, len(patterns), DECODE_BLOCK):
@@ -491,7 +480,7 @@ def decode_mld(code: CodeSpec, corrupted: RegisterState,
     code's.  The caller is expected to have verified the (code, family)
     pairing.
     """
-    _check_family_width(code, family)
+    _check_family_width(code.width, family)
     if (corrupted.width, corrupted.n_levels) != (code.width, code.n_levels):
         raise ValueError(
             f"corrupted state has width {corrupted.width} and n_levels "
@@ -550,9 +539,7 @@ def _frame_decode(tab, table, rows: np.ndarray, n_levels: int,
     state's logical amplitudes are beta_(i_j) = target_j mu_j.  Only the
     kets j with target_j != 0 are moved.
     """
-    keys = _syndromes(tab, rows, n_levels)
-    where = np.minimum(table.keys.searchsorted(keys), table.keys.size - 1)
-    chosen = np.where(table.keys[where] == keys, table.earliest[where], -1)
+    chosen = _earliest_members(tab, table, rows, n_levels)
     hit = np.flatnonzero(chosen >= 0)
     live = np.flatnonzero(target)
     targets, mus = _transfer(tab, n_levels, table.rows[chosen[hit]],
@@ -609,7 +596,7 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     ``n_levels`` is not the code's, is refused with a ValueError before
     any pattern is drawn.
     """
-    _check_family_width(code, family)
+    _check_family_width(code.width, family)
     if logical_input.width != code.logical_width:
         raise ValueError(
             f"logical input must have width {code.logical_width}")
@@ -627,7 +614,7 @@ def run_trials(code: CodeSpec, cfg: ChannelConfig, family: PatternFamily,
     in_family = _in_family(family, menu, kinds)
     # None when a drawn pick is not Weyl, the family is not Weyl or no
     # stabilizer reads off the kets
-    rows = _menu_weyl_rows(menu, code.n_levels, kinds)
+    rows = _weyl_rows(menu, code.n_levels, kinds)
     found = None if rows is None else _syndrome_plan(code, family)
     distinct = _patterns(menu, kinds) \
         if found is None or keep_records else None

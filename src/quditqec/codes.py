@@ -57,11 +57,12 @@ class CodeSpec:
     many previous logical symbols the encoder references, ``flush_depth``
     how many zero symbols are appended to terminate the window.
 
-    The encoded kets are treated as immutable once built: the verifier
-    reads the code's stabilizer off them once and keeps the result, None
-    included, in ``_stabilizer`` (with the syndrome table of each Weyl
-    family checked or run on it).  That cache is neither compared nor
-    pickled; a code whose kets must change is built anew.
+    The encoded kets are treated as immutable once built: the
+    ``stabilizer`` module reads the code's stabilizer off them once and
+    keeps the result, None included, in ``_stabilizer`` (with the syndrome
+    table of each Weyl family checked or run on it).  That cache is
+    neither compared nor pickled; a code whose kets must change is built
+    anew.
     """
 
     label: str

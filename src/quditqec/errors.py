@@ -13,16 +13,33 @@ non-identity entries inside any window of ``window`` consecutive registers,
 with each entry drawn from a fixed basis list.  Enumeration is lazy and
 deterministic: the identity pattern first, then supports in lexicographic
 order, then basis assignments in index order.
+
+One kernel, ``_apply_patterns``, moves ket digits for a pattern.  For
+every pattern and every ket entry (a digit row) it gives the pattern, the
+source entry, the key of the moved string, the integer exponent of
+w = exp(2 pi i / 2N) the entry gains (X^a Z^b adds 2 b digit) and, only
+when a phase shift or a general matrix is present, a complex factor.  The
+sparse Gram and the channel's ket decoder read amplitudes off it as
+amp[source] w^exponent factor, the exact engine lattice rows
+(pattern, exponent of the source plus the gain) with the source's
+numerator.  Strings are keyed by the grid indices of runs of registers
+and ranked together, so no width is refused.  ``apply_pattern``, the dict
+walk, stays as its referee.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .cyclotomic import PhaseScalar
 from .states import RegisterState, apply_single
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -201,6 +218,160 @@ def apply_pattern(state: RegisterState, pattern: ErrorPattern,
     return state
 
 
+def _ket_digits(ket: RegisterState) -> tuple[np.ndarray, np.ndarray]:
+    """A ket's digit rows and complex amplitudes, in term order."""
+    terms = ket.to_complex_terms()
+    digits = np.fromiter(itertools.chain.from_iterable(terms),
+                         dtype=np.int64, count=len(terms) * ket.width)
+    amps = np.fromiter(terms.values(), dtype=np.complex128, count=len(terms))
+    return digits.reshape(-1, ket.width), amps
+
+
+def _register_places(n: int, width: int):
+    """Cut the registers, left to right, into runs whose grid index stays
+    below 2^62: (run, place) of each register and the number of runs.
+    Where N^width < 2^62 the one run's grid index is the string's own."""
+    per = 1
+    while per < width and n ** (per + 1) < 2 ** 62:
+        per += 1
+    index = np.arange(width)
+    run = index // per
+    end = np.minimum((run + 1) * per, width)
+    place = np.array([n ** int(k) for k in end - 1 - index], dtype=np.int64)
+    return run, place, -(-width // per)
+
+
+def _string_keys(digits: np.ndarray, n: int) -> np.ndarray:
+    """The run grid indices of digit rows, one row per run."""
+    run, place, runs = _register_places(n, digits.shape[1])
+    return np.stack([digits[:, run == r] @ place[run == r]
+                     for r in range(runs)])
+
+
+def _rank_strings(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each column's rank among the distinct columns of ``keys``, in
+    lexicographic order, which is grid order, and their number."""
+    # np.lexsort's order, least significant run first and each later
+    # sort stable, but a lone run takes the faster unstable sort
+    order = np.argsort(keys[-1])
+    for key in keys[-2::-1]:
+        order = order[np.argsort(key[order], kind="stable")]
+    ranked = keys[:, order]
+    new = np.ones(keys.shape[1], dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+    rank = np.empty(keys.shape[1], dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, int(new.sum())
+
+
+def _apply_patterns(digits: np.ndarray, patterns, n: int):
+    """Every pattern applied to the ket entries held as the digit rows
+    ``digits``: (rows, source, keys, gained, factor), one item per entry
+    of the result.  ``rows`` is its pattern, ``source`` the entry it came
+    from, ``keys`` the ``_string_keys`` of its moved string, ``gained`` the
+    exponent of w = exp(2 pi i / 2N) it gained (X^a Z^b adds 2 b digit)
+    and ``factor`` its complex factor, None when no operator is a phase
+    shift or a general matrix.
+
+    One-branch operators (Weyl, spin flip, phase shift) act first: each
+    moves the entries of all patterns that hold it at its position in one
+    numpy pass.  ``general`` operators then fan each entry they touch out
+    to at most N branches.  No other operator of a pattern touches the
+    register an operator acts on, so each reads the ket's own digit there,
+    and operators on different registers commute.
+    """
+    size, count = len(patterns), len(digits)
+    run, place, _ = _register_places(n, digits.shape[1])
+    groups: dict = {}
+    for p_idx, pattern in enumerate(patterns):
+        for pos, op in pattern.ops:
+            if op.kind != "identity":
+                groups.setdefault((pos, op), []).append(p_idx)
+    keys = np.tile(_string_keys(digits, n)[:, None, :], (1, size, 1))
+    gained = np.zeros((size, count), dtype=np.int64)
+    factor = np.ones((size, count), dtype=np.complex128) if any(
+        op.kind in ("phase_shift", "general") for _, op in groups) else None
+    fanning = []
+    for (pos, op), members in groups.items():
+        digit = digits[:, pos - 1]
+        if op.kind == "weyl":
+            new = (digit + op.a) % n
+            gained[members] += 2 * (op.b % n) * digit
+        elif op.kind == "spin_flip":
+            if len(op.table) != n:
+                raise ValueError(
+                    "spin flip table length does not match n_levels")
+            new = np.array(op.table)[digit] % n
+        elif op.kind == "phase_shift":
+            if len(op.phases) != n:
+                raise ValueError("phase table length does not match n_levels")
+            factor[members] *= np.array(op.phases)[digit]
+            continue
+        elif op.kind == "general":
+            if len(op.matrix) != n:
+                raise ValueError("matrix shape does not match n_levels")
+            fanning.append((pos, np.array(op.matrix, dtype=np.complex128),
+                            members))
+            continue
+        else:
+            raise ValueError(f"unknown error kind {op.kind!r}")
+        keys[run[pos - 1], members] += (new - digit) * place[pos - 1]
+    rows = np.repeat(np.arange(size), count)
+    source = np.tile(np.arange(count), size)
+    keys, gained = keys.reshape(len(keys), -1), gained.ravel()
+    if factor is not None:
+        factor = factor.ravel()
+    for pos, matrix, members in fanning:
+        member = np.zeros(size, dtype=bool)
+        member[members] = True
+        hit = np.flatnonzero(member[rows])
+        digit = digits[source[hit], pos - 1]
+        branch = matrix[:, digit]
+        # each touched entry once per nonzero branch, branch by branch
+        to, at = np.nonzero(branch)
+        take = np.concatenate([np.flatnonzero(~member[rows]), hit[at]])
+        rows, source, gained = rows[take], source[take], gained[take]
+        keys, factor = keys[:, take], factor[take]
+        fanned = slice(len(take) - len(at), None)
+        keys[run[pos - 1], fanned] += (to - digit[at]) * place[pos - 1]
+        factor[fanned] *= branch[to, at]
+    return rows, source, keys, gained, factor
+
+
+def _ranked_matrices(entries) -> list[csr_matrix]:
+    """One CSR matrix per entry set (rows, keys, values, height), values
+    that meet at one row and string summed.  The columns are the strings
+    of all the sets, ranked together in grid order by ``_rank_strings``,
+    so products do not scale with N^width and any width fits."""
+    from scipy.sparse import csr_matrix
+    columns, count = _rank_strings(
+        np.concatenate([keys for _, keys, _, _ in entries], axis=1))
+    ends = np.cumsum([len(values) for _, _, values, _ in entries])
+    return [csr_matrix((values, (rows, cols)), shape=(height, count))
+            for (rows, _, values, height), cols in zip(
+                entries, np.split(columns, ends[:-1]))]
+
+
+def _float_matrices(sets, n: int) -> list[csr_matrix]:
+    """For each (kets, patterns) pair, the patterns applied to the kets in
+    floats as one matrix, row k |patterns| + p holding pattern p applied
+    to ket k, all over one column space."""
+    order = 2 * n
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    entries = []
+    for kets, patterns in sets:
+        digits, amps = zip(*(_ket_digits(ket) for ket in kets))
+        rows, source, keys, gained, factor = _apply_patterns(
+            np.concatenate(digits), patterns, n)
+        ket = np.repeat(np.arange(len(kets)), [len(a) for a in amps])
+        values = np.concatenate(amps)[source] * roots[gained % order]
+        if factor is not None:
+            values *= factor
+        entries.append((ket[source] * len(patterns) + rows, keys, values,
+                        len(kets) * len(patterns)))
+    return _ranked_matrices(entries)
+
+
 def _walk_supports(positions: Sequence[int], window: int,
                    max_errors: int) -> Iterator[tuple[int, ...]]:
     """Supports drawn from the sorted ``positions``, with <= max_errors in
@@ -337,3 +508,9 @@ def enumerate_family(width: int, window: int, max_errors: int,
             raise ValueError("either a basis or n_levels is required")
         basis = weyl_basis(n_levels)
     return PatternFamily(width, window, max_errors, tuple(basis))
+
+
+def _check_family_width(width: int, family: PatternFamily) -> None:
+    if family.width != width:
+        raise ValueError(
+            f"family width {family.width} does not match code width {width}")

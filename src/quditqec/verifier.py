@@ -17,36 +17,29 @@ that ran):
   ``PhaseScalar.is_zero``, each with its overlap.
 * ``syndrome`` handles families whose operators are all Weyl operators
   (or the identity) on stabilizer codes over Z_N, which every builtin,
-  dual and paste is.  It reads the stabilizer S off the kets (the affine
-  support and phase ratios of v_0 give v_0's stabilizer; S is the part
-  that acts on every ket with one common phase) and checks it on every
-  ket term; spans and kernels over Z_N come from one Howell form each.  A
-  pattern's syndrome is its symplectic products with S, its full label
-  its coset of S.  For Weyl errors the
-  condition fails exactly when A^dag B commutes with S but is not in it
-  (Gottesman 1997; Ketkar, Klappenecker, Kumar and Sarvepalli 2006), so
-  the check passes iff no syndrome class holds two full labels.  Lambda
-  comes from one rule: a same-syndrome pair's A^dag B maps v_0 onto a
-  multiple mu of one ket, and lambda_ab is mu |v_0|^2 where that ket is
-  v_0.  On a pass lambda is a direct sum of rank-1 blocks, one per label
-  class, so its rank and eigenvalues are the class count and the class
-  sizes, and its summary reads the identity deviation off the entries.
-  It is built from its entries, on either verdict, as the exact engine
-  builds it: dense up to ``LAMBDA_SUMMARY_MAX`` patterns and CSR above,
-  so a check on this engine never imports scipy below that size.  Only
-  failing pairs have overlaps to scan, and a failing pair's overlaps are
-  those of its logical class (the coset of S of A^dag B) times one
-  phase, so they are read off every ket
-  for one representative pair per class, and scanned only in the blocks
-  where they can be nonzero.  Each deviation is a magnitude of its class,
-  so equal deviations are bit-equal and exact ties go to the earliest
-  entry, as in the exact engine.  The family's
-  patterns in order, their Weyl rows, the syndrome class of each, the
-  earliest pattern of each syndrome and which patterns touch the boundary
-  form one table, built once per (code, family) and kept with the code's
-  stabilizer; the channel's syndrome decoder reads the same table, and a
-  repeated check walks no pattern objects.  The table holds no set of
-  the patterns: the channel decides membership on its drawn rows.
+  dual and paste is.  It reads the code's stabilizer S and the family's
+  syndrome table from ``stabilizer``: each pattern's syndrome, its
+  symplectic products with S, and its full label, its coset of S.  For
+  Weyl errors the condition fails exactly when A^dag B commutes with S
+  but is not in it (Gottesman 1997; Ketkar, Klappenecker, Kumar and
+  Sarvepalli 2006), so the check passes iff no syndrome class holds two
+  full labels.  Lambda comes from one rule: a same-syndrome pair's
+  A^dag B maps v_0 onto a multiple mu of one ket, and lambda_ab is
+  mu |v_0|^2 where that ket is v_0.  On a pass lambda is a direct sum of
+  rank-1 blocks, one per label class, so its rank and eigenvalues are the
+  class count and the class sizes, and its summary reads the identity
+  deviation off the entries.  It is built from its entries, on either
+  verdict, as the exact engine builds it: dense up to
+  ``LAMBDA_SUMMARY_MAX`` patterns and CSR above, so a check on this
+  engine never imports scipy below that size.  Only failing pairs have
+  overlaps to scan, and a failing pair's overlaps are those of its
+  logical class (the coset of S of A^dag B) times one phase, so they are
+  read off every ket for one representative pair per class, and scanned
+  only in the blocks where they can be nonzero.  Each deviation is a
+  magnitude of its class, so equal deviations are bit-equal and exact
+  ties go to the earliest entry, as in the exact engine.  The syndrome
+  table is built once per (code, family) and kept with the code's
+  stabilizer, so a repeated check walks no pattern objects.
 * ``exact`` certifies zeros symbolically.  It writes each ket as integer
   numerators on the lattice of order-2N roots of unity, applies the
   patterns there (Weyl and spin flips only move digits and add to
@@ -57,16 +50,10 @@ that ran):
   sqrt(N)) run the sparse Gram as a counted walk, so both float routes
   share one zero rule, and every entry it yields counts.
 
-One kernel, ``_apply_patterns``, moves ket digits for a pattern.  For
-every pattern and every ket entry (a digit row) it gives the pattern, the
-source entry, the key of the moved string, the integer exponent of
-w = exp(2 pi i / 2N) the entry gains (X^a Z^b adds 2 b digit) and, only
-when a phase shift or a general matrix is present, a complex factor.  The
-sparse Gram and the channel's ket decoder read amplitudes off it as
-amp[source] w^exponent factor, the exact engine lattice rows
-(pattern, exponent of the source plus the gain) with the source's
-numerator.  Strings are keyed by the grid indices of runs of registers
-and ranked together, so no width is refused.
+The sparse Gram and the exact engine apply patterns to kets through the
+one kernel of ``errors``, ``_apply_patterns``; the Z_N algebra, the
+tableau and the syndrome table live in ``stabilizer``.  This module keeps
+the engines, the scan, lambda and the reports.
 
 A float check runs the syndrome engine when every pattern is Weyl (or
 the identity) and a stabilizer reads off the kets, and the sparse Gram
@@ -104,10 +91,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codes import UNREAD, CodeSpec
+from .codes import CodeSpec
 from .cyclotomic import FLOAT_ZERO_TOL, residue_matrix
-from .errors import ErrorPattern, PatternFamily, apply_pattern
-from .states import RegisterState, inner_product
+from .errors import (PatternFamily, _apply_patterns, _check_family_width,
+                     _float_matrices, _rank_strings, _ranked_matrices,
+                     _string_keys, apply_pattern)
+from .stabilizer import (_reduce, _root_exponents, _syndrome_plan,
+                         _SyndromeTable, _Tableau, _transfer)
+from .states import inner_product
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -211,161 +202,6 @@ class KLReport:
             out["witness"] = self.witness.to_json()
         out["lambda_summary"] = self.lambda_summary
         return out
-
-
-def _ket_digits(ket: RegisterState,
-                width: int) -> tuple[np.ndarray, np.ndarray]:
-    """A ket's digit rows and complex amplitudes, in term order."""
-    terms = ket.to_complex_terms()
-    digits = np.fromiter(itertools.chain.from_iterable(terms),
-                         dtype=np.int64, count=len(terms) * width)
-    amps = np.fromiter(terms.values(), dtype=np.complex128, count=len(terms))
-    return digits.reshape(-1, width), amps
-
-
-def _register_places(n: int, width: int):
-    """Cut the registers, left to right, into runs whose grid index stays
-    below 2^62: (run, place) of each register and the number of runs.
-    Where N^width < 2^62 the one run's grid index is the string's own."""
-    per = 1
-    while per < width and n ** (per + 1) < 2 ** 62:
-        per += 1
-    index = np.arange(width)
-    run = index // per
-    end = np.minimum((run + 1) * per, width)
-    place = np.array([n ** int(k) for k in end - 1 - index], dtype=np.int64)
-    return run, place, -(-width // per)
-
-
-def _string_keys(digits: np.ndarray, n: int) -> np.ndarray:
-    """The run grid indices of digit rows, one row per run."""
-    run, place, runs = _register_places(n, digits.shape[1])
-    return np.stack([digits[:, run == r] @ place[run == r]
-                     for r in range(runs)])
-
-
-def _rank_strings(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each column's rank among the distinct columns of ``keys``, in
-    lexicographic order, which is grid order, and their number."""
-    # np.lexsort's order, least significant run first and each later
-    # sort stable, but a lone run takes the faster unstable sort
-    order = np.argsort(keys[-1])
-    for key in keys[-2::-1]:
-        order = order[np.argsort(key[order], kind="stable")]
-    ranked = keys[:, order]
-    new = np.ones(keys.shape[1], dtype=bool)
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
-    rank = np.empty(keys.shape[1], dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rank, int(new.sum())
-
-
-def _apply_patterns(digits: np.ndarray, patterns, n: int):
-    """Every pattern applied to the ket entries held as the digit rows
-    ``digits``: (rows, source, keys, gained, factor), one item per entry
-    of the result.  ``rows`` is its pattern, ``source`` the entry it came
-    from, ``keys`` the ``_string_keys`` of its moved string, ``gained`` the
-    exponent of w = exp(2 pi i / 2N) it gained (X^a Z^b adds 2 b digit)
-    and ``factor`` its complex factor, None when no operator is a phase
-    shift or a general matrix.
-
-    One-branch operators (Weyl, spin flip, phase shift) act first: each
-    moves the entries of all patterns that hold it at its position in one
-    numpy pass.  ``general`` operators then fan each entry they touch out
-    to at most N branches.  No other operator of a pattern touches the
-    register an operator acts on, so each reads the ket's own digit there,
-    and operators on different registers commute.
-    """
-    size, count = len(patterns), len(digits)
-    run, place, _ = _register_places(n, digits.shape[1])
-    groups: dict = {}
-    for p_idx, pattern in enumerate(patterns):
-        for pos, op in pattern.ops:
-            if op.kind != "identity":
-                groups.setdefault((pos, op), []).append(p_idx)
-    keys = np.tile(_string_keys(digits, n)[:, None, :], (1, size, 1))
-    gained = np.zeros((size, count), dtype=np.int64)
-    factor = np.ones((size, count), dtype=np.complex128) if any(
-        op.kind in ("phase_shift", "general") for _, op in groups) else None
-    fanning = []
-    for (pos, op), members in groups.items():
-        digit = digits[:, pos - 1]
-        if op.kind == "weyl":
-            new = (digit + op.a) % n
-            gained[members] += 2 * (op.b % n) * digit
-        elif op.kind == "spin_flip":
-            if len(op.table) != n:
-                raise ValueError(
-                    "spin flip table length does not match n_levels")
-            new = np.array(op.table)[digit] % n
-        elif op.kind == "phase_shift":
-            if len(op.phases) != n:
-                raise ValueError("phase table length does not match n_levels")
-            factor[members] *= np.array(op.phases)[digit]
-            continue
-        elif op.kind == "general":
-            if len(op.matrix) != n:
-                raise ValueError("matrix shape does not match n_levels")
-            fanning.append((pos, np.array(op.matrix, dtype=np.complex128),
-                            members))
-            continue
-        else:
-            raise ValueError(f"unknown error kind {op.kind!r}")
-        keys[run[pos - 1], members] += (new - digit) * place[pos - 1]
-    rows = np.repeat(np.arange(size), count)
-    source = np.tile(np.arange(count), size)
-    keys, gained = keys.reshape(len(keys), -1), gained.ravel()
-    if factor is not None:
-        factor = factor.ravel()
-    for pos, matrix, members in fanning:
-        member = np.zeros(size, dtype=bool)
-        member[members] = True
-        hit = np.flatnonzero(member[rows])
-        digit = digits[source[hit], pos - 1]
-        branch = matrix[:, digit]
-        # each touched entry once per nonzero branch, branch by branch
-        to, at = np.nonzero(branch)
-        take = np.concatenate([np.flatnonzero(~member[rows]), hit[at]])
-        rows, source, gained = rows[take], source[take], gained[take]
-        keys, factor = keys[:, take], factor[take]
-        fanned = slice(len(take) - len(at), None)
-        keys[run[pos - 1], fanned] += (to - digit[at]) * place[pos - 1]
-        factor[fanned] *= branch[to, at]
-    return rows, source, keys, gained, factor
-
-
-def _ranked_matrices(entries) -> list[csr_matrix]:
-    """One CSR matrix per entry set (rows, keys, values, height), values
-    that meet at one row and string summed.  The columns are the strings
-    of all the sets, ranked together in grid order by ``_rank_strings``,
-    so products do not scale with N^width and any width fits."""
-    from scipy.sparse import csr_matrix
-    columns, count = _rank_strings(
-        np.concatenate([keys for _, keys, _, _ in entries], axis=1))
-    ends = np.cumsum([len(values) for _, _, values, _ in entries])
-    return [csr_matrix((values, (rows, cols)), shape=(height, count))
-            for (rows, _, values, height), cols in zip(
-                entries, np.split(columns, ends[:-1]))]
-
-
-def _float_matrices(sets, n: int, width: int) -> list[csr_matrix]:
-    """For each (kets, patterns) pair, the patterns applied to the kets in
-    floats as one matrix, row k |patterns| + p holding pattern p applied
-    to ket k, all over one column space."""
-    order = 2 * n
-    roots = np.exp(2j * np.pi * np.arange(order) / order)
-    entries = []
-    for kets, patterns in sets:
-        digits, amps = zip(*(_ket_digits(ket, width) for ket in kets))
-        rows, source, keys, gained, factor = _apply_patterns(
-            np.concatenate(digits), patterns, n)
-        ket = np.repeat(np.arange(len(kets)), [len(a) for a in amps])
-        values = np.concatenate(amps)[source] * roots[gained % order]
-        if factor is not None:
-            values *= factor
-        entries.append((ket[source] * len(patterns) + rows, keys, values,
-                        len(kets) * len(patterns)))
-    return _ranked_matrices(entries)
 
 
 def _touches(code: CodeSpec, patterns) -> np.ndarray:
@@ -478,8 +314,7 @@ def _sparse_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool,
     sorted CSR."""
     size = len(patterns)
     kets = [code.encoded_kets[w] for w in code.logical_windows()]
-    (stacked,) = _float_matrices([(kets, patterns)], code.n_levels,
-                                 code.width)
+    (stacked,) = _float_matrices([(kets, patterns)], code.n_levels)
     mats = [stacked[k * size:(k + 1) * size] for k in range(len(kets))]
     lam = (mats[0].conj() @ mats[0].T).tocsr()
     lam.sort_indices()
@@ -689,386 +524,6 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
 
 
 # -- the syndrome engine ------------------------------------------------------
-#
-# A Weyl operator X^x Z^z is held as the row (x | z) over Z_N.  Rows compose
-# by addition up to a phase, and W(s) W(s') = w^<s, s'> W(s') W(s) with the
-# symplectic product <s, s'> = z.x' - x.z'.
-#
-# Spans and kernels over Z_N are read off the Howell form (Howell 1986;
-# Storjohann and Mulders 1998): echelon rows whose pivots divide N, the
-# entries above each pivot reduced below it, such that the elements of the
-# span that vanish on the first c columns are the combinations of the rows
-# whose pivot lies beyond c.  The span then has prod N / pivot elements, a
-# row is in it iff it reduces to zero, and at prime N the form is the
-# reduced row echelon form.
-
-
-def _mod_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """a @ b mod n for integer arrays with entries in range(n), through
-    floats: exact while width * n^2 stays below 2^53."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % n
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s a + t b = g = gcd(a, b)."""
-    s, s_next, t, t_next = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s, s_next = s_next, s - q * s_next
-        t, t_next = t_next, t - q * t_next
-    return a, s, t
-
-
-def _unit_towards(a: int, n: int) -> int:
-    """A unit u of Z_n with u a = gcd(a, n), for 0 < a < n."""
-    d = math.gcd(a, n)
-    u = pow(a // d, -1, n // d)
-    # the lifts u + k n / d hold a unit of Z_n
-    while math.gcd(u, n) != 1:
-        u += n // d
-    return u
-
-
-def _howell(rows: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
-    """Howell form over Z_n: the nonzero rows and their pivot columns.
-
-    A column that holds a unit takes it as pivot 1 and is cleared in one
-    pass.  Otherwise the rows that hold the column are merged pairwise by
-    extended gcd into one, scaled by a unit to a pivot d dividing n, and
-    (n / d) times that row, which vanishes on the column, joins the rows
-    still to be reduced.
-    """
-    m = rows % n
-    is_unit = np.gcd(np.arange(n), n) == 1
-    pivots: list[int] = []
-    for col in range(m.shape[1]):
-        top = len(pivots)
-        hit = top + np.flatnonzero(m[top:, col])
-        if hit.size == 0:
-            continue
-        units = hit[is_unit[m[hit, col]]]
-        lead = units[0] if units.size else hit[0]
-        if lead != top:
-            m[[top, lead]] = m[[lead, top]]
-        if not units.size:
-            for r in hit[1:]:
-                a, b = int(m[top, col]), int(m[r, col])
-                g, s, t = _xgcd(a, b)
-                m[top], m[r] = (s * m[top] + t * m[r]) % n, \
-                    (a // g * m[r] - b // g * m[top]) % n
-        m[top] = m[top] * _unit_towards(int(m[top, col]), n) % n
-        pivot = int(m[top, col])
-        factor = m[:, col] // pivot
-        factor[top] = 0
-        m = (m - factor[:, None] * m[top]) % n
-        pivots.append(col)
-        if pivot > 1:
-            m = np.vstack([m, n // pivot * m[top] % n])
-        if len(pivots) == m.shape[0]:
-            break
-    return m[:len(pivots)], pivots
-
-
-def _order(rows: np.ndarray, pivots, n: int) -> int:
-    """Number of elements of the span of Howell rows."""
-    return math.prod(n // int(rows[k, col]) for k, col in enumerate(pivots))
-
-
-def _reduce(rows: np.ndarray, basis: np.ndarray, pivots,
-            n: int) -> np.ndarray:
-    """Rows reduced against Howell rows: one representative per coset of
-    their span, zero on the span itself.  Every other row vanishes on the
-    column of a pivot 1, so those rows go in one product; the others in
-    order."""
-    pivots = np.asarray(pivots, dtype=np.int64)
-    unit = basis[np.arange(pivots.size), pivots] == 1
-    if unit.any():
-        rows = (rows - _mod_matmul(rows[:, pivots[unit]], basis[unit], n)) % n
-    for row, col in zip(basis[~unit], pivots[~unit]):
-        rows = (rows - (rows[:, col] // row[col])[:, None] * row) % n
-    return rows
-
-
-def _nullspace(rows: np.ndarray, n: int) -> np.ndarray:
-    """Howell rows spanning {v : rows @ v = 0 mod n}: the rows of the Howell
-    form of [rows^T | I] whose first part vanishes."""
-    count, size = rows.shape
-    basis, pivots = _howell(np.hstack([rows.T % n,
-                                       np.eye(size, dtype=np.int64)]), n)
-    return basis[[col >= count for col in pivots], count:]
-
-
-def _solve(basis: np.ndarray, pivots, rhs: np.ndarray,
-           n: int) -> np.ndarray | None:
-    """z with basis @ z = rhs mod n, one column per column of ``rhs``, by
-    back substitution through Howell rows; None when there is none."""
-    z = np.zeros((basis.shape[1], rhs.shape[1]), dtype=np.int64)
-    for k in range(len(pivots) - 1, -1, -1):
-        pivot = int(basis[k, pivots[k]])
-        residue = (rhs[k] - basis[k] @ z) % n
-        if (residue % pivot).any():
-            return None
-        z[pivots[k]] = residue // pivot
-    return z
-
-
-def _pairing(rows: np.ndarray) -> np.ndarray:
-    """Rows (x | z) as functionals v -> <row, v>, i.e. (z | -x)."""
-    half = rows.shape[1] // 2
-    return np.hstack([rows[:, half:], -rows[:, :half]])
-
-
-def _root_exponents(values: np.ndarray, n: int) -> np.ndarray | None:
-    """e with values = w^e (w = exp(2 pi i / n)), or None when a value is
-    not an n-th root of unity."""
-    turns = np.angle(values) * n / (2 * np.pi)
-    exponents = np.rint(turns)
-    if np.abs(np.abs(values) - 1).max(initial=0) > 1e-9 or \
-            np.abs(turns - exponents).max(initial=0) > 1e-9:
-        return None
-    return exponents.astype(np.int64) % n
-
-
-class _Kets:
-    """Encoded kets as sorted grid indices, for amplitude lookups."""
-
-    def __init__(self, code: CodeSpec, place: np.ndarray):
-        self.digits, self.indices, self.amps = [], [], []
-        for w in code.logical_windows():
-            digits, amps = _ket_digits(code.encoded_kets[w], place.size)
-            order = np.argsort(digits @ place)
-            self.digits.append(digits[order])
-            self.indices.append(digits[order] @ place)
-            self.amps.append(amps[order])
-        self.place = place
-        self.first = np.array([d[0] for d in self.digits])
-        self.norms = np.array([np.vdot(a, a).real for a in self.amps])
-
-    def lookup(self, j: int, index: np.ndarray) -> np.ndarray:
-        """Ket j's amplitudes at grid indices, 0 off its support."""
-        known = self.indices[j]
-        if known[-1] - known[0] == known.size - 1:
-            # the support is a run of the grid, a dense ket's whole grid
-            where = np.clip(index - known[0], 0, known.size - 1)
-        else:
-            where = np.minimum(np.searchsorted(known, index), known.size - 1)
-        return np.where(known[where] == index, self.amps[j][where], 0)
-
-    def eigenvalues(self, j: int, gens: np.ndarray, n: int):
-        """c with W(g) v_j = c[g] v_j for every generator row g, or None
-        when one of them does not map v_j onto a multiple of itself."""
-        digits, amps = self.digits[j], self.amps[j]
-        width = digits.shape[1]
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        # (W v)(y + x) = w^(z.y) v(y), which must equal c v(y + x)
-        ratio = roots[_mod_matmul(gens[:, width:], digits.T, n)] * amps
-        for row, shift in zip(ratio, gens[:, :width]):
-            # only the registers the shift moves change the grid index
-            cols = np.flatnonzero(shift)
-            moved = self.lookup(j, self.indices[j] + (
-                (digits[:, cols] + shift[cols]) % n - digits[:, cols])
-                @ self.place[cols])
-            if (moved == 0).any():
-                return None
-            row /= moved
-        if np.abs(ratio - ratio[:, :1]).max(initial=0) > 1e-9:
-            return None
-        return ratio[:, 0]
-
-
-@dataclass
-class _Tableau:
-    """A stabilizer read off a code's kets.
-
-    ``stabilizer`` holds the Howell rows of S, the Weyl rows that act on
-    every ket as one common phase, and ``pivots`` their pivot columns, so
-    that a row's coset of S is its ``_reduce`` against them.  ``logical``
-    completes S to the stabilizer of v_0: ket j is its eigenvector with
-    exponents ``characters[j]``.  Every span here is one ``_howell`` call,
-    whose canonical rows do not depend on how many rows it is handed.
-    ``keys`` holds the kets' characters read as base-N numbers, sorted,
-    and ``ket_of`` the ket of each key.  ``frames`` holds the
-    ``_SyndromeTable`` of each Weyl family checked or run on the code
-    (its boundary mask included), which the syndrome engine and the
-    channel's syndrome path both read.
-    """
-
-    stabilizer: np.ndarray
-    pivots: list[int]
-    logical: np.ndarray
-    characters: np.ndarray
-    keys: np.ndarray
-    ket_of: np.ndarray
-    kets: _Kets
-    frames: dict = field(default_factory=dict)
-
-
-def _read_tableau(code: CodeSpec) -> _Tableau | None:
-    """The code's stabilizer, read off its kets once per code: the result,
-    None included, is kept on the code."""
-    if code._stabilizer is UNREAD:
-        code._stabilizer = _tableau_off_kets(code)
-    return code._stabilizer
-
-
-def _tableau_off_kets(code: CodeSpec) -> _Tableau | None:
-    """The code's stabilizer, read off its kets and checked on them.
-
-    The support of v_0 must be an affine space y_0 + W, which gives the X
-    parts of v_0's stabilizer; the ratio v_0(y - g) / v_0(y) along W gives
-    the Z part that goes with each shift g, solved for through the Howell
-    rows of W, and W^perp the pure Z rows.  Every one of these generators
-    must map every ket onto a multiple of itself, with an N-th root of
-    unity relative to v_0.  One Howell form of (roots | generators) splits
-    S, the rows whose root is 1 on every ket, from the logical rows, and
-    |S| dim must be N^width.  The kets must share one norm and have
-    distinct roots, which makes them orthogonal.  None (no stabilizer code
-    this engine can serve) otherwise, also when a ket has no terms, and
-    when N to the number of rows of S, or of the logical rows, reaches
-    2^62: syndromes and ket keys are read as base-N integers.
-    """
-    n, width = code.n_levels, code.width
-    if n ** width >= 2 ** 62 or not all(
-            code.encoded_kets[w].terms for w in code.logical_windows()):
-        return None
-    kets = _Kets(code, n ** np.arange(width - 1, -1, -1, dtype=np.int64))
-    dim = len(kets.amps)
-    # unequal norms break the diagonal condition on every pair
-    if np.abs(kets.norms - kets.norms[0]).max() > 1e-9:
-        return None
-    digits, amps, y0 = kets.digits[0], kets.amps[0], kets.first[0]
-    shifts, pivots = _howell(digits - y0, n)
-    if _order(shifts, pivots, n) != len(amps):
-        return None
-    # ratio(g, h) = v0(y0 + h - g) v0(y0) / (v0(y0 + h) v0(y0 - g)) = w^(-z_g.h)
-    at = lambda rows: kets.lookup(0, (rows % n) @ kets.place)
-    ratio = at(y0 + shifts[None, :, :] - shifts[:, None, :]) * amps[0] / (
-        at(y0 + shifts)[None, :] * at(y0 - shifts)[:, None])
-    exponents = _root_exponents(ratio.reshape(-1), n)
-    if exponents is None:
-        return None
-    z_of_shift = _solve(shifts, pivots, -exponents.reshape(
-        len(shifts), len(shifts)).T, n)
-    if z_of_shift is None:
-        return None
-    pure_z = _nullspace(shifts, n)
-    gens = np.vstack([np.hstack([shifts, z_of_shift.T]),
-                      np.hstack([np.zeros_like(pure_z), pure_z])])
-    values = [kets.eigenvalues(j, gens, n) for j in range(dim)]
-    if any(v is None for v in values):
-        return None
-    # generator m acts on ket j as w^roots[m, j] relative to v_0
-    roots = _root_exponents(np.stack(values, axis=1) / values[0][:, None], n)
-    if roots is None:
-        return None
-    rows, pivots = _howell(np.hstack([roots, gens]), n)
-    logical = np.array([col < dim for col in pivots], dtype=bool)
-    stabilizer = rows[~logical, dim:]
-    s_pivots = [col - dim for col in pivots if col >= dim]
-    if _order(stabilizer, s_pivots, n) * dim != n ** width:
-        return None
-    if n ** max(len(stabilizer), int(logical.sum())) >= 2 ** 62:
-        return None
-    characters = rows[logical, :dim].T
-    keys = characters @ n ** np.arange(characters.shape[1], dtype=np.int64)
-    ket_of = np.argsort(keys)
-    keys = keys[ket_of]
-    if (keys[1:] == keys[:-1]).any():
-        return None
-    return _Tableau(stabilizer, s_pivots, rows[logical, dim:], characters,
-                    keys, ket_of, kets)
-
-
-def _weyl_rows(code: CodeSpec, patterns) -> np.ndarray | None:
-    """Each pattern as the Weyl row (x | z) of its X and Z exponents mod N,
-    one column per register in each half, or None when an operator is not
-    a Weyl operator or the identity."""
-    n, width = code.n_levels, code.width
-    rows = np.zeros((len(patterns), 2 * width), dtype=np.int64)
-    for p_idx, pattern in enumerate(patterns):
-        for pos, op in pattern.ops:
-            if op.kind == "weyl":
-                rows[p_idx, pos - 1] = op.a % n
-                rows[p_idx, width + pos - 1] = op.b % n
-            elif op.kind != "identity":
-                return None
-    return rows
-
-
-def _syndromes(tab: _Tableau, rows: np.ndarray, n: int) -> np.ndarray:
-    """Each Weyl row's syndrome, its symplectic products with S read as one
-    base-N integer (exact: N^r stays below 2^62 wherever a tableau reads,
-    r the rows of S)."""
-    digits = _mod_matmul(rows, _pairing(tab.stabilizer).T, n)
-    return digits @ n ** np.arange(digits.shape[1], dtype=np.int64)
-
-
-@dataclass
-class _SyndromeTable:
-    """A Weyl family's patterns in order with their Weyl rows and syndromes
-    on one code, and which of them touch the code's boundary, built once
-    per (code, family) and kept in the tableau's ``frames``.  It answers
-    no membership test; ``PatternFamily.contains`` and the channel's row
-    rule do."""
-
-    patterns: list[ErrorPattern]
-    rows: np.ndarray        # member p as the Weyl row (x | z)
-    keys: np.ndarray        # every syndrome the family reaches, sorted
-    earliest: np.ndarray    # the first member with each key
-    classes: np.ndarray     # each member's index into ``keys``
-    touches: np.ndarray     # which members act on a boundary register
-
-
-def _syndrome_plan(code: CodeSpec, family: PatternFamily):
-    """(tableau, table) of the family on the code, or None when
-    ``family.basis`` holds an operator that is not a Weyl operator or no
-    stabilizer reads off the kets."""
-    if any(op.kind != "weyl" for op in family.basis):
-        return None
-    tab = _read_tableau(code)
-    if tab is None:
-        return None
-    if family not in tab.frames:
-        patterns = list(family)
-        rows = _weyl_rows(code, patterns)
-        keys, earliest, classes = np.unique(
-            _syndromes(tab, rows, code.n_levels), return_index=True,
-            return_inverse=True)
-        tab.frames[family] = _SyndromeTable(
-            patterns, rows, keys, earliest, classes,
-            _touches(code, patterns))
-    return tab, tab.frames[family]
-
-
-def _transfer(tab: _Tableau, n: int, rows_a: np.ndarray, rows_b: np.ndarray,
-              sources):
-    """Lists (i, mu), one entry per source ket j, with B v_j = mu A v_i
-    elementwise over the Weyl rows of A and B, whose pairs commute with S.
-
-    A^dag B maps v_j onto the ket whose character is v_j's shifted by
-    <t, row_b - row_a> for each logical row t.  mu is read at one term: y
-    = y_i + x_A, where A v_i has the value w^(z_A.y_i) v_i(y_i) and B v_j
-    the value w^(z_B.(y - x_B)) v_j(y - x_B).
-    """
-    kets = tab.kets
-    width = rows_a.shape[1] // 2
-    place = n ** np.arange(tab.characters.shape[1], dtype=np.int64)
-    shift = _mod_matmul(rows_b - rows_a, _pairing(tab.logical).T, n)
-    x_a, z_a = rows_a[:, :width], rows_a[:, width:]
-    x_b, z_b = rows_b[:, :width], rows_b[:, width:]
-    first_amps = np.array([amps[0] for amps in kets.amps])
-    targets, mus = [], []
-    for j in sources:
-        # the shifted character is a ket's, since A^dag B keeps the code
-        i = tab.ket_of[tab.keys.searchsorted(
-            (tab.characters[j] + shift) % n @ place)]
-        y = kets.first[i]
-        source = (y + x_a - x_b) % n
-        exponent = ((z_b * source).sum(axis=1) - (z_a * y).sum(axis=1)) % n
-        targets.append(i)
-        mus.append(np.exp(2j * np.pi * exponent / n)
-                   * kets.lookup(j, source @ kets.place) / first_amps[i])
-    return targets, mus
 
 
 def _pairs_within(classes: np.ndarray):
@@ -1172,7 +627,7 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     if not code.encoded_kets:
         raise ValueError("code has no materialized encoded kets")
     _check_tol(tol)
-    _check_family_width(code, family)
+    _check_family_width(code.width, family)
     started = time.perf_counter()
     found = None if exact else _syndrome_plan(code, family)
     patterns = list(family) if found is None else found[1].patterns
@@ -1227,13 +682,6 @@ def _check_tol(tol: float) -> None:
                          f"not {tol}")
 
 
-def _check_family_width(code: CodeSpec, family: PatternFamily) -> None:
-    if family.width != code.width:
-        raise ValueError(
-            f"family width {family.width} does not match code width "
-            f"{code.width}")
-
-
 def _as_dense(lam) -> np.ndarray:
     return lam if isinstance(lam, np.ndarray) else lam.toarray()
 
@@ -1253,7 +701,7 @@ def _lambda_summary(eigenvalues: np.ndarray, identity_dev: float, size: int,
     rank = int((eigenvalues > max(tol, 1e-9) * scale).sum())
     kind = "identity" if identity_dev <= max(tol, 1e-9) else "degenerate"
     return {"kind": kind, "rank": rank, "dim": size,
-            "min_eigenvalue": float(eigenvalues.min(initial=0.0))}
+            "min_eigenvalue": float(eigenvalues.min())}
 
 
 def _summarize_lambda(matrix, tol: float) -> dict:

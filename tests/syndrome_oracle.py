@@ -10,15 +10,37 @@ which reads one magnitude per logical class, keeps exact.  It shares the
 stabilizer read, the syndrome table, ``_transfer`` and the scan with the
 package; only the way overlaps and lambda are assembled is its own.  It
 drops in for ``verifier._syndrome_engine``.
+
+``weyl_rows`` is the pattern-by-pattern read of Weyl rows that the
+syndrome table's rule replaced; it referees the table's rows.
 """
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from quditqec.errors import _rank_strings, _string_keys
+from quditqec.stabilizer import _reduce, _transfer
 from quditqec.verifier import (LAMBDA_SUMMARY_MAX, _blocks_after_reference,
                                _identity_deviation, _lambda_summary,
-                               _pairs_within, _rank_strings, _reduce, _Scan,
-                               _string_keys, _touches, _transfer)
+                               _pairs_within, _Scan, _touches)
+
+
+def weyl_rows(code, patterns):
+    """Each pattern as the Weyl row (x | z) of its X and Z exponents mod N,
+    one column per register in each half, read pattern by pattern off its
+    operators, or None when an operator is not a Weyl operator or the
+    identity.  It referees the syndrome table's rows, which are read off
+    rows of picks."""
+    n, width = code.n_levels, code.width
+    rows = np.zeros((len(patterns), 2 * width), dtype=np.int64)
+    for p_idx, pattern in enumerate(patterns):
+        for pos, op in pattern.ops:
+            if op.kind == "weyl":
+                rows[p_idx, pos - 1] = op.a % n
+                rows[p_idx, width + pos - 1] = op.b % n
+            elif op.kind != "identity":
+                return None
+    return rows
 
 
 def syndrome_engine(code, tab, table, tol: float, fail_fast: bool):

@@ -806,6 +806,29 @@ def test_a_non_weyl_entry_sends_run_trials_to_the_ket_path_once_drawn(
     assert ("spin_flip" in drawn) == (weight > 0)
 
 
+def test_a_zero_weight_general_entry_keeps_the_syndrome_path(monkeypatch):
+    # the Weyl-row rule reads only the picks drawn: a general matrix that
+    # the menu never draws, between its Weyl entries, leaves the path and
+    # every record as they are without it
+    code = builtin("rate14_conv", 2, 3)
+    family = enumerate_family(16, 8, 1, n_levels=2)
+    logical = RegisterState.basis(2, (0, 1, 1))
+    plain = ChannelConfig(p=0.1, seed=5, trials=300,
+                          error_menu=(weyl(1, 0), weyl(0, 1), weyl(1, 1)),
+                          weights=(0.5, 0.25, 0.25))
+    mixed = ChannelConfig(p=0.1, seed=5, trials=300,
+                          error_menu=(weyl(1, 0), general(np.eye(2)[::-1]),
+                                      weyl(0, 1), weyl(1, 1)),
+                          weights=(0.5, 0.0, 0.25, 0.25))
+    before = run_trials(code, plain, family, logical, keep_records=True)
+    after = assert_frame_matches_ket(monkeypatch, code, mixed, family,
+                                     logical)
+    assert (before.decoder, after.decoder) == ("syndrome", "syndrome")
+    assert after.records == before.records
+    assert after.to_json() == before.to_json()
+    assert any(r.injected.weight > 0 for r in after.records)
+
+
 def spy_transfer(monkeypatch):
     """Record the source kets of every ``_transfer`` call of the channel."""
     sources = []

@@ -97,3 +97,42 @@ def test_public_functions_and_classes_have_docstrings():
         if not ast.get_docstring(node):
             missing.append(name)
     assert not missing, f"no docstring: {missing}"
+
+
+def package_imports(tree: ast.Module):
+    """(module, imported names) of each relative import of a module, at any
+    depth; ``from . import x`` has module None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield node.module, [alias.name for alias in node.names]
+
+
+def test_stabilizer_layering():
+    # the verifier's privates stay its own, and the stabilizer module sits
+    # below the verifier and the channel, which both read it
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES}
+    private = [f"{name}.py: {imported}"
+               for name, tree in trees.items()
+               for module, names in package_imports(tree)
+               if module == "verifier"
+               for imported in names if imported.startswith("_")]
+    assert not private, f"private names imported from .verifier: {private}"
+    above = {module for module, _ in package_imports(trees["stabilizer"])}
+    assert not above & {"verifier", "channel"}, above
+
+
+def test_package_imports_form_no_cycle():
+    graph = {path.stem: {module for module, _ in package_imports(
+        ast.parse(path.read_text(), filename=str(path)))} for path in MODULES}
+    done = set()
+
+    def visit(name, path):
+        assert name not in path, f"import cycle: {path + [name]}"
+        if name not in done:
+            for module in graph.get(name, ()):
+                visit(module, path + [name])
+            done.add(name)
+
+    for name in graph:
+        visit(name, [])

@@ -5,6 +5,8 @@ import pytest
 from scipy.sparse import issparse
 
 import exact_oracle
+import quditqec.errors as errors
+import quditqec.stabilizer as stabilizer
 import quditqec.verifier as verifier
 import syndrome_oracle
 from dense_oracle import dense_kl_check, dense_kl_deviation
@@ -458,8 +460,8 @@ def test_family_matrix_rows_match_exact_application():
     grid = RegisterState(3, 5, {digits: PhaseScalar.exact_one(3) for digits
                                 in itertools.product(range(3), repeat=5)})
     kets = list(code.encoded_kets.values())
-    stacked, _ = verifier._float_matrices(
-        [(kets, patterns), ([grid], [ErrorPattern(5, ())])], 3, 5)
+    stacked, _ = errors._float_matrices(
+        [(kets, patterns), ([grid], [ErrorPattern(5, ())])], 3)
     assert stacked.has_canonical_format
     # row k |F| + p is pattern p applied to ket k
     dense = stacked.toarray().reshape(len(kets), len(patterns), 3 ** 5)
@@ -518,8 +520,8 @@ def test_string_ranks_follow_grid_order_at_any_width():
     for n, width in ((2, 9), (2, 130), (3, 50)):
         digits = rng.integers(0, n, size=(500, width))
         digits[250:] = digits[:250]
-        rank, count = verifier._rank_strings(
-            verifier._string_keys(digits, n))
+        rank, count = errors._rank_strings(
+            errors._string_keys(digits, n))
         distinct, inverse = np.unique(digits, axis=0, return_inverse=True)
         assert count == len(distinct)
         assert np.array_equal(rank, inverse.ravel())
@@ -544,6 +546,7 @@ def test_lambda_matrix_reuses_the_check(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("lambda_matrix repeated work of the check")
+    monkeypatch.setattr(errors, "_apply_patterns", refuse)
     monkeypatch.setattr(verifier, "_apply_patterns", refuse)
     monkeypatch.setattr(verifier, "_summarize_lambda", refuse)
     lam = lambda_matrix(code, family, precomputed=report)
@@ -743,15 +746,15 @@ def test_span_matches_enumeration(n):
         [tall_rows(rng, n) for _ in range(10)]
     for rows in draws:
         span = span_of(rows, n) if len(rows) <= 4 else closure_of(rows, n)
-        basis, pivots = verifier._howell(rows, n)
+        basis, pivots = stabilizer._howell(rows, n)
         # echelon rows, pivots dividing n, entries above a pivot below it
         assert pivots == sorted(set(pivots))
         for k, col in enumerate(pivots):
             assert n % basis[k, col] == 0 and not basis[k, :col].any()
             assert (basis[:k, col] < basis[k, col]).all()
         assert span_of(basis, n) == span
-        assert verifier._order(basis, pivots, n) == len(span)
-        reduced = verifier._reduce(grid, basis, pivots, n)
+        assert stabilizer._order(basis, pivots, n) == len(span)
+        reduced = stabilizer._reduce(grid, basis, pivots, n)
         assert {tuple(v) for v in grid[~reduced.any(axis=1)]} == span
 
 
@@ -762,7 +765,7 @@ def test_nullspace_matches_enumeration(n):
     for _ in range(25):
         rows = random_rows(rng, n)
         kernel = {tuple(v) for v in grid if not (rows @ v % n).any()}
-        assert span_of(verifier._nullspace(rows, n), n) == kernel
+        assert span_of(stabilizer._nullspace(rows, n), n) == kernel
 
 
 @pytest.mark.parametrize("n", MODULI)
@@ -770,10 +773,10 @@ def test_back_substitution_matches_enumeration(n):
     rng = np.random.default_rng(20 + n)
     grid = np.array(list(itertools.product(range(n), repeat=3)))
     for _ in range(25):
-        basis, pivots = verifier._howell(random_rows(rng, n), n)
+        basis, pivots = stabilizer._howell(random_rows(rng, n), n)
         image = {tuple(v) for v in grid @ basis.T % n}
         for rhs in itertools.product(range(n), repeat=len(pivots)):
-            z = verifier._solve(basis, pivots, np.array(rhs)[:, None], n)
+            z = stabilizer._solve(basis, pivots, np.array(rhs)[:, None], n)
             if rhs in image:
                 assert tuple(basis @ z[:, 0] % n) == rhs
             else:
@@ -784,7 +787,7 @@ def test_back_substitution_matches_enumeration(n):
 
 def cross_check(code, family, *references):
     """The syndrome engine's report against each reference engine's."""
-    assert verifier._syndrome_plan(code, family) is not None, code.label
+    assert stabilizer._syndrome_plan(code, family) is not None, code.label
     reports = {}
     for engine in ("syndrome",) + references:
         with pytest.MonkeyPatch.context() as patch:
@@ -1045,13 +1048,31 @@ def test_syndrome_engine_passes_with_exact_zeros():
     report = kl_check(code, family)
     assert report.engine == "syndrome" and report.passed
     assert report.max_deviation == report.interior_max_deviation == 0.0
-    assert report.lambda_summary == {"kind": "identity", "rank": len(family),
-                                     "dim": len(family), "min_eigenvalue": 0.0}
+    # lambda is the identity, held at the kets' float norm
+    assert report.lambda_summary == {
+        "kind": "identity", "rank": len(family), "dim": len(family),
+        "min_eigenvalue": pytest.approx(1.0, rel=0, abs=1e-12)}
     # below LAMBDA_SUMMARY_MAX a pass holds lambda dense, and lambda_matrix
     # hands it on as it is
     lam = lambda_matrix(code, family, precomputed=report)
     assert lam.matrix is report.lam
     assert np.abs(lam.matrix - np.eye(len(family))).max() < 1e-12
+
+
+@pytest.mark.parametrize("engine", ["syndrome", "sparse-float"])
+@pytest.mark.parametrize("label, n, window, kind", [
+    ("perfect5", 3, 5, "identity"), ("shor9", 2, 9, "degenerate")])
+def test_min_eigenvalue_is_the_least_eigenvalue_of_lambda(
+        monkeypatch, engine, label, n, window, kind):
+    code = builtin(label, n, 1)
+    family = weyl_family(code.width, window, 1, n)
+    force_engine(monkeypatch, engine)
+    report = kl_check(code, family)
+    assert report.engine == engine and report.passed
+    assert report.lambda_summary["kind"] == kind
+    lam = verifier._as_dense(report.lam)
+    least = np.linalg.eigvalsh(0.5 * (lam + lam.conj().T)).min()
+    assert abs(report.lambda_summary["min_eigenvalue"] - least) < 1e-9
 
 
 def handmade_codes():
@@ -1075,7 +1096,7 @@ def handmade_codes():
 def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
     for code in handmade_codes():
         family = weyl_family(3, 3, 1, 2)
-        assert verifier._read_tableau(code) is None
+        assert stabilizer._read_tableau(code) is None
         report = kl_check(code, family)
         assert report.engine == "sparse-float"
         deviation, _ = dense_kl_deviation(code, family)
@@ -1084,7 +1105,7 @@ def test_syndrome_engine_leaves_other_inputs_to_the_old_rule():
     code = builtin("shor9", 2, 1)
     family = enumerate_family(9, 9, 1, n_levels=2,
                               basis=(general([[0, 1], [1, 1]]),))
-    assert verifier._syndrome_plan(code, family) is None
+    assert stabilizer._syndrome_plan(code, family) is None
     assert kl_check(code, family).engine == "sparse-float"
 
 
@@ -1131,7 +1152,7 @@ def test_operators_sized_for_another_n_are_refused(op, message):
 @pytest.mark.parametrize("code", refused_stabilizer_codes())
 def test_refused_stabilizer_reads_fall_back_to_the_sparse_gram(code):
     family = weyl_family(code.width, code.width, 1, code.n_levels)
-    assert verifier._read_tableau(code) is None
+    assert stabilizer._read_tableau(code) is None
     report = kl_check(code, family)
     assert report.engine == "sparse-float"
     deviation, _ = dense_kl_deviation(code, family)
@@ -1153,7 +1174,7 @@ def test_duplicate_characters_fall_back_to_the_sparse_gram():
         (1,): RegisterState.basis(3, (1,)),
         (2,): RegisterState(3, 1, {(0,): one * PhaseScalar.from_complex(
             W3)})})
-    assert verifier._read_tableau(code) is None
+    assert stabilizer._read_tableau(code) is None
     report = kl_check(code, weyl_family(1, 1, 1, 3))
     assert report.engine == "sparse-float" and report.verdict == "fail"
     # |<v_0|v_2>| = 1 and, with Z, |<v_1|Z|v_1> - <v_0|Z|v_0>| = |w - 1|
@@ -1167,7 +1188,7 @@ def test_a_ket_without_terms_takes_the_float_paths():
         (0,): RegisterState.basis(2, (0, 0, 0)),
         (1,): RegisterState(2, 3, {})})
     family = weyl_family(3, 3, 1, 2)
-    assert verifier._read_tableau(code) is None
+    assert stabilizer._read_tableau(code) is None
     floats, exact = kl_check(code, family), kl_check(code, family, exact=True)
     assert floats.engine == "sparse-float" and exact.engine == "exact"
     assert floats.verdict == exact.verdict == "fail"
@@ -1189,14 +1210,14 @@ def test_a_stabilizer_past_the_syndrome_range_falls_back(monkeypatch):
     assert len(ket) == 4096
     code = CodeSpec("handmade", 6, 1, 12, 0, 0, 1, {(0,): ket})
     orders = []
-    real_order = verifier._order
+    real_order = stabilizer._order
 
     def order(rows, pivots, n):
         orders.append((len(rows), real_order(rows, pivots, n)))
         return orders[-1][1]
 
-    monkeypatch.setattr(verifier, "_order", order)
-    assert verifier._read_tableau(code) is None
+    monkeypatch.setattr(stabilizer, "_order", order)
+    assert stabilizer._read_tableau(code) is None
     # the read got past the order check of S, which has |S| = 6^12
     assert orders[-1] == (24, 6 ** 12)
     report = kl_check(code, weyl_family(12, 12, 1, 6))
@@ -1204,37 +1225,61 @@ def test_a_stabilizer_past_the_syndrome_range_falls_back(monkeypatch):
     assert report.family_size == 421
 
 
+def kept_table_cases():
+    """Weyl families over N = 2, 3 and 4, one restricted across the head
+    boundary and one on a Fourier dual."""
+    yield builtin("rate14_conv", 2, 3), weyl_family(16, 8, 1, 2)
+    yield builtin("perfect5", 3, 1), weyl_family(10, 5, 1, 3)
+    yield builtin("majority3", 4, 2), weyl_family(6, 3, 1, 4)
+    code = builtin("rate14_conv", 2, 4)
+    yield code, weyl_family(code.width, 8, 1, 2).restricted(range(1, 12))
+    dual = dualize(builtin("spin_conv", 3, 2))
+    yield dual, weyl_family(dual.width, 4, 1, 3)
+
+
 def test_repeated_check_reads_the_kept_syndrome_table():
-    code = builtin("rate14_conv", 2, 3)
-    family = weyl_family(16, 8, 1, 2)
-    reports = [kl_check(code, family).to_json() for _ in range(2)]
-    for data in reports:
-        del data["elapsed_seconds"]
-    assert reports[0]["engine"] == "syndrome"
-    assert reports[1] == reports[0]
-    tab, table = verifier._syndrome_plan(code, family)
-    assert tab is code._stabilizer and list(tab.frames) == [family]
-    assert tab.frames[family] is table
-    assert table.patterns == list(family)
-    assert np.array_equal(table.touches, verifier._touches(code, list(family)))
+    for code, family in kept_table_cases():
+        where = (code.label, code.n_levels, family.registers)
+        reports = [kl_check(code, family).to_json() for _ in range(2)]
+        for data in reports:
+            del data["elapsed_seconds"]
+        assert reports[0]["engine"] == "syndrome", where
+        assert reports[1] == reports[0], where
+        tab, table = stabilizer._syndrome_plan(code, family)
+        assert tab is code._stabilizer and list(tab.frames) == [family]
+        assert tab.frames[family] is table
+        assert table.patterns == list(family), where
+        # the rows and the boundary mask read off the picks are the ones
+        # read pattern by pattern
+        assert np.array_equal(table.rows, syndrome_oracle.weyl_rows(
+            code, table.patterns)), where
+        assert np.array_equal(table.touches, verifier._touches(
+            code, table.patterns)), where
+        assert table.touches.any() == bool(code.boundary_registers), where
 
 
 def test_repeated_check_marks_the_boundary_once(monkeypatch):
-    # the syndrome table keeps which members touch the boundary, so a
-    # second check on one (code, family) walks no pattern objects for it
+    # the syndrome table keeps the Weyl rows and the boundary mask of its
+    # members, both read off the picks of one walk over the family, so a
+    # second check on one (code, family) walks no pattern objects
     code = builtin("rate14_conv", 2, 3)
     family = weyl_family(16, 8, 1, 2)
     calls = []
-    touches = verifier._touches
+    walk, weyl_rows = errors.PatternFamily.__iter__, stabilizer._weyl_rows
 
-    def counting(code, patterns):
-        calls.append(len(patterns))
-        return touches(code, patterns)
+    def counting_walk(self):
+        calls.append("walk")
+        return walk(self)
 
-    monkeypatch.setattr(verifier, "_touches", counting)
+    def counting_rows(ops, n, picks):
+        calls.append(("picks", len(picks)))
+        return weyl_rows(ops, n, picks)
+
+    monkeypatch.setattr(errors.PatternFamily, "__iter__", counting_walk)
+    monkeypatch.setattr(stabilizer, "_weyl_rows", counting_rows)
     reports = [kl_check(code, family) for _ in range(2)]
     assert [r.engine for r in reports] == ["syndrome", "syndrome"]
-    assert calls == [len(family)]
+    assert calls == ["walk", ("picks", len(family))]
 
 
 def test_syndrome_engine_scans_only_entries_that_can_be_nonzero(monkeypatch):
