@@ -350,7 +350,8 @@ class _SyndromeTable:
     on one code, and which of them touch the code's boundary, built once
     per (code, family) and kept in the tableau's ``frames``.  It answers
     no membership test; ``PatternFamily.contains`` and the channel's row
-    rule do."""
+    rule do.  ``checked`` is the verifier's: what its syndrome engine reads
+    off the table before any tolerance, kept on first use."""
 
     patterns: list[ErrorPattern]
     rows: np.ndarray        # member p as the Weyl row (x | z)
@@ -358,6 +359,7 @@ class _SyndromeTable:
     earliest: np.ndarray    # the first member with each key
     classes: np.ndarray     # each member's index into ``keys``
     touches: np.ndarray     # which members act on a boundary register
+    checked: object = None
 
 
 def _syndrome_plan(code: CodeSpec, family: PatternFamily):

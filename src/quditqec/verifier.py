@@ -23,23 +23,28 @@ that ran):
   Weyl errors the condition fails exactly when A^dag B commutes with S
   but is not in it (Gottesman 1997; Ketkar, Klappenecker, Kumar and
   Sarvepalli 2006), so the check passes iff no syndrome class holds two
-  full labels.  Lambda comes from one rule: a same-syndrome pair's
-  A^dag B maps v_0 onto a multiple mu of one ket, and lambda_ab is
-  mu |v_0|^2 where that ket is v_0.  On a pass lambda is a direct sum of
-  rank-1 blocks, one per label class, so its rank and eigenvalues are the
-  class count and the class sizes, and its summary reads the identity
-  deviation off the entries.  It is built from its entries, on either
-  verdict, as the exact engine builds it: dense up to
+  full labels.  It works on label pairs and logical classes, never on
+  pattern pairs: a failing pair's overlaps are those of its logical class
+  (the coset of S of A^dag B, a function of its two labels) times one
+  phase, so every ket is read for one representative pair per class, and
+  one table of deviations, logical blocks by classes, gives the largest
+  deviation, the ``fail_fast`` stop and the interior maximum.  Each
+  deviation is a magnitude of its class, so equal deviations are
+  bit-equal and exact ties go to the earliest entry, as in the exact
+  engine.  The scan is fed only the entries that decide it: the witness,
+  one interior entry and the first boundary entries, read off each
+  label's first members.  Lambda is held as factors, one phase per
+  pattern against the earliest member of its coset of S_0, the
+  stabilizer of v_0: lambda_ab = conj(phi_a) phi_b |v_0|^2 within a
+  coset and 0 across, a direct sum of rank-1 blocks whose eigenvalues are
+  the coset sizes times |v_0|^2.  A pass builds lambda in the check, with
+  its summary in closed form; a fail builds it when ``KLReport.lam`` is
+  first read.  Either way it takes the exact engine's form, dense up to
   ``LAMBDA_SUMMARY_MAX`` patterns and CSR above, so a check on this
-  engine never imports scipy below that size.  Only failing pairs have
-  overlaps to scan, and a failing pair's overlaps are those of its
-  logical class (the coset of S of A^dag B) times one phase, so they are
-  read off every ket for one representative pair per class, and scanned
-  only in the blocks where they can be nonzero.  Each deviation is a
-  magnitude of its class, so equal deviations are bit-equal and exact
-  ties go to the earliest entry, as in the exact engine.  The syndrome
-  table is built once per (code, family) and kept with the code's
-  stabilizer, so a repeated check walks no pattern objects.
+  engine never imports scipy below that size.  The syndrome table and
+  what the engine reads off it before any tolerance are built once per
+  (code, family) and kept with the code's stabilizer, so a repeated check
+  walks no pattern objects and lists no label pairs.
 * ``exact`` certifies zeros symbolically.  It writes each ket as integer
   numerators on the lattice of order-2N roots of unity, applies the
   patterns there (Weyl and spin flips only move digits and add to
@@ -149,11 +154,14 @@ class KLReport:
     ``lam`` holds the lambda matrix in the form the engine produced it: a
     scipy CSR matrix from ``sparse-float``; from ``exact`` and ``syndrome``
     a dense array up to ``LAMBDA_SUMMARY_MAX`` patterns and CSR above.
-    ``syndrome`` sets only the entries that can be nonzero, the
-    same-syndrome pairs whose A^dag B maps v_0 onto itself.  Entry (a, b)
+    ``syndrome`` sets only the entries that can be nonzero, the pairs of
+    one coset of S_0, whose A^dag B maps v_0 onto itself.  Entry (a, b)
     is <v_0| A^dag B |v_0>, on a failure and after a ``fail_fast`` stop
-    too.  It is not part of the JSON report, nor are ``code`` and
-    ``family``, the pairing checked, which ``lambda_matrix`` compares.
+    too.  Every engine but ``syndrome`` builds it in the check, and so
+    does ``syndrome`` on a pass; on a fail ``syndrome`` keeps it as one
+    factor per pattern and builds it when ``lam`` is first read.  It is
+    not part of the JSON report, nor are ``code`` and ``family``, the
+    pairing checked, which ``lambda_matrix`` compares.
     """
 
     verdict: str
@@ -172,13 +180,19 @@ class KLReport:
     lambda_summary: dict | None
     elapsed_seconds: float
     family_json: dict = field(repr=False, default_factory=dict)
-    lam: object = field(repr=False, compare=False, default=None)
+    _lam: object = field(repr=False, compare=False, default=None)
     code: CodeSpec = field(repr=False, compare=False, default=None)
     family: PatternFamily = field(repr=False, compare=False, default=None)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    @property
+    def lam(self):
+        if isinstance(self._lam, _LambdaFactors):
+            self._lam, _ = self._lam.build()
+        return self._lam
 
     def to_json(self) -> dict:
         out = {"verdict": self.verdict,
@@ -526,80 +540,304 @@ def _exact_engine(code: CodeSpec, patterns, tol: float, fail_fast: bool):
 # -- the syndrome engine ------------------------------------------------------
 
 
-def _pairs_within(classes: np.ndarray):
-    """All (a, b) with classes[a] == classes[b], in (a, b) order."""
-    members = np.argsort(classes, kind="stable")
-    sizes = np.bincount(classes)
-    start = np.cumsum(sizes) - sizes
-    counts = sizes[classes]
-    a = np.repeat(np.arange(len(classes)), counts)
-    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                                 counts)
-    return a, members[start[classes[a]] + offset]
+def _runs(order: np.ndarray, keys: np.ndarray, count: int):
+    """An order of indices that groups their ``keys``, in range(count),
+    with where each key's run starts in it and how long the run is."""
+    sizes = np.bincount(keys[order], minlength=count)
+    return order, np.cumsum(sizes) - sizes, sizes
+
+
+def _leading(runs, k: int, pad: int) -> np.ndarray:
+    """The first k indices of every key's run in a ``_runs`` order, one row
+    per key, padded with ``pad``."""
+    order, start, sizes = runs
+    at = np.minimum(start[:, None] + np.arange(k), len(order))
+    return np.where(np.arange(k) < sizes[:, None],
+                    np.append(order, pad)[at], pad)
+
+
+@dataclass
+class _LambdaFactors:
+    """Lambda of a Weyl family on a stabilizer code as factors: lambda_ab
+    is conj(phi_a) phi_b |v_0|^2 where patterns a and b lie in one coset
+    of S_0, the stabilizer of v_0 (S and the logical rows), and 0
+    otherwise, phi_a being pattern a's mu at v_0 against the earliest
+    member of its coset.  So lambda is a direct sum of rank-1 blocks, one
+    per coset, whose eigenvalues are the coset sizes times |v_0|^2."""
+
+    cosets: np.ndarray      # each pattern's coset of S_0, a nonnegative key
+    phi: np.ndarray
+    norm: float
+
+    def build(self):
+        """(lambda as ``_lambda_out`` holds it, the largest entry of
+        |lambda - I|), from the entries that can be nonzero, the pairs of
+        one coset, taken for all cosets of one size at once."""
+        size = len(self.phi)
+        dense = size <= LAMBDA_SUMMARY_MAX
+        lam = np.zeros((size, size), dtype=complex) if dense else []
+        deviation = 0.0
+        order, start, sizes = _runs(np.argsort(self.cosets, kind="stable"),
+                                    self.cosets, 0)
+        for s in np.unique(sizes[sizes > 0]):
+            members = order[start[sizes == s, None] + np.arange(s)]
+            a, b = members[:, :, None], members[:, None, :]
+            values = self.phi[a].conj() * self.phi[b] * self.norm
+            deviation = max(deviation, float(np.abs(values - (a == b)).max()))
+            if dense:
+                lam[a, b] = values
+            else:
+                lam.append([part.ravel() for part in
+                            np.broadcast_arrays(values, a, b)])
+        if not dense:
+            lam = _lambda_out(*map(np.concatenate, zip(*lam)), size)
+        return lam, deviation
+
+    def corner(self, k: int) -> np.ndarray:
+        """Lambda's leading k x k block, dense."""
+        phi, cosets = self.phi[:k], self.cosets[:k]
+        return np.where(cosets[:, None] == cosets,
+                        phi.conj()[:, None] * phi * self.norm, 0)
+
+    def summary(self, deviation: float, tol: float) -> dict:
+        """``_lambda_summary`` in closed form, given ``build``'s deviation."""
+        sizes = np.bincount(self.cosets)
+        eigenvalues = np.zeros(len(self.phi))
+        eigenvalues[:np.count_nonzero(sizes)] = sizes[sizes > 0] * self.norm
+        return _lambda_summary(eigenvalues, deviation, len(self.phi), tol)
+
+
+def _label_pairs(syndrome: np.ndarray, count: int):
+    """Every ordered pair (la, lb) of distinct labels with one syndrome, in
+    order, given each label's syndrome in range(count)."""
+    order, start, sizes = _runs(np.argsort(syndrome, kind="stable"),
+                                syndrome, count)
+    runs = sizes[syndrome]
+    la = np.repeat(np.arange(len(syndrome)), runs)
+    lb = order[np.repeat(start[syndrome] - np.cumsum(runs) + runs, runs)
+               + np.arange(runs.sum())]
+    distinct = la != lb
+    return la[distinct], lb[distinct]
+
+
+def _class_deviations(targets: np.ndarray, mus: np.ndarray, n: int,
+                      norm: float):
+    """Blocks (i, j >= i) after the reference, as arrays i and j, and the
+    deviation of every entry of each block by logical class, one row per
+    block: 0 where the entry is an exact zero."""
+    dim = len(targets)
+    i, j = np.array(list(_blocks_after_reference(dim)),
+                    dtype=np.int64).reshape(-1, 2).T
+    fixes = targets == np.arange(dim)[:, None]
+    both = fixes & fixes[0]
+    k = _root_exponents((mus / mus[0])[both], n)
+    chord = np.ones(targets.shape)
+    chord[both] = 2 * np.sin(np.pi * np.minimum(k, n - k) / n)
+    live = targets[j] == i[:, None]
+    live[i == j] |= fixes[0]
+    deviation = np.where((i == j)[:, None], chord[i], 1.0) * norm
+    return i, j, np.where(live, deviation, 0.0)
+
+
+@dataclass
+class _Classes:
+    """What the syndrome engine reads off a syndrome table before any
+    tolerance, once per table (``_SyndromeTable.checked``): each member's
+    label, labels numbered by their earliest members ``first``, and
+    lambda's factors.  A table with failing pairs adds the failing label
+    pairs (la, lb), their logical classes ``cls``, each class's earliest
+    label pair ``rep`` and its (target, mu) per source ket, the deviation
+    table ``mag`` of the blocks (i, j), blocks by classes, and the indexes
+    ``inner`` and ``edges`` of ``_entry_index``."""
+
+    label: np.ndarray
+    first: np.ndarray
+    factors: _LambdaFactors
+    pairs: tuple = ()
+    targets: np.ndarray | None = None
+    mus: np.ndarray | None = None
+    blocks: tuple = ()
+    mag: np.ndarray | None = None
+    inner: tuple = ()
+    edges: tuple = ()
+
+
+def _read_classes(tab: _Tableau, table: _SyndromeTable, n: int) -> _Classes:
+    """The ``_Classes`` of a syndrome table; see ``_syndrome_engine``."""
+    rows, dim, norm = table.rows, len(tab.kets.amps), tab.kets.norms[0]
+    label, labels = _rank_strings(_string_keys(
+        _reduce(rows, tab.stabilizer, tab.pivots, n), n))
+    # labels numbered by their earliest members: label pairs in order are
+    # then in the order of their earliest pattern pairs
+    _, first = np.unique(label, return_index=True)
+    by_first = np.argsort(first)
+    first, label = first[by_first], np.argsort(by_first)[label]
+    root = np.arange(labels)
+    failing = {}
+    if labels > len(table.keys):
+        la, lb = _label_pairs(table.classes[first], len(table.keys))
+        cls, _ = _rank_strings(_string_keys(_reduce(
+            (rows[first[lb]] - rows[first[la]]) % n, tab.stabilizer,
+            tab.pivots, n), n))
+        _, rep = np.unique(cls, return_index=True)
+        targets, mus = map(np.array, _transfer(
+            tab, n, rows[first[la[rep]]], rows[first[lb[rep]]], range(dim)))
+        # a label pair's patterns share a coset of S_0 where its class
+        # maps v_0 onto itself; each coset's root is its earliest label
+        fixed = targets[0, cls] == 0
+        np.minimum.at(root, la[fixed], lb[fixed])
+        i, j, mag = _class_deviations(targets, mus, n, norm)
+        failing = dict(pairs=(la, lb, cls, rep), targets=targets, mus=mus,
+                       blocks=(i, j), mag=mag, **_entry_index(
+                           table.touches, label, first, la, lb, cls))
+    _, (phi,) = _transfer(tab, n, rows[first[root[label]]], rows, [0])
+    return _Classes(label, first, _LambdaFactors(root[label], phi, norm),
+                    **failing)
+
+
+def _entry_index(touches: np.ndarray, label: np.ndarray, first: np.ndarray,
+                 la: np.ndarray, lb: np.ndarray, cls: np.ndarray) -> dict:
+    """What ``_deciding_entries`` reads before any tolerance.
+
+    ``inner`` holds each label's earliest member off the boundary (the
+    family size where it has none) and each class's earliest label pair
+    whose labels both have one (-1 where none).  ``edges`` holds each
+    label's first ``BOUNDARY_WITNESS_CAP`` members, then its first
+    ``BOUNDARY_WITNESS_CAP`` boundary members, padded with the family size,
+    and the label pairs with a boundary pair sorted by class and then by
+    their earliest boundary pair, with those keys and where each class's
+    run starts and how long it is.  A label pair's earliest boundary pair
+    is read off its labels' earliest members and earliest boundary
+    members.
+    """
+    size, labels, cap = len(label), len(first), BOUNDARY_WITNESS_CAP
+    classes = int(cls.max()) + 1
+    order = np.argsort(label, kind="stable")
+    edge = touches[order]
+    inner = _leading(_runs(order[~edge], label, labels), 1, size)[:, 0]
+    both = np.flatnonzero((inner[la] < size) & (inner[lb] < size))
+    held, at = np.unique(cls[both], return_index=True)
+    interior = np.full(classes, -1)
+    interior[held] = both[at]
+    leading = np.hstack([_leading(_runs(order, label, labels), cap, size),
+                         _leading(_runs(order[edge], label, labels), cap,
+                                  size)])
+    earliest = leading[:, cap]
+    on = np.flatnonzero((earliest[la] < size) | (earliest[lb] < size))
+    a0, b_edge = first[la[on]], earliest[lb[on]] < size
+    key = np.where(touches[a0] | b_edge, a0, earliest[la[on]]) * size \
+        + np.where(~touches[a0] & b_edge, earliest[lb[on]], first[lb[on]])
+    by_class = np.lexsort((key, cls[on]))
+    on, key = on[by_class], key[by_class]
+    runs = np.bincount(cls[on], minlength=classes)
+    return dict(inner=(inner, interior),
+                edges=(leading, on, key, np.cumsum(runs) - runs, runs))
+
+
+def _deciding_entries(mag: np.ndarray, tol: float, touches: np.ndarray,
+                      got: _Classes) -> list:
+    """(block, a, b, class) of the entries that decide the scan of the
+    class deviations ``mag`` (``got.mag`` or its first blocks):
+
+    * the witness, the earliest pair of the earliest class at the first
+      largest deviation;
+    * one interior entry at the interior maximum, over the classes of a
+      label pair whose labels both have a member off the boundary;
+    * the first ``BOUNDARY_WITNESS_CAP`` entries above ``tol`` on the
+      boundary, in (block, a, b) order.  In a block only the hot label
+      pairs with the earliest boundary pairs can hold them, and of their
+      pairs only those of the first ``BOUNDARY_WITNESS_CAP`` members and
+      boundary members of each label: any other pair is preceded by that
+      many boundary pairs of its label pair.
+    """
+    (la, lb, cls, rep), cap = got.pairs, BOUNDARY_WITNESS_CAP
+    peak = mag.max(axis=1)
+    block = int(peak.argmax())
+    p = rep[mag[block] == peak[block]].min()
+    found = [(block, got.first[la[p]], got.first[lb[p]], cls[p])]
+    inner, interior = got.inner
+    held = np.where(interior >= 0, mag, 0.0)
+    block, c = np.unravel_index(held.argmax(), held.shape)
+    if held[block, c] > 0:
+        q = interior[c]
+        found.append((block, inner[la[q]], inner[lb[q]], c))
+    leading, on, key, starts, runs = got.edges
+    size = len(touches)
+    touched = np.append(touches, False)
+    hits: list = []
+    for block in np.flatnonzero(peak > tol) if on.size else ():
+        room = cap - len(hits)
+        hot = np.flatnonzero(mag[block] > tol)
+        take = np.minimum(runs[hot], room)
+        at = np.repeat(starts[hot] - np.cumsum(take) + take, take) \
+            + np.arange(take.sum())
+        pick = on[at[np.argsort(key[at])[:room]]]
+        a, b = leading[la[pick], :, None], leading[lb[pick], None, :]
+        ok = (a < size) & (b < size) & (touched[a] | touched[b])
+        keys, where = np.unique((a * size + b)[ok], return_index=True)
+        classes = np.broadcast_to(cls[pick, None, None], ok.shape)[ok][where]
+        hits += [(block, k // size, k % size, c)
+                 for k, c in zip(keys[:room], classes[:room])]
+        if len(hits) == cap:
+            break
+    return found + hits
 
 
 def _syndrome_engine(code: CodeSpec, tab: _Tableau, table: _SyndromeTable,
                      tol: float, fail_fast: bool):
-    """Weyl families on stabilizer codes; see the module docstring.
+    """Weyl families on stabilizer codes by label classes; see the module
+    docstring.
 
     A pair with different syndromes has A^dag B off the normalizer, so
-    every overlap is an exact zero.  One ``_transfer`` at v_0 over every
-    same-syndrome pair gives lambda: A^dag B maps v_0 onto mu times the
-    ket ``target``, and lambda_ab = mu |v_0|^2 where that ket is v_0, for
-    pairs of one full label (A^dag B in S) and failing pairs alike.
+    every overlap is an exact zero, and a pair of one label (one coset of
+    S) has A^dag B in S, so it passes.  The failing pairs are the pairs of
+    two labels with one syndrome.  Such a pair's A^dag B is its logical
+    class's representative's times a phase and an element of S, and its
+    class, the coset of S of row_b - row_a, is its label pair's.  So the
+    engine lists label pairs, never pattern pairs, and reads every ket for
+    one representative per class, its earliest pair: A^dag B maps v_j onto
+    mu times the ket ``targets[j]``.  Each deviation is a magnitude of its
+    class (``_class_deviations``), so one table, blocks by classes, gives
+    the largest deviation and the ``fail_fast`` stop, after the first
+    block holding a deviation above ``tol``.  All of this is read once per
+    syndrome table (``_read_classes``).  The scan is fed, block by block
+    in (a, b) order, only the entries of ``_deciding_entries``; their
+    overlaps are the representative's times kappa, the pair's own mu at
+    v_0 over the representative's, from one ``_transfer``.
 
-    A failing pair's A^dag B is its logical class's representative's
-    times a phase and an element of S, which acts on every ket as one
-    phase, so its overlaps are the representative's times kappa, its own
-    mu at v_0 over the representative's: every ket is read for the
-    representatives only.  The scan gets, block (i, j >= i) by block,
-    the entries that can be nonzero: a pair maps v_j onto one ket,
-    ``targets[j]``, and on the diagonal the reference overlap counts too.
-    Each deviation is a magnitude of its class: |v_0|^2 where one of the
-    two overlaps is zero, and |w^k - 1| |v_0|^2 where the class maps v_i
-    and v_0 onto themselves with character ratio w^k.  ``fail_fast``
-    stops after the first block holding a deviation above ``tol``.
-    Returns (scan, failed, lam, lambda summary or None).
+    Lambda is held as ``_LambdaFactors``.  On a pass it is built here,
+    with its summary in closed form; on a fail ``KLReport.lam`` builds it
+    when first read.  Returns (scan, failed, lam or its factors, lambda
+    summary or None).
     """
-    n, kets, rows = code.n_levels, tab.kets, table.rows
-    size, dim, norm = len(rows), len(kets.amps), kets.norms[0]
-    label, labels = _rank_strings(_string_keys(
-        _reduce(rows, tab.stabilizer, tab.pivots, n), n))
-    a, b = _pairs_within(table.classes)
-    (target,), (mu,) = _transfer(tab, n, rows[a], rows[b], [0])
-    kept = target == 0
-    entries = mu[kept] * norm, a[kept], b[kept]
-    lam = _lambda_out(*entries, size)
-    scan = _Scan(table.touches, tol, lam)
-    failing = label[a] != label[b]
-    if not failing.any():
-        # lambda is a direct sum of rank-1 blocks, one per label class
-        eigenvalues = np.zeros(size)
-        eigenvalues[:labels] = np.bincount(label) * norm
-        return scan, False, lam, _lambda_summary(
-            eigenvalues, _identity_deviation(*entries), size, tol)
-    a, b, mu, kept = a[failing], b[failing], mu[failing], kept[failing]
-    # each failing pair's logical class, the coset of S of row_b - row_a
-    cls, _ = _rank_strings(_string_keys(_reduce(
-        (rows[b] - rows[a]) % n, tab.stabilizer, tab.pivots, n), n))
-    _, rep = np.unique(cls, return_index=True)
-    # (target ket, mu) of each class's representative, per source ket j
-    targets, mus = _transfer(tab, n, rows[a[rep]], rows[b[rep]], range(dim))
-    kappa = mu / mu[rep[cls]]
-
-    def blocks():
-        for i, j in _blocks_after_reference(dim):
-            own = (targets[j] == i)[cls]
-            live = np.flatnonzero(own | kept if i == j else own)
-            chord = np.ones(len(rep))
-            if i == j:
-                fixed = (targets[i] == i) & (targets[0] == 0)
-                k = _root_exponents(mus[i][fixed] / mus[0][fixed], n)
-                chord[fixed] = 2 * np.sin(np.pi * np.minimum(k, n - k) / n)
-            yield i, j, a[live], b[live], chord[cls[live]] * norm, np.where(
-                own[live], kappa[live] * mus[j][cls[live]] * kets.norms[i], 0)
-
-    return scan, _scan_blocks(scan, blocks(), fail_fast), lam, None
+    n, rows = code.n_levels, table.rows
+    if table.checked is None:
+        table.checked = _read_classes(tab, table, n)
+    got = table.checked
+    scan, failed = _Scan(table.touches, tol, {}), False
+    if got.pairs:
+        mag = got.mag
+        over = np.flatnonzero(mag.max(axis=1) > tol)
+        if fail_fast and over.size:
+            mag = mag[:over[0] + 1]
+        block, a, b, c = np.array(sorted(set(_deciding_entries(
+            mag, tol, table.touches, got)))).T
+        (target,), (mu,) = _transfer(tab, n, rows[a], rows[b], [0])
+        i, j = got.blocks[0][block], got.blocks[1][block]
+        observed = np.where(got.targets[j, c] == i,
+                            mu / got.mus[0, c] * got.mus[j, c]
+                            * tab.kets.norms[i], 0)
+        # a diagonal entry expects lambda_ab, mu |v_0|^2 where v_0 is fixed
+        scan.lam.update(zip(zip(a.tolist(), b.tolist()), np.where(
+            target == 0, mu * got.factors.norm, 0)))
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(block)]
+        failed = _scan_blocks(scan, (
+            (int(i[s]), int(j[s]), a[s:e], b[s:e], mag[block[s:e], c[s:e]],
+             observed[s:e]) for s, e in zip(cuts, cuts[1:])), fail_fast)
+    if failed:
+        return scan, True, got.factors, None
+    lam, deviation = got.factors.build()
+    return scan, False, lam, got.factors.summary(deviation, tol)
 
 
 def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
@@ -645,7 +883,8 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
     if not failed and summary is None and len(patterns) <= LAMBDA_SUMMARY_MAX:
         summary = _summarize_lambda(lam, tol)
     k = min(len(patterns), LAMBDA_SAMPLE_DIM)
-    corner = _as_dense(lam[:k, :k])
+    corner = lam.corner(k) if isinstance(lam, _LambdaFactors) \
+        else _as_dense(lam[:k, :k])
     samples = {(a, b): complex(value)
                for (a, b), value in np.ndenumerate(corner)}
 
@@ -670,7 +909,7 @@ def kl_check(code: CodeSpec, family: PatternFamily, tol: float = 1e-9,
         lambda_summary=summary,
         elapsed_seconds=elapsed,
         family_json=family.to_json(),
-        lam=lam,
+        _lam=lam,
         code=code,
         family=family,
     )
@@ -684,13 +923,6 @@ def _check_tol(tol: float) -> None:
 
 def _as_dense(lam) -> np.ndarray:
     return lam if isinstance(lam, np.ndarray) else lam.toarray()
-
-
-def _identity_deviation(values: np.ndarray, a: np.ndarray,
-                        b: np.ndarray) -> float:
-    """The largest entry of |lambda - I| for lambda given by its entries
-    (a, b, value), one per pair, every diagonal pair among them."""
-    return float(np.abs(values - (a == b)).max(initial=0.0))
 
 
 def _lambda_summary(eigenvalues: np.ndarray, identity_dev: float, size: int,
@@ -762,7 +994,8 @@ def lambda_matrix(code: CodeSpec, family: PatternFamily,
             f"code {code.label!r} fails the recoverability check "
             f"(max deviation {report.max_deviation:.3e}); "
             "the lambda matrix is undefined")
-    lam = _as_dense(report.lam)
+    # a passing report holds lambda itself, never its factors
+    lam = _as_dense(report._lam)
     summary = report.lambda_summary
     if summary is None or report.tolerance != tol:
         summary = _summarize_lambda(lam, tol)

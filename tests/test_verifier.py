@@ -1,4 +1,6 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1005,6 +1007,208 @@ def test_syndrome_engine_agrees_with_its_pair_by_pair_oracle(
         # and gives it to the earlier entry
         assert close(ours.witness.deviation, ref.witness.deviation)
         assert witness_key(ours.witness) < witness_key(ref.witness)
+
+
+def pair_list_report(code, family, **kwargs):
+    """kl_check with the pair-list engine in place of the package's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_syndrome_engine",
+                      syndrome_oracle.pair_list_engine)
+        return kl_check(code, family, **kwargs)
+
+
+def assert_same_as_pair_list(code, family, fail_fast):
+    """The engine's report against the pair-list engine's: verdicts and
+    every witness key equal, every value within 1e-12, lambda included
+    once it is read."""
+    ours = kl_check(code, family, fail_fast=fail_fast)
+    ref = pair_list_report(code, family, fail_fast=fail_fast)
+    where = (code.label, code.n_levels, code.logical_len, len(family))
+    assert ours.engine == ref.engine == "syndrome", where
+    assert (ours.verdict, ours.interior_verdict) == \
+        (ref.verdict, ref.interior_verdict), where
+    assert (ours.witness is None) == (ref.witness is None), where
+    witnesses = list(zip(ours.boundary_witnesses, ref.boundary_witnesses))
+    if ours.witness is not None:
+        witnesses.append((ours.witness, ref.witness))
+    assert len(ours.boundary_witnesses) == len(ref.boundary_witnesses), where
+    for w, v in witnesses:
+        assert same_witness(w, v) and close(w.deviation, v.deviation), where
+        assert w.boundary == v.boundary, where
+    assert close(ours.max_deviation, ref.max_deviation), where
+    assert close(ours.interior_max_deviation,
+                 ref.interior_max_deviation), where
+    assert ours.lambda_samples.keys() == ref.lambda_samples.keys(), where
+    assert all(close(ours.lambda_samples[key], value)
+               for key, value in ref.lambda_samples.items()), where
+    assert type(ours.lam) is type(ref.lam), where
+    assert np.abs(verifier._as_dense(ours.lam)
+                  - verifier._as_dense(ref.lam)).max(initial=0) < 1e-12, where
+    if ours.passed:
+        for key in ("kind", "rank", "dim"):
+            assert ours.lambda_summary[key] == ref.lambda_summary[key], where
+        assert close(ours.lambda_summary["min_eigenvalue"],
+                     ref.lambda_summary["min_eigenvalue"]), where
+    else:
+        assert ours.lambda_summary is ref.lambda_summary is None, where
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+@pytest.mark.parametrize("code, family, verdict", SYNDROME_CASES)
+def test_syndrome_engine_agrees_with_the_pair_list_engine(code, family,
+                                                          verdict, fail_fast):
+    assert_same_as_pair_list(code, family, fail_fast)
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_syndrome_engine_agrees_with_the_pair_list_engine_on_kept_tables(
+        fail_fast):
+    for code, family in kept_table_cases():
+        assert_same_as_pair_list(code, family, fail_fast)
+
+
+@functools.cache
+def scale_case(label, n, logical_len, window, dual):
+    code = builtin(label, n, logical_len)
+    code = dualize(code) if dual else code
+    return code, weyl_family(code.width, window, 1, n)
+
+
+# inputs sized like the benchmark's checks and the roadmap's targets: the
+# channel's two rate14_conv checks, the fail_fast check of the spin_conv
+# dual, rate14_conv up to five symbols, majority3 at N = 4 and 6, duals
+# whose label pairs are far fewer than their pattern pairs, and passes
+SCALE_CASES = [
+    pytest.param(*case, id="{}-N{}-L{}-w{}{}".format(
+        *case[:4], "-dual" if case[4] else ""))
+    for case in (("rate14_conv", 2, 1, 8, False),
+                 ("rate14_conv", 2, 3, 8, False),
+                 ("rate14_conv", 2, 4, 7, False),
+                 ("rate14_conv", 2, 5, 8, False),
+                 ("spin_conv", 3, 2, 5, True),
+                 ("spin_conv", 3, 2, 4, True),
+                 ("spin_conv", 2, 2, 4, False),
+                 ("majority3", 6, 2, 3, False),
+                 ("majority3", 4, 2, 3, False),
+                 ("majority3", 3, 1, 1, True),
+                 ("majority3", 3, 2, 3, True),
+                 ("shor9", 2, 1, 9, False),
+                 ("shor9", 3, 1, 9, False),
+                 ("perfect5", 2, 2, 5, False),
+                 ("perfect5", 3, 1, 5, False))]
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+@pytest.mark.parametrize("label, n, logical_len, window, dual", SCALE_CASES)
+def test_syndrome_engine_agrees_with_the_pair_list_engine_at_scale(
+        label, n, logical_len, window, dual, fail_fast):
+    code, family = scale_case(label, n, logical_len, window, dual)
+    assert_same_as_pair_list(code, family, fail_fast)
+
+
+def walked_entries(mag, tol, touches, label, pair_class):
+    """(witness, interior maximum, boundary entries) of the class
+    deviations ``mag`` by a walk over every pattern pair, for the label
+    pairs of ``pair_class`` (a dict from label pair to class)."""
+    entries = [(block, a, b, c) for block in range(len(mag))
+               for a, b in itertools.product(range(len(label)), repeat=2)
+               for c in [pair_class.get((label[a], label[b]))]
+               if c is not None and mag[block, c] > 0]
+    peak = max(mag[block, c] for block, _, _, c in entries)
+    witness = next(e for e in entries if mag[e[0], e[3]] == peak)
+    interior = max((mag[block, c] for block, a, b, c in entries
+                    if not touches[a] | touches[b]), default=0.0)
+    boundary = [e for e in entries if mag[e[0], e[3]] > tol
+                and touches[e[1]] | touches[e[2]]]
+    return witness, interior, boundary[:verifier.BOUNDARY_WITNESS_CAP]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_deciding_entries_match_a_walk_over_every_pattern_pair(seed):
+    # labels of several members, some on the boundary and some off it,
+    # grouped into syndromes, with each label pair's class drawn at random:
+    # the entries fed to the scan must be those a walk over every pattern
+    # pair in (block, a, b) order finds
+    rng = np.random.default_rng(seed)
+    syndromes = int(rng.integers(1, 4))
+    count = int(rng.integers(2 * syndromes, 16))
+    label = np.concatenate([np.arange(count),
+                            rng.integers(0, count, int(rng.integers(0, 60)))])
+    rng.shuffle(label)
+    _, first = np.unique(label, return_index=True)
+    by_first = np.argsort(first)
+    first, label = first[by_first], np.argsort(by_first)[label]
+    la, lb = verifier._label_pairs(np.arange(count) % syndromes, syndromes)
+    _, cls = np.unique(rng.integers(0, 6, len(la)), return_inverse=True)
+    _, rep = np.unique(cls, return_index=True)
+    touches = rng.random(len(label)) < rng.uniform(0.1, 0.9)
+    mag = rng.choice([0.0, 0.5, 1.0, 2.0], (int(rng.integers(1, 6)),
+                                           cls.max() + 1),
+                     p=[0.1, 0.2, 0.3, 0.4])
+    mag[0, cls[0]] = 2.0
+    got = verifier._Classes(label, first, None, (la, lb, cls, rep),
+                            **verifier._entry_index(touches, label, first,
+                                                    la, lb, cls))
+    found = verifier._deciding_entries(mag, 0.7, touches, got)
+    witness, interior, boundary = walked_entries(
+        mag, 0.7, touches, label,
+        {(x, y): c for x, y, c in zip(la, lb, cls)})
+    assert tuple(map(int, found[0])) == witness
+    inner = [e for e in found[1:] if not touches[e[1]] | touches[e[2]]]
+    assert [mag[e[0], e[3]] for e in inner] == ([interior] if interior
+                                                  else [])
+    for block, a, b, c in inner:
+        assert (label[a], label[b]) in zip(la[cls == c], lb[cls == c])
+    assert [tuple(map(int, e)) for e in found[1 + len(inner):]] == boundary
+
+
+def test_syndrome_engine_lists_label_pairs_not_pattern_pairs(monkeypatch):
+    # the dual of majority3 N=3 L=1 against window 1: 729 patterns in 9
+    # syndrome classes hold 59049 same-syndrome pattern pairs but only 81
+    # labels, 9 to a class, so 648 pairs of distinct labels; a repeated
+    # check lists none again
+    dual = dualize(builtin("majority3", 3, 1))
+    family = weyl_family(dual.width, 1, 1, 3)
+    listed = []
+    label_pairs = verifier._label_pairs
+
+    def counting(syndrome, count):
+        listed.append(label_pairs(syndrome, count))
+        return listed[-1]
+
+    monkeypatch.setattr(verifier, "_label_pairs", counting)
+    reports = [kl_check(dual, family) for _ in range(2)]
+    assert [r.verdict for r in reports] == ["fail", "fail"]
+    _, table = stabilizer._syndrome_plan(dual, family)
+    assert len(family) == 729 and len(table.keys) == 9
+    assert (np.bincount(table.classes) ** 2).sum() == 59049
+    assert len(listed) == 1 and len(listed[0][0]) == 648
+    assert reports[1].to_json() | {"elapsed_seconds": 0} == \
+        reports[0].to_json() | {"elapsed_seconds": 0}
+
+
+def test_a_failing_check_holds_lambda_as_factors_until_it_is_read():
+    # the dual of majority3 N=2 L=2 against window 1 fails with 4096
+    # patterns; held dense, its lambda takes 268 MB.  The check keeps one
+    # factor per pattern and builds lambda, dense at this size, when
+    # report.lam is first read
+    dual = dualize(builtin("majority3", 2, 2))
+    family = weyl_family(dual.width, 1, 1, 2)
+    assert len(family) == verifier.LAMBDA_SUMMARY_MAX == 4096
+    tracemalloc.start()
+    try:
+        report = kl_check(dual, family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.engine == "syndrome" and report.verdict == "fail"
+    assert peak < 64 * 2 ** 20
+    assert abs(reevaluate_witness(dual, family, report.witness)
+               - report.witness.deviation) < 1e-9
+    ref = pair_list_report(dual, family).lam
+    assert isinstance(report.lam, np.ndarray)
+    for rows in np.array_split(np.arange(len(family)), 16):
+        assert np.abs(report.lam[rows] - ref[rows]).max() < 1e-12
 
 
 # small enough for exact arithmetic: passes and fails, N = 2 and 3, a dual
